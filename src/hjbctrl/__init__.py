@@ -1,9 +1,9 @@
 """hjbctrl: neural optimal control with HJB-derived training losses.
 
 Submodules:
-    diffkit   reverse-mode autodiff kernel (tensors, tape, grad)
+    diffkit   autodiff kernel (tensors, tape, reverse-mode grad, forward-mode jvp)
     netzoo    MLP families (sine dynamics net, tanh-box controller, value net)
-    dynzoo    analytic benchmark systems, costs, datasets
+    dynzoo    analytic benchmark systems (f only; Jacobians derived), costs, datasets
     optim     Adam and learning-rate schedules
     sysid     Sobolev system identification and the activation ablation
     rollout   differentiable fixed-step RK4 closed-loop simulation

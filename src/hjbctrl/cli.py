@@ -77,9 +77,6 @@ EVAL_COLUMNS = [
     "obstacle_violations", "ftheta_nfe", "compute_time_per_traj_s",
 ]
 
-# wall-clock field; excluded when comparing reports for reproducibility
-EVAL_TIMING_COLUMNS = {"compute_time_per_traj_s"}
-
 
 def evaluate(
     spec: SystemSpec,

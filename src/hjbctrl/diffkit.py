@@ -2,10 +2,15 @@
 
 The kernel is deliberately small: an explicit ``Tape`` records every
 primitive operation in execution order, and :func:`grad` replays the tape
-backwards once.  Anything that needs to be differentiated twice (network
-input-Jacobians inside a training loss) is built as a composition of these
-primitives rather than by a generic higher-order engine, so a single
-backward pass is always sufficient.
+backwards once.  Derivatives that a training loss itself contains are
+composed from the same primitives, so they are taped and one backward pass
+differentiates through them:
+
+* network input-Jacobians are written out by hand in ``netzoo``;
+* :func:`jvp` runs a function in tangent (forward) mode: while it runs,
+  every primitive also pushes one tangent per requested direction, built
+  from primitives (Griewank & Walther, *Evaluating Derivatives*, ch. 3).
+  This is how the dynamics Jacobians of ``dynzoo`` are derived from f.
 
 Tensors are immutable values.  Ops executed while a tape is active record
 themselves; ops on plain constants evaluate eagerly and record nothing,
@@ -36,6 +41,7 @@ class NumericError(DiffkitError):
 # ---------------------------------------------------------------------------
 
 _ACTIVE_TAPE: "Tape | None" = None
+_JVP: "_Tangents | None" = None  # set only while jvp() runs
 
 
 class _Node:
@@ -178,16 +184,20 @@ def _parents(*ts: Tensor) -> tuple[int, ...]:
     return tuple(t.idx if t.tape is _ACTIVE_TAPE else -1 for t in ts)
 
 
-def _emit(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
-    """Record the op if any input is tracked on the active tape."""
+def _emit(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], backward,
+          aux=None) -> Tensor:
+    """Record the op if any input is tracked on the active tape; inside
+    :func:`jvp`, also push the output's tangents (``aux`` is the op's
+    static argument that its tangent rule needs: an index or an axis)."""
     tape = _ACTIVE_TAPE
-    if tape is None:
-        return Tensor(out)
-    parents = _parents(*inputs)
-    if all(p < 0 for p in parents):
-        return Tensor(out)
-    idx = tape._record(op, parents, backward)
-    return Tensor(out, tape, idx)
+    parents = None if tape is None else _parents(*inputs)
+    if parents is None or all(p < 0 for p in parents):
+        t = Tensor(out)
+    else:
+        t = Tensor(out, tape, tape._record(op, parents, backward))
+    if _JVP is not None:
+        _JVP.push(op, t, inputs, aux)
+    return t
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -452,7 +462,7 @@ def concat(ts: Sequence, axis: int = -1) -> Tensor:
     def backward(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _emit("concat", out, tuple(ts), backward)
+    return _emit("concat", out, tuple(ts), backward, axis)
 
 
 def stack(ts: Sequence, axis: int = 0) -> Tensor:
@@ -498,7 +508,7 @@ def getitem(a, key) -> Tensor:
         full[key] = g
         return (full,)
 
-    return _emit("getitem", out, (a,), backward)
+    return _emit("getitem", out, (a,), backward, key)
 
 
 def detach(a) -> Tensor:
@@ -528,6 +538,165 @@ def quadform(x, m) -> Tensor:
     """Row-wise quadratic form x M x^T for batched row vectors x: (B, n) -> (B,)."""
     x = _lift(x)
     return sum_(matmul(x, m) * x, axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Forward (tangent) mode
+# ---------------------------------------------------------------------------
+
+
+def _plus(a, b):
+    """Sum of two tangents, either of which may be None (zero)."""
+    if a is None:
+        return b
+    return a if b is None else add(a, b)
+
+
+def _fit(t, out: Tensor):
+    """Broadcast a tangent to the shape of the value it belongs to."""
+    if t is None or t.data.shape == out.data.shape:
+        return t
+    return add(t, np.zeros(out.data.shape))
+
+
+def _nonzero(t):
+    """None for a constant all-zero tangent, so later rules can skip it."""
+    if t is None or (t.tape is None and not t.data.any()):
+        return None
+    return t
+
+
+def _t_add(out, ins, tans, aux):
+    return [_fit(_plus(da, db), out) for da, db in zip(*tans)]
+
+
+def _t_sub(out, ins, tans, aux):
+    return [
+        _fit(da if db is None else neg(db) if da is None else sub(da, db), out)
+        for da, db in zip(*tans)
+    ]
+
+
+def _t_mul(out, ins, tans, aux):
+    a, b = ins
+    return [
+        _plus(None if da is None else mul(da, b), None if db is None else mul(a, db))
+        for da, db in zip(*tans)
+    ]
+
+
+def _t_div(out, ins, tans, aux):
+    # d(a / b) = da / b + db * (-(a / b) / b)
+    a, b = ins
+    w = neg(div(out, b)) if any(db is not None for db in tans[1]) else None
+    return [
+        _plus(None if da is None else div(da, b), None if db is None else mul(db, w))
+        for da, db in zip(*tans)
+    ]
+
+
+def _scaled(factor):
+    """Rule for an elementwise op whose derivative is ``factor(a)``."""
+
+    def rule(out, ins, tans, aux):
+        w = factor(ins[0])
+        return [None if da is None else mul(da, w) for da in tans[0]]
+
+    return rule
+
+
+_TANGENT_RULES = {
+    "add": _t_add,
+    "sub": _t_sub,
+    "mul": _t_mul,
+    "div": _t_div,
+    "neg": lambda out, ins, tans, aux: [None if da is None else neg(da) for da in tans[0]],
+    "sin": _scaled(lambda a: cos(a)),
+    "cos": _scaled(lambda a: neg(sin(a))),
+    "square": _scaled(lambda a: mul(2.0, a)),
+    "getitem": lambda out, ins, tans, aux: [
+        None if da is None else _nonzero(getitem(da, aux)) for da in tans[0]
+    ],
+    "reshape": lambda out, ins, tans, aux: [
+        None if da is None else reshape(da, out.data.shape) for da in tans[0]
+    ],
+    "concat": lambda out, ins, tans, aux: [
+        None if all(t is None for t in ts) else concat(
+            [np.zeros(x.data.shape) if t is None else t for x, t in zip(ins, ts)], axis=aux
+        )
+        for ts in zip(*tans)
+    ],
+}
+
+
+class _Tangents:
+    """The tangents of the tensors computed inside one :func:`jvp` call."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        # id(tensor) -> (tensor, one tangent or None per direction); holding
+        # the tensor keeps its id from being reused while jvp runs
+        self.of: dict[int, tuple[Tensor, tuple]] = {}
+
+    def get(self, t: Tensor) -> tuple:
+        entry = self.of.get(id(t))
+        return entry[1] if entry is not None else (None,) * self.n
+
+    def set(self, t: Tensor, tans) -> None:
+        tans = tuple(tans)
+        if any(dt is not None for dt in tans):
+            self.of[id(t)] = (t, tans)
+
+    def push(self, op: str, out: Tensor, inputs: tuple[Tensor, ...], aux) -> None:
+        if not any(id(t) in self.of for t in inputs):
+            return
+        rule = _TANGENT_RULES.get(op)
+        if rule is None:
+            raise DiffkitError(f"jvp: op '{op}' has no tangent rule")
+        global _JVP
+        _JVP = None  # the rule's own ops are plain (taped) primal arithmetic
+        try:
+            self.set(out, rule(out, inputs, [self.get(t) for t in inputs], aux))
+        finally:
+            _JVP = self
+
+
+def jvp(fn: Callable, primals: Sequence, directions: Sequence[Sequence]):
+    """``fn(*primals)`` and its directional derivatives along each direction.
+
+    ``directions`` holds one sequence per direction with one entry per
+    primal: an array of that primal's shape, or None for zero.  Returns
+    ``(fn(*primals), tangents)`` with one tangent per direction, None where
+    the output does not depend on that direction.  Tangents are built from
+    primitives, so under an active tape they are recorded and can be
+    differentiated in reverse.  Only the ops with a tangent rule (add, sub,
+    mul, div, neg, sin, cos, square, getitem, reshape, concat) may see a
+    tangent; any other raises :class:`DiffkitError`.  Calls do not nest.
+    """
+    global _JVP
+    if _JVP is not None:
+        raise DiffkitError("jvp is already running; jvp calls do not nest")
+    primals = tuple(_lift(p) for p in primals)
+    state = _Tangents(len(directions))
+    for i, p in enumerate(primals):
+        seeds = []
+        for direction in directions:
+            dp = direction[i]
+            if dp is not None:
+                dp = _lift(dp)
+                if dp.data.shape != p.data.shape:
+                    raise ShapeError(
+                        f"jvp direction of shape {dp.data.shape} for a primal of shape "
+                        f"{p.data.shape}"
+                    )
+            seeds.append(_nonzero(dp))
+        state.set(p, seeds)
+    _JVP = state
+    try:
+        out = fn(*primals)
+    finally:
+        _JVP = None
+    return out, list(state.get(out))
 
 
 # ---------------------------------------------------------------------------

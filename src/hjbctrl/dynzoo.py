@@ -1,9 +1,11 @@
-"""Analytic benchmark systems: dynamics, Jacobians, costs, obstacles.
+"""Analytic benchmark systems: dynamics, costs, obstacles.
 
-All dynamics and Jacobians are written against the diffkit op set, so the
-same code evaluates eagerly on plain arrays (dataset generation, test-time
-rollouts) and participates in a tape during training with an analytic
-transition.  Everything works on batches: x is (B, d), u is (B, m).
+A system supplies only its dynamics f, written against the diffkit op set,
+so the same code evaluates eagerly on plain arrays (dataset generation,
+test-time rollouts) and participates in a tape during training with an
+analytic transition.  Its Jacobians are derived from f by forward-mode
+tangents (:func:`jacobian`).  Everything works on batches: x is (B, d),
+u is (B, m).
 
 Registered systems: dubins, cartpole, acrobot, quadrotor, lq1d.
 Conventions:
@@ -16,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -58,7 +61,11 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """One benchmark system: dimensions, boxes, dynamics, Jacobians, cost data."""
+    """One benchmark system: dimensions, boxes, dynamics, cost data.
+
+    ``jac(x, u) -> (df/dx, df/du)`` defaults to the Jacobian derived from
+    ``f``; a system needs to set it only to override that derivation.
+    """
 
     name: str
     d: int
@@ -66,11 +73,11 @@ class SystemSpec:
     state_box: Box
     action_box: Box
     f: Callable[[Tensor, Tensor], Tensor]
-    jac: Callable[[Tensor, Tensor], tuple[Tensor, Tensor]]
     x_star: np.ndarray
     u_star: np.ndarray
     P: np.ndarray
     R: np.ndarray
+    jac: Callable[[Tensor, Tensor], tuple[Tensor, Tensor]] | None = None
     t0: float = 0.0
     tf: float = 6.0
     Q: np.ndarray | None = None  # optional state running-cost weight
@@ -79,6 +86,13 @@ class SystemSpec:
     obs_margin: float = 0.1
     position_slice: slice | None = None  # planar/3D position coords, if meaningful
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # derive jac from f, again when replace() swaps f but not jac
+        jac = self.jac
+        if jac is None or (isinstance(jac, partial) and jac.func is jacobian
+                           and jac.args[0] is not self.f):
+            object.__setattr__(self, "jac", partial(jacobian, self.f))
 
     def validate(self, x: np.ndarray, u: np.ndarray) -> None:
         """Checked-mode input validation; raises DynamicsError on violation."""
@@ -138,28 +152,27 @@ def obstacle_penalty(x, obstacles, c_obs: float = 100.0, margin: float = 0.1) ->
 
 
 # ---------------------------------------------------------------------------
-# Assembly helper for batched Jacobians
+# Jacobians and assembly
 # ---------------------------------------------------------------------------
 
 
-def _col(e, batch: int) -> Tensor:
-    if isinstance(e, Tensor):
-        return e if e.ndim == 2 else dk.reshape(e, (batch, 1))
-    return dk.tensor(np.full((batch, 1), float(e)), checked=False)
+def jacobian(f: Callable, x, u) -> tuple[Tensor, Tensor]:
+    """(df/dx, df/du) of a batched f, shapes (B, d, d) and (B, d, m), from
+    d + m forward-mode tangent directions (taped under an active tape)."""
+    x, u = dk._lift(x), dk._lift(u)
+    b, d = x.shape
+    m = u.shape[1]
+    eye = np.eye(d + m)
+    directions = [(np.broadcast_to(e[:d], (b, d)), np.broadcast_to(e[d:], (b, m))) for e in eye]
+    _, tangents = dk.jvp(f, (x, u), directions)
+    # (B, d+m, d) then a transposed view: stacking on the last axis copies slowly
+    full = dk.transpose(dk.stack([np.zeros((b, d)) if t is None else t for t in tangents], axis=1))
+    return full[:, :, :d], full[:, :, d:]
 
 
-def _bmat(rows, batch: int) -> Tensor:
-    """Stack a list of rows of per-sample scalars into a (B, r, c) tensor."""
-    built = []
-    for r in rows:
-        cols = [_col(e, batch) for e in r]
-        built.append(dk.reshape(dk.concat(cols, axis=1), (batch, 1, len(cols))))
-    return dk.concat(built, axis=1)
-
-
-def _vec(cols, batch: int) -> Tensor:
-    """Concatenate per-sample scalars into a (B, len(cols)) tensor."""
-    return dk.concat([_col(e, batch) for e in cols], axis=1)
+def _vec(cols) -> Tensor:
+    """Concatenate per-sample scalars, (B,) or (B, 1), into a (B, len(cols)) tensor."""
+    return dk.concat([e if e.ndim == 2 else dk.reshape(e, (e.shape[0], 1)) for e in cols], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +192,6 @@ def _make_dubins(p: dict) -> SystemSpec:
         s, c = dk.sincos(psi)
         return dk.concat([v * c, v * s, alpha * v * (1.0 / r)], axis=1)
 
-    def jac(x, u):
-        x, u = dk._lift(x), dk._lift(u)
-        b = x.shape[0]
-        psi = x[:, 2]
-        v = u[:, 0]
-        alpha = u[:, 1]
-        s, c = dk.sincos(psi)
-        jx = _bmat(
-            [[0.0, 0.0, -v * s], [0.0, 0.0, v * c], [0.0, 0.0, 0.0]], b
-        )
-        ju = _bmat(
-            [[c, 0.0], [s, 0.0], [alpha * (1.0 / r), v * (1.0 / r)]], b
-        )
-        return jx, ju
-
     return SystemSpec(
         name="dubins",
         d=3,
@@ -201,7 +199,6 @@ def _make_dubins(p: dict) -> SystemSpec:
         state_box=Box(np.array([-5.0, -5.0, -np.pi]), np.array([5.0, 5.0, np.pi])),
         action_box=Box(np.array([0.0, -1.0]), np.array([v_max, 1.0])),
         f=f,
-        jac=jac,
         x_star=np.zeros(3),
         u_star=np.zeros(2),
         P=np.eye(3),
@@ -223,7 +220,8 @@ def _make_cartpole(p: dict) -> SystemSpec:
     mt = mc + mp
     k = mp * lp
 
-    def _core(x, u):
+    def f(x, u):
+        x, u = dk._lift(x), dk._lift(u)
         phi = x[:, 2]
         phid = x[:, 3]
         force = u[:, 0]
@@ -232,40 +230,7 @@ def _make_cartpole(p: dict) -> SystemSpec:
         den = lp * (4.0 / 3.0 - (mp / mt) * dk.square(c))
         phidd = (g * s - c * t1) / den
         pdd = t1 - (k / mt) * phidd * c
-        return phi, phid, force, s, c, t1, den, phidd, pdd
-
-    def f(x, u):
-        x, u = dk._lift(x), dk._lift(u)
-        b = x.shape[0]
-        _, phid, _, _, _, _, _, phidd, pdd = _core(x, u)
-        return _vec([x[:, 1], pdd, phid, phidd], b)
-
-    def jac(x, u):
-        x, u = dk._lift(x), dk._lift(u)
-        b = x.shape[0]
-        phi, phid, force, s, c, t1, den, phidd, pdd = _core(x, u)
-        dt1_dphi = k * dk.square(phid) * c * (1.0 / mt)
-        dt1_dphid = 2.0 * k * phid * s * (1.0 / mt)
-        dden_dphi = 2.0 * lp * (mp / mt) * c * s
-        num = g * s - c * t1
-        dnum_dphi = g * c + s * t1 - c * dt1_dphi
-        dphidd_dphi = (dnum_dphi * den - num * dden_dphi) / dk.square(den)
-        dphidd_dphid = (-c * dt1_dphid) / den
-        dphidd_df = (-c * (1.0 / mt)) / den
-        dpdd_dphi = dt1_dphi - (k / mt) * (dphidd_dphi * c - phidd * s)
-        dpdd_dphid = dt1_dphid - (k / mt) * c * dphidd_dphid
-        dpdd_df = (1.0 / mt) - (k / mt) * c * dphidd_df
-        jx = _bmat(
-            [
-                [0.0, 1.0, 0.0, 0.0],
-                [0.0, 0.0, dpdd_dphi, dpdd_dphid],
-                [0.0, 0.0, 0.0, 1.0],
-                [0.0, 0.0, dphidd_dphi, dphidd_dphid],
-            ],
-            b,
-        )
-        ju = _bmat([[0.0], [dpdd_df], [0.0], [dphidd_df]], b)
-        return jx, ju
+        return _vec([x[:, 1], pdd, phid, phidd])
 
     return SystemSpec(
         name="cartpole",
@@ -277,7 +242,6 @@ def _make_cartpole(p: dict) -> SystemSpec:
         ),
         action_box=Box(np.array([-p["force_max"]]), np.array([p["force_max"]])),
         f=f,
-        jac=jac,
         x_star=np.zeros(4),
         u_star=np.zeros(1),
         P=np.eye(4),
@@ -303,7 +267,8 @@ def _make_acrobot(p: dict) -> SystemSpec:
     g1 = (m1 * lc1 + m2 * l1) * g
     g2 = m2 * lc2 * g
 
-    def _core(x, u):
+    def f(x, u):
+        x, u = dk._lift(x), dk._lift(u)
         q1, q2 = x[:, 0], x[:, 1]
         qd1, qd2 = x[:, 2], x[:, 3]
         tau = u[:, 0]
@@ -318,69 +283,7 @@ def _make_acrobot(p: dict) -> SystemSpec:
         n2 = tau + (d2 / d1) * phi1 - a * dk.square(qd1) * s2 - phi2
         qdd2 = n2 / den2
         qdd1 = -(d2 * qdd2 + phi1) / d1
-        return q1, q2, qd1, qd2, tau, s1, s2, c2, s12, d1, d2, phi1, phi2, den2, n2, qdd1, qdd2
-
-    def f(x, u):
-        x, u = dk._lift(x), dk._lift(u)
-        b = x.shape[0]
-        core = _core(x, u)
-        qd1, qd2, qdd1, qdd2 = core[2], core[3], core[15], core[16]
-        return _vec([qd1, qd2, qdd1, qdd2], b)
-
-    def jac(x, u):
-        x, u = dk._lift(x), dk._lift(u)
-        b = x.shape[0]
-        (q1, q2, qd1, qd2, tau, s1, s2, c2, s12, d1, d2,
-         phi1, phi2, den2, n2, qdd1, qdd2) = _core(x, u)
-        c1 = dk.cos(q1)
-        c12 = dk.cos(q1 + q2)
-
-        # q1 column
-        dphi2_q1 = g2 * c12
-        dphi1_q1 = g1 * c1 + dphi2_q1
-        dn2_q1 = (d2 / d1) * dphi1_q1 - dphi2_q1
-        dqdd2_q1 = dn2_q1 / den2
-        dqdd1_q1 = -(d2 * dqdd2_q1 + dphi1_q1) / d1
-
-        # q2 column
-        dd1 = -2.0 * a * s2
-        dd2 = -a * s2
-        dphi2_q2 = g2 * c12
-        dphi1_q2 = -a * dk.square(qd2) * c2 - 2.0 * a * qd1 * qd2 * c2 + dphi2_q2
-        dratio = (dd2 * d1 - d2 * dd1) / dk.square(d1)
-        dden2 = -(2.0 * d2 * dd2 * d1 - dk.square(d2) * dd1) / dk.square(d1)
-        dn2_q2 = dratio * phi1 + (d2 / d1) * dphi1_q2 - a * dk.square(qd1) * c2 - dphi2_q2
-        dqdd2_q2 = (dn2_q2 * den2 - n2 * dden2) / dk.square(den2)
-        dqdd1_q2 = -(
-            (dd2 * qdd2 + d2 * dqdd2_q2 + dphi1_q2) * d1 - (d2 * qdd2 + phi1) * dd1
-        ) / dk.square(d1)
-
-        # velocity columns
-        dphi1_qd1 = -2.0 * a * qd2 * s2
-        dn2_qd1 = (d2 / d1) * dphi1_qd1 - 2.0 * a * qd1 * s2
-        dqdd2_qd1 = dn2_qd1 / den2
-        dqdd1_qd1 = -(d2 * dqdd2_qd1 + dphi1_qd1) / d1
-
-        dphi1_qd2 = -2.0 * a * (qd1 + qd2) * s2
-        dn2_qd2 = (d2 / d1) * dphi1_qd2
-        dqdd2_qd2 = dn2_qd2 / den2
-        dqdd1_qd2 = -(d2 * dqdd2_qd2 + dphi1_qd2) / d1
-
-        # torque column
-        dqdd2_tau = 1.0 / den2
-        dqdd1_tau = -d2 / (d1 * den2)
-
-        jx = _bmat(
-            [
-                [0.0, 0.0, 1.0, 0.0],
-                [0.0, 0.0, 0.0, 1.0],
-                [dqdd1_q1, dqdd1_q2, dqdd1_qd1, dqdd1_qd2],
-                [dqdd2_q1, dqdd2_q2, dqdd2_qd1, dqdd2_qd2],
-            ],
-            b,
-        )
-        ju = _bmat([[0.0], [0.0], [dqdd1_tau], [dqdd2_tau]], b)
-        return jx, ju
+        return _vec([qd1, qd2, qdd1, qdd2])
 
     return SystemSpec(
         name="acrobot",
@@ -392,7 +295,6 @@ def _make_acrobot(p: dict) -> SystemSpec:
         ),
         action_box=Box(np.array([-p["torque_max"]]), np.array([p["torque_max"]])),
         f=f,
-        jac=jac,
         x_star=np.array([np.pi, 0.0, 0.0, 0.0]),
         u_star=np.zeros(1),
         P=np.eye(4),
@@ -412,29 +314,20 @@ def _make_quadrotor(p: dict) -> SystemSpec:
     mass, g = p["mass"], p["gravity"]
     j1, j2, j3 = p["inertia"]
 
-    def _attitude(x):
+    def f(x, u):
+        x, u = dk._lift(x), dk._lift(u)
         roll, pitch, yaw = x[:, 3], x[:, 4], x[:, 5]
         sr, cr = dk.sincos(roll)
         sp, cp = dk.sincos(pitch)
         sy, cy = dk.sincos(yaw)
-        return sr, cr, sp, cp, sy, cy
-
-    def _thrust_axis(sr, cr, sp, cp, sy, cy):
-        # third column of Rz(yaw) Ry(pitch) Rx(roll)
-        r3x = cy * sp * cr + sy * sr
-        r3y = sy * sp * cr - cy * sr
-        r3z = cp * cr
-        return r3x, r3y, r3z
-
-    def f(x, u):
-        x, u = dk._lift(x), dk._lift(u)
-        b = x.shape[0]
-        sr, cr, sp, cp, sy, cy = _attitude(x)
         w1, w2, w3 = x[:, 9], x[:, 10], x[:, 11]
         thrust = u[:, 0]
         t1, t2, t3 = u[:, 1], u[:, 2], u[:, 3]
 
-        r3x, r3y, r3z = _thrust_axis(sr, cr, sp, cp, sy, cy)
+        # third column of Rz(yaw) Ry(pitch) Rx(roll)
+        r3x = cy * sp * cr + sy * sr
+        r3y = sy * sp * cr - cy * sr
+        r3z = cp * cr
         acc = thrust * (1.0 / mass)
         tp = sp / cp
         roll_rate = w1 + sr * tp * w2 + cr * tp * w3
@@ -443,74 +336,12 @@ def _make_quadrotor(p: dict) -> SystemSpec:
         wd1 = (t1 - (j3 - j2) * w2 * w3) * (1.0 / j1)
         wd2 = (t2 - (j1 - j3) * w1 * w3) * (1.0 / j2)
         wd3 = (t3 - (j2 - j1) * w1 * w2) * (1.0 / j3)
-        return _vec(
-            [
-                x[:, 6], x[:, 7], x[:, 8],
-                roll_rate, pitch_rate, yaw_rate,
-                acc * r3x, acc * r3y, acc * r3z - g,
-                wd1, wd2, wd3,
-            ],
-            b,
-        )
-
-    def jac(x, u):
-        x, u = dk._lift(x), dk._lift(u)
-        b = x.shape[0]
-        sr, cr, sp, cp, sy, cy = _attitude(x)
-        w1, w2, w3 = x[:, 9], x[:, 10], x[:, 11]
-        thrust = u[:, 0]
-        acc = thrust * (1.0 / mass)
-        tp = sp / cp
-        sec2 = 1.0 / dk.square(cp)
-
-        r3x, r3y, r3z = _thrust_axis(sr, cr, sp, cp, sy, cy)
-        # partials of the thrust axis w.r.t. roll, pitch, yaw
-        dr3x_r = -cy * sp * sr + sy * cr
-        dr3y_r = -sy * sp * sr - cy * cr
-        dr3z_r = -cp * sr
-        dr3x_p = cy * cp * cr
-        dr3y_p = sy * cp * cr
-        dr3z_p = -sp * cr
-        dr3x_y = -sy * sp * cr + cy * sr
-        dr3y_y = cy * sp * cr + sy * sr
-
-        # Euler kinematics partials
-        droll_r = cr * tp * w2 - sr * tp * w3
-        droll_p = (sr * w2 + cr * w3) * sec2
-        dpitch_r = -sr * w2 - cr * w3
-        dyaw_r = (cr * w2 - sr * w3) / cp
-        dyaw_p = (sr * w2 + cr * w3) * tp / cp
-
-        z = 0.0
-        rows = [
-            [z, z, z, z, z, z, 1.0, z, z, z, z, z],
-            [z, z, z, z, z, z, z, 1.0, z, z, z, z],
-            [z, z, z, z, z, z, z, z, 1.0, z, z, z],
-            [z, z, z, droll_r, droll_p, z, z, z, z, 1.0, sr * tp, cr * tp],
-            [z, z, z, dpitch_r, z, z, z, z, z, z, cr, -sr],
-            [z, z, z, dyaw_r, dyaw_p, z, z, z, z, z, sr / cp, cr / cp],
-            [z, z, z, acc * dr3x_r, acc * dr3x_p, acc * dr3x_y, z, z, z, z, z, z],
-            [z, z, z, acc * dr3y_r, acc * dr3y_p, acc * dr3y_y, z, z, z, z, z, z],
-            [z, z, z, acc * dr3z_r, acc * dr3z_p, z, z, z, z, z, z, z],
-            [z, z, z, z, z, z, z, z, z, z, -(j3 - j2) * w3 / j1, -(j3 - j2) * w2 / j1],
-            [z, z, z, z, z, z, z, z, z, -(j1 - j3) * w3 / j2, z, -(j1 - j3) * w1 / j2],
-            [z, z, z, z, z, z, z, z, z, -(j2 - j1) * w2 / j3, -(j2 - j1) * w1 / j3, z],
-        ]
-        jx = _bmat(rows, b)
-        ju = _bmat(
-            [
-                [z, z, z, z], [z, z, z, z], [z, z, z, z],
-                [z, z, z, z], [z, z, z, z], [z, z, z, z],
-                [r3x * (1.0 / mass), z, z, z],
-                [r3y * (1.0 / mass), z, z, z],
-                [r3z * (1.0 / mass), z, z, z],
-                [z, 1.0 / j1, z, z],
-                [z, z, 1.0 / j2, z],
-                [z, z, z, 1.0 / j3],
-            ],
-            b,
-        )
-        return jx, ju
+        return _vec([
+            x[:, 6], x[:, 7], x[:, 8],
+            roll_rate, pitch_rate, yaw_rate,
+            acc * r3x, acc * r3y, acc * r3z - g,
+            wd1, wd2, wd3,
+        ])
 
     t_max = 2.0 * mass * g
     lo = np.array([-5.0] * 3 + [-np.pi / 3, -np.pi / 3, -np.pi] + [-5.0] * 3 + [-5.0] * 3)
@@ -527,7 +358,6 @@ def _make_quadrotor(p: dict) -> SystemSpec:
             np.array([t_max, p["torque_max"], p["torque_max"], p["torque_max"]]),
         ),
         f=f,
-        jac=jac,
         x_star=x_star,
         u_star=np.array([mass * g, 0.0, 0.0, 0.0]),
         P=np.eye(12),
@@ -548,13 +378,6 @@ def _make_lq1d(p: dict) -> SystemSpec:
     def f(x, u):
         return dk._lift(u)[:, 0:1]
 
-    def jac(x, u):
-        x = dk._lift(x)
-        b = x.shape[0]
-        jx = _bmat([[0.0]], b)
-        ju = _bmat([[1.0]], b)
-        return jx, ju
-
     return SystemSpec(
         name="lq1d",
         d=1,
@@ -562,7 +385,6 @@ def _make_lq1d(p: dict) -> SystemSpec:
         state_box=Box(np.array([-2.0]), np.array([2.0])),
         action_box=Box(np.array([-p["u_max"]]), np.array([p["u_max"]])),
         f=f,
-        jac=jac,
         x_star=np.zeros(1),
         u_star=np.zeros(1),
         P=np.zeros((1, 1)),
@@ -674,7 +496,8 @@ class Dataset:
 
 
 def sample_dataset(spec: SystemSpec, n: int, seed: int) -> Dataset:
-    """N i.i.d. uniform draws over state_box x action_box with analytic targets."""
+    """N i.i.d. uniform draws over state_box x action_box with analytic targets
+    (the Jacobians are derived from f unless the system overrides ``jac``)."""
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)

@@ -164,24 +164,19 @@ def loss_cost(traj: TrajectoryBatch, spec: SystemSpec) -> Tensor:
     return dk.mean_(traj.running_cost_integral + spec.terminal_cost(traj.states[-1]))
 
 
-def _grid_points(traj: TrajectoryBatch) -> tuple[Tensor, Tensor, np.ndarray]:
-    """Flatten all K+1 grid points into one batch (states, controls, times)."""
+def grid_hamiltonian(value, traj: TrajectoryBatch, transition, spec: SystemSpec,
+                     hamil_through_value: bool = True) -> HamiltonianEval:
+    """The Hamiltonian at all K+1 grid points of every trajectory, flattened
+    into one batch; shared by the hjb and hamil losses."""
     xs = dk.concat(traj.states, axis=0)
-    controls = list(traj.controls)
-    if traj.terminal_control is not None:
-        controls = controls + [traj.terminal_control]
-    else:
-        controls = controls + [traj.controls[-1]]  # ZOH fallback
-    us = dk.concat(controls, axis=0)
-    b = traj.states[0].shape[0]
-    ts = np.repeat(traj.times, b)
-    return xs, us, ts
+    us = dk.concat(list(traj.controls) + [traj.terminal_control], axis=0)
+    ts = np.repeat(traj.times, traj.batch)
+    return hamiltonian(value, transition, spec, xs, us, ts,
+                       hamil_through_value=hamil_through_value)
 
 
-def loss_hjb(value, traj: TrajectoryBatch, transition, spec: SystemSpec) -> Tensor:
-    """Mean |dV/dt + H| over batch and all K+1 grid points."""
-    xs, us, ts = _grid_points(traj)
-    ev = hamiltonian(value, transition, spec, xs, us, ts)
+def loss_hjb(ev: HamiltonianEval) -> Tensor:
+    """Mean |dV/dt + H| over the grid evaluation (batch and K+1 points)."""
     return dk.mean_(dk.absval(ev.dV_dt + ev.H))
 
 
@@ -192,12 +187,8 @@ def loss_final(value, traj: TrajectoryBatch, spec: SystemSpec) -> Tensor:
     return dk.mean_(dk.absval(v_f - spec.terminal_cost(x_f)))
 
 
-def loss_hamil(value, traj: TrajectoryBatch, transition, spec: SystemSpec,
-               hamil_through_value: bool = True) -> Tensor:
-    """Mean ||grad_u H||_2 over batch and grid (PMP stationarity pressure)."""
-    xs, us, ts = _grid_points(traj)
-    ev = hamiltonian(value, transition, spec, xs, us, ts,
-                     hamil_through_value=hamil_through_value)
+def loss_hamil(ev: HamiltonianEval) -> Tensor:
+    """Mean ||grad_u H||_2 over the grid evaluation (PMP stationarity pressure)."""
     return dk.mean_(dk.l2norm(ev.grad_u_H, axis=1))
 
 
@@ -280,15 +271,12 @@ def train_controller(
             ctrl = lambda x: netzoo.forward(controller, x, params=cl)
             val = MlpValue(value, spec.t0, spec.tf, params=vl)
             traj = rollout(spec, transition, ctrl, x0, K=cfg.K)
-            # hjb and hamil share one Hamiltonian evaluation over the grid
-            xs, us, ts = _grid_points(traj)
-            ev = hamiltonian(val, transition, spec, xs, us, ts,
-                             hamil_through_value=cfg.hamil_through_value)
+            ev = grid_hamiltonian(val, traj, transition, spec, cfg.hamil_through_value)
             parts = {
                 "loss_cost": loss_cost(traj, spec),
-                "loss_hjb": dk.mean_(dk.absval(ev.dV_dt + ev.H)),
+                "loss_hjb": loss_hjb(ev),
                 "loss_final": loss_final(val, traj, spec),
-                "loss_hamil": dk.mean_(dk.l2norm(ev.grad_u_H, axis=1)),
+                "loss_hamil": loss_hamil(ev),
             }
             total = dk.tensor(0.0)
             for name, alpha in (

@@ -58,15 +58,19 @@ class AnalyticTransition:
     def __call__(self, x, u) -> Tensor:
         return self.spec.f(x, u)
 
-    def jac_u(self, x, u) -> Tensor:
-        return self.spec.jac(x, u)[1]
-
     def costate_vjp_u(self, x, u, v) -> Tensor:
-        """v^T . df/du for a batch of costate rows v: (B, d) -> (B, m)."""
-        ju = self.jac_u(x, u)
-        b = ju.shape[0]
-        row = dk.matmul(dk.reshape(dk._lift(v), (b, 1, ju.shape[1])), ju)
-        return dk.reshape(row, (b, ju.shape[2]))
+        """v^T . df/du for a batch of costate rows v: (B, d) -> (B, m), from
+        one forward-mode tangent of f per action coordinate."""
+        u = dk._lift(u)
+        b, m = u.shape
+        directions = [(None, np.broadcast_to(e, (b, m))) for e in np.eye(m)]
+        _, tangents = dk.jvp(self.spec.f, (x, u), directions)
+        v = dk._lift(v)
+        return dk.concat(
+            [np.zeros((b, 1)) if t is None else dk.sum_(v * t, axis=1, keepdims=True)
+             for t in tangents],
+            axis=1,
+        )
 
 
 class LearnedTransition:
@@ -87,11 +91,6 @@ class LearnedTransition:
     def __call__(self, x, u) -> Tensor:
         z = dk.concat([dk._lift(x), dk._lift(u)], axis=1)
         return netzoo.forward(self.net, z, params=self.params)
-
-    def jac_u(self, x, u) -> Tensor:
-        z = dk.concat([dk._lift(x), dk._lift(u)], axis=1)
-        jac = netzoo.input_jacobian(self.net, z, params=self.params)
-        return jac[:, :, self.d:]
 
     def costate_vjp_u(self, x, u, v) -> Tensor:
         """v^T . df_theta/du without materializing the network Jacobian."""
@@ -115,7 +114,7 @@ class TrajectoryBatch:
     nfe: int
     # feedback control evaluated at the final state; not integrated, but the
     # HJB residual grid includes the terminal point
-    terminal_control: Tensor | None = None
+    terminal_control: Tensor
 
     @property
     def batch(self) -> int:

@@ -137,7 +137,7 @@ def test_loss_hjb_zero_for_constant_value_and_zero_cost():
         z = dk.tensor(np.zeros(b), checked=False)
         return c, z, dk.tensor(np.zeros((b, 1)), checked=False)
 
-    assert hj.loss_hjb(const_value, traj, tr, spec).item() < 1e-12
+    assert hj.loss_hjb(hj.grid_hamiltonian(const_value, traj, tr, spec)).item() < 1e-12
 
 
 def test_loss_hjb_analytic_lq_solution_residual():
@@ -179,7 +179,7 @@ def test_loss_hjb_analytic_lq_solution_residual():
         running_cost_integral=dk.tensor(np.zeros(b)), nfe=0,
         terminal_control=dk.tensor(-p_f * states[-1].data),
     )
-    resid = hj.loss_hjb(analytic_value, traj, tr, spec).item()
+    resid = hj.loss_hjb(hj.grid_hamiltonian(analytic_value, traj, tr, spec)).item()
     assert resid < 1e-6
 
 
@@ -207,7 +207,7 @@ def test_loss_hamil_identities():
     # at u = u* (interior after adding 0.5 to stay inside the box for v) the
     # running-cost gradient is 2R(u - u*); with V = 0 that is all of grad_u H
     traj, tr = make_traj(spec, u_star_ctrl, np.array([[0.0, 0.0, 0.0]]))
-    got = hj.loss_hamil(zero_value, traj, tr, spec).item()
+    got = hj.loss_hamil(hj.grid_hamiltonian(zero_value, traj, tr, spec)).item()
     want = np.linalg.norm(2.0 * np.array([0.5, 0.0]) @ spec.R)
     assert abs(got - want) < 1e-9
 
@@ -215,7 +215,7 @@ def test_loss_hamil_identities():
     ispec = replace(integrator_system(), R=np.zeros((1, 1)))
     ctrl = lambda x: dk.tensor(np.full((x.shape[0], 1), 0.2), checked=False)
     traj, tr = make_traj(ispec, ctrl, np.array([[0.8]]), K=5)
-    got = hj.loss_hamil(quadratic_value, traj, tr, ispec).item()
+    got = hj.loss_hamil(hj.grid_hamiltonian(quadratic_value, traj, tr, ispec)).item()
     xs = np.concatenate([s.data for s in traj.states], axis=0)
     want = np.mean(np.abs(2.0 * xs[:, 0]))
     assert abs(got - want) < 1e-9
