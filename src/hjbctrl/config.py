@@ -8,13 +8,16 @@ A config document has up to five sections::
       "hjb":    {...HjbConfig fields (transition, epochs, alphas, ...)...},
       "rho":    {"kind": "box"|"gaussian", "lo": [...], "hi": [...],
                  "mean": [...], "std": [...]},
-      "eval":   {"starts": 1000, "threshold": 0.15, "metric": "position",
-                 "seed": 0}
+      "eval":   {...EvalConfig fields (starts, threshold, metric, seed)...}
     }
 
-Precedence: package defaults < preset < user config file < CLI flags.
-The effective merged config is echoed next to every command's outputs and
-can be re-fed verbatim via --config.
+Precedence: package defaults < preset < user config file < CLI flags
+(each flag overrides one ``section.key``).  The ``sysid``, ``hjb`` and
+``eval`` sections are parsed by one helper that rejects unknown keys.
+:func:`system_spec` builds the system and, when the ``rho`` section is
+set, replaces the system's start distribution with it.  The effective
+merged config is echoed next to every command's outputs and can be re-fed
+verbatim via --config.
 """
 
 from __future__ import annotations
@@ -25,14 +28,23 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .hjbtrain import HjbConfig, InitialStateDist
-from .sysid import SysIdConfig
-
 import numpy as np
+
+from .dynzoo import Box, Gaussian, SystemSpec, make_system, system_names
+from .hjbtrain import HjbConfig
+from .sysid import SysIdConfig
 
 
 class ConfigError(Exception):
     """Unreadable, unknown, or inconsistent configuration."""
+
+
+@dataclasses.dataclass(frozen=True)
+class EvalConfig:
+    starts: int = 1000
+    threshold: float = 0.15
+    metric: str = "position"  # "position" or "state"
+    seed: int = 0
 
 
 DEFAULTS: dict = {
@@ -40,7 +52,7 @@ DEFAULTS: dict = {
     "sysid": {},
     "hjb": {},
     "rho": None,
-    "eval": {"starts": 1000, "threshold": 0.15, "metric": "position", "seed": 0},
+    "eval": dataclasses.asdict(EvalConfig()),
 }
 
 
@@ -110,55 +122,59 @@ def echo_config(cfg: dict, outdir) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _known_fields(dc_type) -> set[str]:
-    return {f.name for f in dataclasses.fields(dc_type)}
+def _section(cfg: dict, name: str, cls):
+    """Parse config section ``name`` into dataclass ``cls``; JSON lists become
+    tuples."""
+    section = {k: tuple(v) if isinstance(v, list) else v
+               for k, v in (cfg.get(name) or {}).items()}
+    unknown = set(section) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {name} option(s): {sorted(unknown)}")
+    try:
+        return cls(**section)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad {name} config: {e}")
 
 
 def sysid_config(cfg: dict) -> SysIdConfig:
-    section = dict(cfg.get("sysid") or {})
-    unknown = set(section) - _known_fields(SysIdConfig)
-    if unknown:
-        raise ConfigError(f"unknown sysid option(s): {sorted(unknown)}")
-    if "hidden" in section:
-        section["hidden"] = tuple(section["hidden"])
-    try:
-        return SysIdConfig(**section)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad sysid config: {e}")
+    return _section(cfg, "sysid", SysIdConfig)
 
 
-def rho_from_section(section: dict | None) -> InitialStateDist | None:
-    if not section:
-        return None
+def hjb_config(cfg: dict) -> HjbConfig:
+    return _section(cfg, "hjb", HjbConfig)
+
+
+def eval_config(cfg: dict) -> EvalConfig:
+    return _section(cfg, "eval", EvalConfig)
+
+
+def _rho(section: dict) -> Box | Gaussian:
     kind = section.get("kind")
     try:
         if kind == "box":
-            return InitialStateDist(
-                kind="box",
-                lo=np.asarray(section["lo"], dtype=np.float64),
-                hi=np.asarray(section["hi"], dtype=np.float64),
-            )
+            return Box(np.asarray(section["lo"], dtype=np.float64),
+                       np.asarray(section["hi"], dtype=np.float64))
         if kind == "gaussian":
-            return InitialStateDist(
-                kind="gaussian",
-                mean=np.asarray(section["mean"], dtype=np.float64),
-                std=np.asarray(section["std"], dtype=np.float64),
-            )
+            return Gaussian(np.asarray(section["mean"], dtype=np.float64),
+                            np.asarray(section["std"], dtype=np.float64))
     except KeyError as e:
         raise ConfigError(f"rho section missing field {e}")
     raise ConfigError(f"rho kind must be 'box' or 'gaussian', got {kind!r}")
 
 
-def hjb_config(cfg: dict) -> HjbConfig:
-    section = dict(cfg.get("hjb") or {})
-    unknown = set(section) - _known_fields(HjbConfig)
-    if unknown:
-        raise ConfigError(f"unknown hjb option(s): {sorted(unknown)}")
-    for key in ("controller_hidden", "value_hidden"):
-        if key in section:
-            section[key] = tuple(section[key])
-    section["rho"] = rho_from_section(cfg.get("rho"))
-    try:
-        return HjbConfig(**section)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad hjb config: {e}")
+def system_spec(cfg: dict) -> SystemSpec:
+    """The configured system, with the ``rho`` section as its start
+    distribution when that section is set."""
+    system = cfg.get("system") or {}
+    name = system.get("name")
+    if not name:
+        raise ConfigError("no system given (use --system or a config with system.name)")
+    if name not in system_names():
+        raise ConfigError(f"unknown system '{name}'; known: {', '.join(system_names())}")
+    spec = make_system(name, system.get("overrides"))
+    if cfg.get("rho"):
+        rho = _rho(cfg["rho"])
+        if rho.dim != spec.d:
+            raise ConfigError(f"rho has dim {rho.dim}, system '{name}' has d={spec.d}")
+        spec = dataclasses.replace(spec, rho=rho)
+    return spec

@@ -58,8 +58,9 @@ class _Node:
 class Tape:
     """Ordered operation record; parents of node i always have index < i.
 
-    Single-writer: use one tape per optimization step.  Entering the tape
-    as a context manager makes it the recording target for all ops.
+    Single-writer and single-use: use one tape per optimization step.
+    Entering the tape as a context manager makes it the recording target
+    for all ops.  :func:`grad` empties the tape when it is done.
     """
 
     def __init__(self) -> None:
@@ -709,7 +710,10 @@ def grad(expr: Tensor, wrt: Iterable[Tensor]) -> Mapping[Tensor, Tensor]:
 
     Leaves that never entered the expression's tape map to zero tensors of
     their own shape.  The backward pass visits each node exactly once, in
-    reverse creation order, so results are deterministic.
+    reverse creation order, so results are deterministic.  Afterwards the
+    tape's nodes are dropped: their closures hold tensors that point back
+    at the tape, a cycle that would otherwise keep every array of the step
+    alive until the next cyclic garbage collection.
     """
     wrt = list(wrt)
     if expr.data.size != 1:
@@ -754,4 +758,5 @@ def grad(expr: Tensor, wrt: Iterable[Tensor]) -> Mapping[Tensor, Tensor]:
                                if g.shape != leaf.data.shape else g.copy())
         else:
             out[leaf] = Tensor(np.zeros_like(leaf.data))
+    tape.nodes.clear()
     return out

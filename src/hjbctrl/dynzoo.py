@@ -28,7 +28,7 @@ from .diffkit import Tensor
 
 
 class DynamicsError(Exception):
-    """Checked-mode violation (input outside its box, singular attitude)."""
+    """Checked-mode violation (input outside its box)."""
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,25 @@ class Box:
 
 
 @dataclass(frozen=True)
+class Gaussian:
+    """Independent normal coordinates; a zero std pins a coordinate."""
+
+    mean: np.ndarray
+    std: np.ndarray
+
+    def __post_init__(self):
+        if self.mean.shape != self.std.shape or np.any(self.std < 0):
+            raise ValueError("gaussian needs mean and std of one shape, std >= 0")
+
+    @property
+    def dim(self) -> int:
+        return self.mean.shape[0]
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.mean + self.std * rng.standard_normal((n, self.dim))
+
+
+@dataclass(frozen=True)
 class Obstacle:
     center: np.ndarray  # planar position
     radius: float
@@ -61,7 +80,8 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """One benchmark system: dimensions, boxes, dynamics, cost data.
+    """One benchmark system: dimensions, boxes, dynamics, cost data, and the
+    start distribution ``rho`` that training and evaluation sample x0 from.
 
     ``jac(x, u) -> (df/dx, df/du)`` defaults to the Jacobian derived from
     ``f``; a system needs to set it only to override that derivation.
@@ -77,6 +97,7 @@ class SystemSpec:
     u_star: np.ndarray
     P: np.ndarray
     R: np.ndarray
+    rho: Box | Gaussian
     jac: Callable[[Tensor, Tensor], tuple[Tensor, Tensor]] | None = None
     t0: float = 0.0
     tf: float = 6.0
@@ -100,10 +121,6 @@ class SystemSpec:
             raise DynamicsError(f"{self.name}: action outside its box")
         if not self.state_box.contains(x):
             raise DynamicsError(f"{self.name}: state outside its box")
-        if self.name == "quadrotor":
-            pitch = np.asarray(x)[..., 4]
-            if np.any(np.abs(pitch) > 1.4):
-                raise DynamicsError("quadrotor: pitch near the Euler singularity")
 
     # -- cost pieces (all taped-compatible) ---------------------------------
 
@@ -203,6 +220,7 @@ def _make_dubins(p: dict) -> SystemSpec:
         u_star=np.zeros(2),
         P=np.eye(3),
         R=0.01 * np.eye(2),
+        rho=Box(np.array([-3.5, -3.0, -np.pi]), np.array([-2.5, 3.0, np.pi])),
         t0=0.0,
         tf=p["tf"],
         position_slice=slice(0, 2),
@@ -246,6 +264,9 @@ def _make_cartpole(p: dict) -> SystemSpec:
         u_star=np.zeros(1),
         P=np.eye(4),
         R=0.01 * np.eye(1),
+        # hanging, within 0.1 of rest in every coordinate
+        rho=Box(np.array([-0.1, -0.1, np.pi - 0.1, -0.1]),
+                np.array([0.1, 0.1, np.pi + 0.1, 0.1])),
         t0=0.0,
         tf=p["tf"],
         params=p,
@@ -299,6 +320,7 @@ def _make_acrobot(p: dict) -> SystemSpec:
         u_star=np.zeros(1),
         P=np.eye(4),
         R=0.01 * np.eye(1),
+        rho=Box(np.full(4, -0.1), np.full(4, 0.1)),
         t0=0.0,
         tf=p["tf"],
         params=p,
@@ -362,6 +384,8 @@ def _make_quadrotor(p: dict) -> SystemSpec:
         u_star=np.array([mass * g, 0.0, 0.0, 0.0]),
         P=np.eye(12),
         R=0.01 * np.eye(4),
+        # positions ~ N(0, I); attitude and rates start at rest
+        rho=Gaussian(np.zeros(12), np.array([1.0] * 3 + [0.0] * 9)),
         t0=0.0,
         tf=p["tf"],
         position_slice=slice(0, 3),
@@ -389,6 +413,7 @@ def _make_lq1d(p: dict) -> SystemSpec:
         u_star=np.zeros(1),
         P=np.zeros((1, 1)),
         R=np.eye(1),
+        rho=Box(np.array([-1.0]), np.array([1.0])),
         Q=np.eye(1),
         t0=0.0,
         tf=p["tf"],

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -28,56 +28,6 @@ from .diffkit import Tensor
 from .dynzoo import SystemSpec
 from .rollout import AnalyticTransition, LearnedTransition, TrajectoryBatch, rollout
 from .sysid import TrainingDiverged
-
-
-# ---------------------------------------------------------------------------
-# Initial-state distributions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InitialStateDist:
-    """Box-uniform or Gaussian sampler for rollout starts."""
-
-    kind: str  # "box" | "gaussian"
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
-    mean: np.ndarray | None = None
-    std: np.ndarray | None = None  # per-coordinate; 0 pins a coordinate
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.kind == "box":
-            return rng.uniform(self.lo, self.hi, size=(n, self.lo.shape[0]))
-        if self.kind == "gaussian":
-            return self.mean + self.std * rng.standard_normal((n, self.mean.shape[0]))
-        raise ValueError(f"unknown initial-state distribution '{self.kind}'")
-
-
-def default_rho(spec: SystemSpec) -> InitialStateDist:
-    """Per-system start distributions used throughout the experiments."""
-    if spec.name == "dubins":
-        return InitialStateDist(
-            kind="box",
-            lo=np.array([-3.5, -3.0, -np.pi]),
-            hi=np.array([-2.5, 3.0, np.pi]),
-        )
-    if spec.name == "quadrotor":
-        std = np.zeros(12)
-        std[:3] = 1.0  # positions ~ N(0, I); attitude and rates start at rest
-        return InitialStateDist(kind="gaussian", mean=np.zeros(12), std=std)
-    if spec.name == "cartpole":
-        center = np.array([0.0, 0.0, np.pi, 0.0])  # hanging
-        half = np.array([0.1, 0.1, 0.1, 0.1])
-        return InitialStateDist(kind="box", lo=center - half, hi=center + half)
-    if spec.name == "acrobot":
-        half = np.full(4, 0.1)
-        return InitialStateDist(kind="box", lo=-half, hi=half)
-    if spec.name == "lq1d":
-        return InitialStateDist(kind="box", lo=np.array([-1.0]), hi=np.array([1.0]))
-    # fall back to the middle half of the state box
-    mid = 0.5 * (spec.state_box.lo + spec.state_box.hi)
-    half = 0.25 * (spec.state_box.hi - spec.state_box.lo)
-    return InitialStateDist(kind="box", lo=mid - half, hi=mid + half)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +71,8 @@ class HamiltonianEval:
     """Batched Hamiltonian pieces at given (x, u, t) points."""
 
     H: Tensor  # (B,)
+    V: Tensor  # (B,)
     dV_dt: Tensor  # (B,)
-    grad_x_V: Tensor  # (B, d)
     grad_u_H: Tensor  # (B, m)
 
 
@@ -138,20 +88,20 @@ def hamiltonian(
     """H = L(x, u, t) + grad_x V(x, t) . f(x, u), with its u-gradient.
 
     grad_u H = dL/du + (df/du)^T grad_x V, computed as a vjp so learned
-    transitions never materialize their full Jacobian.  When
+    transitions never materialize their full Jacobian; the same call
+    returns f(x, u), so f is evaluated once per point.  When
     ``hamil_through_value`` is false the costate entering grad_u H is
     detached, so the hamiltonian loss regularizes only the controller.
     """
     x, u = dk._lift(x), dk._lift(u)
     v_val, dvdt, grad_x = value(x, t)
-    f_val = transition(x, u)
-    run = spec.running_cost(x, u, t)
-    ham = run + dk.sum_(grad_x * f_val, axis=1)
     costate = grad_x if hamil_through_value else dk.detach(grad_x)
-    grad_u = spec.running_cost_grad_u(x, u, t) + transition.costate_vjp_u(x, u, costate)
+    f_val, f_vjp_u = transition.costate_vjp_u(x, u, costate)
+    ham = spec.running_cost(x, u, t) + dk.sum_(grad_x * f_val, axis=1)
+    grad_u = spec.running_cost_grad_u(x, u, t) + f_vjp_u
     if not np.all(np.isfinite(grad_x.data)):
         raise dk.NumericError("non-finite value-function gradient in hamiltonian")
-    return HamiltonianEval(H=ham, dV_dt=dvdt, grad_x_V=grad_x, grad_u_H=grad_u)
+    return HamiltonianEval(H=ham, V=v_val, dV_dt=dvdt, grad_u_H=grad_u)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +130,11 @@ def loss_hjb(ev: HamiltonianEval) -> Tensor:
     return dk.mean_(dk.absval(ev.dV_dt + ev.H))
 
 
-def loss_final(value, traj: TrajectoryBatch, spec: SystemSpec) -> Tensor:
-    """Mean |V(x_f, t_f) - G(x_f)| (HJB boundary condition)."""
-    x_f = traj.states[-1]
-    v_f, _, _ = value(x_f, traj.times[-1])
-    return dk.mean_(dk.absval(v_f - spec.terminal_cost(x_f)))
+def loss_final(ev: HamiltonianEval, traj: TrajectoryBatch, spec: SystemSpec) -> Tensor:
+    """Mean |V(x_f, t_f) - G(x_f)| (HJB boundary condition); V(x_f, t_f) is
+    the last ``traj.batch`` rows of the grid evaluation."""
+    v_f = ev.V[-traj.batch:]
+    return dk.mean_(dk.absval(v_f - spec.terminal_cost(traj.states[-1])))
 
 
 def loss_hamil(ev: HamiltonianEval) -> Tensor:
@@ -214,7 +164,6 @@ class HjbConfig:
     value_hidden: tuple[int, ...] = (64, 64, 64)
     hamil_through_value: bool = True
     resample_each_epoch: bool = True
-    rho: InitialStateDist | None = None  # None: the system default
 
     def __post_init__(self):
         for name in ("alpha_cost", "alpha_hjb", "alpha_final", "alpha_hamil"):
@@ -237,14 +186,13 @@ def train_controller(
 ) -> tuple[netzoo.Mlp, netzoo.Mlp, list[dict]]:
     """Joint Adam on controller and value parameters; deterministic per seed.
 
-    Per epoch: sample a batch of initial states from rho, roll out in
+    Per epoch: sample a batch of initial states from ``spec.rho``, roll out in
     closed loop under the configured transition, form the weighted total
     loss, and take one optimizer step.  Returns the trained controller and
     value networks plus the per-epoch log (one dict per epoch with the four
     loss components, lr, cumulative NFE and wall time).
     """
     transition = build_transition(spec, cfg.transition)
-    rho = cfg.rho if cfg.rho is not None else default_rho(spec)
     controller = netzoo.controller_net(
         spec.d, spec.action_box.lo, spec.action_box.hi,
         hidden=cfg.controller_hidden, seed=cfg.seed,
@@ -257,12 +205,12 @@ def train_controller(
     adam = optim.Adam(c_params + v_params)
     schedule = optim.exponential_to(cfg.lr, cfg.lr_final, cfg.epochs)
     rng = np.random.default_rng(cfg.seed + 2)
-    x0_fixed = rho.sample(rng, cfg.batch)
+    x0_fixed = spec.rho.sample(rng, cfg.batch)
 
     log: list[dict] = []
     t_start = time.perf_counter()
     for epoch in range(cfg.epochs):
-        x0 = rho.sample(rng, cfg.batch) if cfg.resample_each_epoch else x0_fixed
+        x0 = spec.rho.sample(rng, cfg.batch) if cfg.resample_each_epoch else x0_fixed
         lr = schedule(epoch)
         tape = dk.Tape()
         with tape:
@@ -275,7 +223,7 @@ def train_controller(
             parts = {
                 "loss_cost": loss_cost(traj, spec),
                 "loss_hjb": loss_hjb(ev),
-                "loss_final": loss_final(val, traj, spec),
+                "loss_final": loss_final(ev, traj, spec),
                 "loss_hamil": loss_hamil(ev),
             }
             total = dk.tensor(0.0)

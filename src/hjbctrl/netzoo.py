@@ -316,11 +316,12 @@ def input_jacobian(net: Mlp, x, params=None) -> Tensor:
     return jac
 
 
-def vjp(net: Mlp, x, v, params=None) -> Tensor:
-    """v^T . d(net)/d(input) without materializing the full Jacobian.
+def vjp(net: Mlp, x, v, params=None) -> tuple[Tensor, Tensor]:
+    """Output and v^T . d(net)/d(input), sharing one forward pass, without
+    materializing the full Jacobian.
 
-    Equals matmul(v, input_jacobian(net, x)); taped.  Returns (in_dim,) for
-    single inputs, (B, in_dim) for batches (v broadcasts over the batch).
+    The row equals matmul(v, input_jacobian(net, x)); taped.  It is (in_dim,)
+    for single inputs, (B, in_dim) for batches (v broadcasts over the batch).
     """
     v = dk._lift(v)
     x = dk._lift(x)
@@ -332,10 +333,10 @@ def vjp(net: Mlp, x, v, params=None) -> Tensor:
         v = dk.reshape(v, (1, net.out_dim)) + dk.tensor(
             np.zeros((batch, net.out_dim)), checked=False
         )
-    _, row = _forward_core(net, x, params, want_jac=True, vjp_vec=v)
+    y, row = _forward_core(net, x, params, want_jac=True, vjp_vec=v)
     if single_x:
         row = dk.reshape(row, (net.in_dim,))
-    return row
+    return y, row
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,19 @@ accumulated with a left-endpoint Riemann sum, consistent with the hold.
 Transition sources are interchangeable callables (x, u) -> xdot; analytic
 system dynamics and learned network dynamics run through identical code
 paths.  Each source owns an NFE counter so training budgets are auditable.
+
+Evaluation (:func:`evaluate`) scores a controller from starts drawn from
+the system's ``rho``, always under the analytic dynamics; a registry of
+learned transitions lets it assert that no network dynamics were touched.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import time
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -58,15 +63,15 @@ class AnalyticTransition:
     def __call__(self, x, u) -> Tensor:
         return self.spec.f(x, u)
 
-    def costate_vjp_u(self, x, u, v) -> Tensor:
-        """v^T . df/du for a batch of costate rows v: (B, d) -> (B, m), from
-        one forward-mode tangent of f per action coordinate."""
+    def costate_vjp_u(self, x, u, v) -> tuple[Tensor, Tensor]:
+        """(f, v^T . df/du) for a batch of costate rows v: (B, d) -> (B, m),
+        from one forward-mode tangent of f per action coordinate."""
         u = dk._lift(u)
         b, m = u.shape
         directions = [(None, np.broadcast_to(e, (b, m))) for e in np.eye(m)]
-        _, tangents = dk.jvp(self.spec.f, (x, u), directions)
+        f, tangents = dk.jvp(self.spec.f, (x, u), directions)
         v = dk._lift(v)
-        return dk.concat(
+        return f, dk.concat(
             [np.zeros((b, 1)) if t is None else dk.sum_(v * t, axis=1, keepdims=True)
              for t in tangents],
             axis=1,
@@ -92,10 +97,11 @@ class LearnedTransition:
         z = dk.concat([dk._lift(x), dk._lift(u)], axis=1)
         return netzoo.forward(self.net, z, params=self.params)
 
-    def costate_vjp_u(self, x, u, v) -> Tensor:
-        """v^T . df_theta/du without materializing the network Jacobian."""
+    def costate_vjp_u(self, x, u, v) -> tuple[Tensor, Tensor]:
+        """(f_theta, v^T . df_theta/du) without materializing the network Jacobian."""
         z = dk.concat([dk._lift(x), dk._lift(u)], axis=1)
-        return netzoo.vjp(self.net, z, v, params=self.params)[:, self.d:]
+        f, row = netzoo.vjp(self.net, z, v, params=self.params)
+        return f, row[:, self.d:]
 
 
 def learned_nfe_total() -> int:
@@ -196,6 +202,140 @@ def rollout(
         nfe=nfe_used,
         terminal_control=controller(x),
     )
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+# ---------------------------------------------------------------------------
+
+# starts rolled out per batch while evaluating
+_EVAL_CHUNK = 250
+
+
+@dataclass(frozen=True)
+class EvalReport:
+    """Closed-loop metrics over a batch of evaluation starts.
+
+    Evaluation always uses the analytic dynamics; ``ftheta_nfe`` counts
+    learned-transition evaluations observed while evaluating and must be 0.
+    Trajectory length is only defined for systems with a position subspace.
+    """
+
+    system: str
+    n_starts: int
+    seed: int
+    metric: str
+    threshold: float
+    success_rate: float
+    terminal_error_mean: float
+    terminal_error_std: float
+    control_magnitude_mean: float
+    control_magnitude_std: float
+    traj_length_mean: float | None
+    traj_length_std: float | None
+    obstacle_violations: int
+    ftheta_nfe: int
+    compute_time_per_traj_s: float
+
+
+EVAL_COLUMNS = [f.name for f in fields(EvalReport)]
+
+
+def evaluate(
+    spec: SystemSpec,
+    controller: netzoo.Mlp,
+    n_starts: int,
+    seed: int,
+    K: int,
+    threshold: float,
+    metric: str = "position",
+) -> EvalReport:
+    """Roll out the controller from starts sampled from ``spec.rho`` under
+    the analytic f."""
+    if metric not in ("position", "state"):
+        raise ValueError(f"eval metric must be 'position' or 'state', got {metric!r}")
+    if metric == "position" and spec.position_slice is None:
+        raise ValueError(f"system '{spec.name}' has no position subspace")
+    rng = np.random.default_rng(seed)
+    transition = AnalyticTransition(spec)
+    nfe_learned_before = learned_nfe_total()
+
+    terminal_errors = []
+    control_mags = []
+    lengths = []
+    successes = 0
+    violations = 0
+    t_start = time.perf_counter()
+    remaining = n_starts
+    while remaining > 0:
+        b = min(_EVAL_CHUNK, remaining)
+        remaining -= b
+        x0 = spec.rho.sample(rng, b)
+        traj = rollout(spec, transition, controller, x0, K=K, count_nfe=False)
+        xs = traj.states_array  # (b, K+1, d)
+        us = traj.controls_array
+        h = (spec.tf - spec.t0) / K
+
+        terminal_errors.append(np.linalg.norm(xs[:, -1, :] - spec.x_star, axis=1))
+        control_mags.append(np.linalg.norm(us, axis=2).sum(axis=1) * h)
+        if spec.position_slice is not None:
+            pos = xs[:, :, spec.position_slice]
+            lengths.append(np.linalg.norm(np.diff(pos, axis=1), axis=2).sum(axis=1))
+        if metric == "position":
+            final_dist = np.linalg.norm(pos[:, -1, :] - spec.x_star[spec.position_slice], axis=1)
+        else:
+            final_dist = terminal_errors[-1]
+        successes += int(np.sum(final_dist <= threshold))
+        for obs in spec.obstacles:
+            dmin = np.linalg.norm(
+                xs[:, :, 0:2] - np.asarray(obs.center), axis=2
+            ).min(axis=1)
+            violations += int(np.sum(dmin < obs.radius))
+    elapsed = time.perf_counter() - t_start
+
+    ftheta_nfe = learned_nfe_total() - nfe_learned_before
+    assert ftheta_nfe == 0, "evaluation must never touch learned dynamics"
+
+    te = np.concatenate(terminal_errors)
+    cm = np.concatenate(control_mags)
+    ln = np.concatenate(lengths) if lengths else None
+    return EvalReport(
+        system=spec.name,
+        n_starts=n_starts,
+        seed=seed,
+        metric=metric,
+        threshold=threshold,
+        success_rate=successes / n_starts,
+        terminal_error_mean=float(te.mean()),
+        terminal_error_std=float(te.std()) if n_starts > 1 else 0.0,
+        control_magnitude_mean=float(cm.mean()),
+        control_magnitude_std=float(cm.std()) if n_starts > 1 else 0.0,
+        traj_length_mean=float(ln.mean()) if ln is not None else None,
+        traj_length_std=(float(ln.std()) if n_starts > 1 else 0.0) if ln is not None else None,
+        obstacle_violations=violations,
+        ftheta_nfe=ftheta_nfe,
+        compute_time_per_traj_s=elapsed / n_starts,
+    )
+
+
+def write_eval_csv(report: EvalReport, path, header: str = "") -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        if header:
+            fh.write(f"# {header}\n")
+        w = csv.writer(fh)
+        w.writerow(EVAL_COLUMNS)
+        row = []
+        for col in EVAL_COLUMNS:
+            v = getattr(report, col)
+            if v is None:
+                row.append("")
+            elif isinstance(v, float):
+                row.append(repr(v))
+            else:
+                row.append(v)
+        w.writerow(row)
 
 
 # ---------------------------------------------------------------------------

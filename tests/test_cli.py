@@ -102,3 +102,83 @@ def test_same_seed_evals_write_identical_reports(tiny_config, tmp_path):
         rep.pop("compute_time_per_traj_s")
     assert reports[0] == reports[1]
     assert csv_header(paths[0]) == csv_header(paths[1])
+
+
+def test_x0_with_negative_first_coordinate_takes_either_spelling(tiny_config, tmp_path):
+    train_dir = tmp_path / "train"
+    assert run("train", "--config", tiny_config, "--outdir", train_dir) == cli.EXIT_OK
+    controller = train_dir / "controller_dubins.json"
+    outs = []
+    for name, x0_args in (("joined", ["--x0=-3,0.5,0.1"]), ("split", ["--x0", "-3,0.5,0.1"])):
+        out = tmp_path / name
+        assert run("rollout", "--config", tiny_config, "--outdir", out,
+                   "--controller", controller, *x0_args) == cli.EXIT_OK
+        outs.append((out / "rollout_0000.csv").read_text())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--preset", "no_such_preset"], "unknown preset 'no_such_preset'",
+                 id="unknown-preset"),
+    pytest.param(["--config", "{tmp}/missing.json"], "config file not found", id="missing-file"),
+    pytest.param(["--config", "{tmp}/broken.json"], "is not valid JSON", id="invalid-json"),
+])
+def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
+    (tmp_path / "broken.json").write_text('{"system": ')
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run("sysid", "--system", "dubins", "--outdir", tmp_path / "out",
+               *argv) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, message", [
+    pytest.param("sysid", {"sysid": {"widths": [8]}}, "unknown sysid option(s): ['widths']",
+                 id="unknown-sysid-key"),
+    pytest.param("train", {"hjb": {"epoch": 2}}, "unknown hjb option(s): ['epoch']",
+                 id="unknown-hjb-key"),
+    pytest.param("eval", {"eval": {"start": 12}}, "unknown eval option(s): ['start']",
+                 id="unknown-eval-key"),
+    pytest.param("sysid", {"rho": {"kind": "uniform"}}, "rho kind must be 'box' or 'gaussian'",
+                 id="rho-kind"),
+    pytest.param("sysid", {"rho": {"kind": "box", "lo": [0, 0, 0]}},
+                 "rho section missing field 'hi'", id="rho-box-field"),
+    pytest.param("sysid", {"rho": {"kind": "gaussian", "mean": [0, 0, 0]}},
+                 "rho section missing field 'std'", id="rho-gaussian-field"),
+    pytest.param("sysid", {"rho": {"kind": "box", "lo": [0, 0, 0], "hi": [1, 0, 1]}},
+                 "lo < hi", id="rho-box-empty"),
+    pytest.param("sysid", {"rho": {"kind": "gaussian", "mean": [0, 0, 0], "std": [1, 1]}},
+                 "one shape", id="rho-gaussian-shapes"),
+    pytest.param("sysid", {"rho": {"kind": "box", "lo": [0, 0], "hi": [1, 1]}},
+                 "rho has dim 2, system 'dubins' has d=3", id="rho-dim"),
+])
+def test_bad_config_section_is_a_usage_error(command, section, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**TINY, **section}))
+    # eval fails on its config before it reads the controller
+    argv = ["--controller", tmp_path / "none.json"] if command == "eval" else []
+    assert run(command, "--config", path, "--outdir", tmp_path / "out",
+               *argv) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_rho_section_sets_the_start_distribution(tiny_config, tmp_path):
+    train_dir = tmp_path / "train"
+    assert run("train", "--config", tiny_config, "--outdir", train_dir) == cli.EXIT_OK
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps({**TINY, "rho": {"kind": "gaussian", "mean": [-3, 0.5, 0.1],
+                                                "std": [0, 0, 0]}}))
+    eval_dir = tmp_path / "eval"
+    assert run("eval", "--config", path, "--outdir", eval_dir, "--controller",
+               train_dir / "controller_dubins.json", "--export-trajectories", 1) == cli.EXIT_OK
+    first_state = (eval_dir / "eval_traj_0000.csv").read_text().splitlines()[2].split(",")[1:4]
+    assert [float(v) for v in first_state] == [-3.0, 0.5, 0.1]
+
+
+def test_non_finite_rollout_exits_3(tiny_config, tmp_path, capsys):
+    train_dir = tmp_path / "train"
+    assert run("train", "--config", tiny_config, "--system", "cartpole",
+               "--outdir", train_dir) == cli.EXIT_OK
+    assert run("rollout", "--config", tiny_config, "--system", "cartpole",
+               "--outdir", tmp_path / "r", "--controller", train_dir / "controller_cartpole.json",
+               "--x0=0,0,0,1e200") == cli.EXIT_NUMERIC
+    assert "non-finite state after rk4 step (rollout step 0)" in capsys.readouterr().err

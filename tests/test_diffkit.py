@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +82,22 @@ def test_matmul_shape_errors():
         dk.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
     with pytest.raises(dk.ShapeError):
         dk.matmul(np.zeros(3), np.zeros((3, 2)))
+
+
+def test_grad_frees_the_step_without_the_cyclic_collector():
+    gc.disable()
+    try:
+        tape = dk.Tape()
+        with tape:
+            x = tape.leaf(np.ones(3))
+            y = dk.sin(x)
+            out = dk.sum_(y * y)
+        freed = weakref.ref(y.data)
+        dk.grad(out, [x])
+        del tape, x, y, out
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_backward_is_deterministic():

@@ -186,15 +186,16 @@ def test_loss_hjb_analytic_lq_solution_residual():
 def test_loss_final_identities():
     spec = dz.make_system("dubins")
     ctrl = lambda x: dk.tensor(np.tile([0.4, 0.2], (x.shape[0], 1)), checked=False)
-    traj, _ = make_traj(spec, ctrl, np.array([[0.3, -0.5, 0.1], [1.0, 1.0, 0.0]]))
+    traj, tr = make_traj(spec, ctrl, np.array([[0.3, -0.5, 0.1], [1.0, 1.0, 0.0]]))
 
     def value_equals_g(x, t):
         g = spec.terminal_cost(x)
         b = x.shape[0]
         return g, dk.tensor(np.zeros(b)), dk.tensor(np.zeros((b, 3)))
 
-    assert hj.loss_final(value_equals_g, traj, spec).item() == 0.0
-    got = hj.loss_final(zero_value, traj, spec).item()
+    ev = hj.grid_hamiltonian(value_equals_g, traj, tr, spec)
+    assert hj.loss_final(ev, traj, spec).item() == 0.0
+    got = hj.loss_final(hj.grid_hamiltonian(zero_value, traj, tr, spec), traj, spec).item()
     want = spec.terminal_cost(traj.states[-1]).data.mean()
     assert abs(got - want) < 1e-12
 
@@ -341,12 +342,10 @@ def test_nfe_log_matches_4_k_epochs():
 def test_rho_defaults_and_sampling():
     for name in ("dubins", "cartpole", "acrobot", "quadrotor", "lq1d"):
         spec = dz.make_system(name)
-        rho = hj.default_rho(spec)
-        xs = rho.sample(np.random.default_rng(0), 100)
+        xs = spec.rho.sample(np.random.default_rng(0), 100)
         assert xs.shape == (100, spec.d)
         assert np.all(np.isfinite(xs))
-    rho = hj.default_rho(dz.make_system("quadrotor"))
-    xs = rho.sample(np.random.default_rng(1), 50)
+    xs = dz.make_system("quadrotor").rho.sample(np.random.default_rng(1), 50)
     assert np.array_equal(xs[:, 3:], np.zeros((50, 9)))  # only positions random
 
 

@@ -162,13 +162,13 @@ def test_vjp_basis_vector_extracts_jacobian_row(rng):
     for i in range(2):
         e = np.zeros(2)
         e[i] = 1.0
-        row = nz.vjp(net, x, e).data
+        row = nz.vjp(net, x, e)[1].data
         assert np.allclose(row, jac[i], atol=1e-12)
 
 
 def test_vjp_zero_vector():
     net = small_net()
-    out = nz.vjp(net, np.zeros(3), np.zeros(2)).data
+    out = nz.vjp(net, np.zeros(3), np.zeros(2))[1].data
     assert np.array_equal(out, np.zeros(3))
 
 
@@ -177,8 +177,16 @@ def test_vjp_agrees_with_dense_product(rng):
     x = rng.uniform(-1, 1, size=(8, 3))
     v = rng.normal(size=(8, 2))
     dense = np.einsum("bo,boi->bi", v, nz.input_jacobian(net, x).data)
-    got = nz.vjp(net, x, v).data
+    got = nz.vjp(net, x, v)[1].data
     assert np.max(np.abs(dense - got)) < 1e-12
+
+
+@pytest.mark.parametrize("activation", ["sine", "tanh", "relu"])
+def test_vjp_output_is_the_forward_value(activation, rng):
+    net = small_net(activation, skip=True, seed=4)
+    x = rng.uniform(-1, 1, size=(8, 3))
+    y, _ = nz.vjp(net, x, rng.normal(size=(8, 2)))
+    assert np.array_equal(y.data, nz.forward(net, x).data)
 
 
 def test_vjp_dim_mismatch():
