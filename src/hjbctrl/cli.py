@@ -9,7 +9,8 @@ config value declares it as ``dest="section.key"`` (``--epochs`` of
 into a config override.  Evaluation lives in :mod:`hjbctrl.rollout`; it
 always integrates with the analytic dynamics.
 
-Exit codes: 0 ok, 2 usage/config error, 3 numeric failure.
+Exit codes: 0 ok, 2 usage/config error, 3 numeric failure (reported by
+diffkit's checks; numpy's floating-point warnings are silenced).
 """
 
 from __future__ import annotations
@@ -228,7 +229,10 @@ def main(argv=None) -> int:
             break
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # diffkit's own checks catch every non-finite value and name where it
+        # arose, so numpy's floating-point warnings would only repeat them
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (cfgmod.ConfigError, netzoo.CheckpointError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,8 +8,11 @@
 
 ``forward``/``input_jacobian``/``vjp`` are built from diffkit primitives,
 so their outputs are themselves differentiable with respect to the network
-parameters when a tape is active.  The input-Jacobian is exact (layer-wise
-chain rule), not a finite-difference estimate.
+parameters when a tape is active.  Every layer is one ``diffkit.dense``
+node (matmul, bias and activation fused); only a sine layer whose
+derivative the Jacobian chain needs keeps its activation as a separate
+``sincos`` node.  The input-Jacobian is exact (layer-wise chain rule), not
+a finite-difference estimate.
 """
 
 from __future__ import annotations
@@ -183,17 +186,25 @@ def value_net(d: int, hidden=(64, 64, 64), seed: int = 0) -> Mlp:
 # ---------------------------------------------------------------------------
 
 
-def _act_pair(net: Mlp, z: Tensor, want_deriv: bool) -> tuple[Tensor, Tensor | None]:
-    """Activation value and (optionally) its derivative w.r.t. z."""
-    if net.activation == "sine":
-        w = net.omega0 * z
-        if want_deriv:
-            s, c = dk.sincos(w)
-            return s, net.omega0 * c
-        return dk.sin(w), None
-    if net.activation == "tanh":
-        t = dk.tanh(z)
+def _hidden_layer(net: Mlp, a: Tensor, w: Tensor, b: Tensor,
+                  want_deriv: bool) -> tuple[Tensor, Tensor | None]:
+    """One hidden layer's activation and (optionally) its derivative with
+    respect to the pre-activation z = a @ w + b.
+
+    Without the derivative, sine and tanh layers are one fused node.  The
+    derivative of a tanh layer comes from that node's output; a sine layer
+    that needs one is a fused linear node followed by sincos(omega0 z).
+    """
+    act = net.activation
+    if act == "tanh":
+        t = dk.dense(a, w, b, "tanh")
         return t, (1.0 - t * t) if want_deriv else None
+    if act == "sine" and not want_deriv:
+        return dk.dense(a, w, b, "sine", net.omega0), None
+    z = dk.dense(a, w, b)
+    if act == "sine":
+        s, c = dk.sincos(net.omega0 * z)
+        return s, net.omega0 * c
     h = dk.relu(z)
     if want_deriv:
         # a.e. constant step function, so it enters the tape as a constant
@@ -229,11 +240,11 @@ def _forward_core(net: Mlp, x, params, want_jac: bool, vjp_vec: Tensor | None = 
     for i, (w, b) in enumerate(lp[:-1]):
         if net.skip_connections and i > 0:
             a = dk.concat([a, x], axis=-1)
-        a, d = _act_pair(net, dk.matmul(a, w) + b, want_jac)
+        a, d = _hidden_layer(net, a, w, b, want_jac)
         if want_jac:
             derivs.append(d)
     w, b = lp[-1]
-    y = dk.matmul(a, w) + b
+    y = dk.dense(a, w, b)
 
     box = net.output_transform
     box_deriv = None

@@ -140,17 +140,21 @@ class TrajectoryBatch:
 
 
 def rk4_step(f: Callable, x, u, h: float, nfe: NfeCounter | None = None) -> Tensor:
-    """One classical RK4 step with the control held constant (ZOH)."""
+    """One classical RK4 step with the control held constant (ZOH).
+
+    Each stage input ``x + c k`` and the final combine are one tape node
+    each (``diffkit.axpy``, ``diffkit.rk4_combine``).
+    """
     if h <= 0:
         raise ValueError("step size must be positive")
     x = dk._lift(x)
     k1 = f(x, u)
-    k2 = f(x + (h / 2.0) * k1, u)
-    k3 = f(x + (h / 2.0) * k2, u)
-    k4 = f(x + h * k3, u)
+    k2 = f(dk.axpy(x, h / 2.0, k1), u)
+    k3 = f(dk.axpy(x, h / 2.0, k2), u)
+    k4 = f(dk.axpy(x, h, k3), u)
     if nfe is not None:
         nfe.add(4)
-    out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = dk.rk4_combine(x, h, k1, k2, k3, k4)
     if not np.all(np.isfinite(out.data)):
         raise NumericError("non-finite state after rk4 step")
     return out

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -178,7 +179,11 @@ def test_non_finite_rollout_exits_3(tiny_config, tmp_path, capsys):
     train_dir = tmp_path / "train"
     assert run("train", "--config", tiny_config, "--system", "cartpole",
                "--outdir", train_dir) == cli.EXIT_OK
-    assert run("rollout", "--config", tiny_config, "--system", "cartpole",
-               "--outdir", tmp_path / "r", "--controller", train_dir / "controller_cartpole.json",
-               "--x0=0,0,0,1e200") == cli.EXIT_NUMERIC
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("rollout", "--config", tiny_config, "--system", "cartpole",
+                   "--outdir", tmp_path / "r",
+                   "--controller", train_dir / "controller_cartpole.json",
+                   "--x0=0,0,0,1e200") == cli.EXIT_NUMERIC
     assert "non-finite state after rk4 step (rollout step 0)" in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []

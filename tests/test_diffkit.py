@@ -1,5 +1,6 @@
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -67,6 +68,13 @@ def test_nan_in_backward_names_the_node():
     out, leaf, _ = taped_scalar(lambda x: dk.sum_(dk.sqrt(x)), np.array([0.0]))
     with pytest.raises(dk.NumericError, match="node"):
         dk.grad(out, [leaf])
+
+
+def test_finite_adjoint_whose_sum_overflows_passes_the_check():
+    big = np.array([1e308, 1e308])
+    with np.errstate(over="ignore"):
+        out, leaf, _ = taped_scalar(lambda x: dk.sum_(x * big), np.ones(2))
+        assert np.array_equal(dk.grad(out, [leaf])[leaf].data, big)
 
 
 def test_tensor_creation_rejects_nonfinite():
@@ -380,3 +388,188 @@ def test_gradient_through_tangents_matches_fd():
         # the loss is strongly curved here: the difference error is ~50 h^2
         ref = fd_grad(at, p, h=1e-7)
         assert rel_err(grads[leaves[i]].data, ref, floor=1e-6) < 1e-5
+
+
+def test_sincos_tangents_reuse_the_sibling_value(rng):
+    spec = dz.make_system("dubins")
+    tape = dk.Tape()
+    with tape:
+        x = tape.leaf(rng.normal(size=(5, 3)))
+        u = tape.leaf(rng.normal(size=(5, 2)))
+        dz.jacobian(spec.f, x, u)
+        ops = Counter(node.op for node in tape.nodes)
+    # the heading's sincos pair and nothing more: the tangents of sin and
+    # cos take each other's node instead of recomputing the trig
+    assert (ops["sin"], ops["cos"], ops["neg"]) == (1, 1, 1)
+
+
+def test_sincos_tangents_are_bitwise_the_recomputed_ones(monkeypatch):
+    spec = dz.make_system("dubins")
+    got = dz.sample_dataset(spec, 20_000, seed=0)
+    # separate sin and cos nodes: each tangent rule recomputes the other value
+    monkeypatch.setattr(dk, "sincos", lambda a: (dk.sin(a), dk.cos(a)))
+    want = dz.sample_dataset(spec, 20_000, seed=0)
+    assert np.array_equal(got.jac_x, want.jac_x) and np.array_equal(got.jac_u, want.jac_u)
+
+
+def test_gradient_through_sincos_tangents_matches_fd(rng):
+    x0 = rng.uniform(-2.0, 2.0, size=(4,))
+    d0 = rng.normal(size=(4,))
+    proj = rng.normal(size=(4,))
+
+    def tangent(x):
+        _, (t,) = dk.jvp(lambda a: dk.mul(*dk.sincos(a)), (x,), [(d0,)])
+        return dk.sum_(t * proj)
+
+    out, leaf, _ = taped_scalar(tangent, x0)
+    g = dk.grad(out, [leaf])[leaf].data
+    ref = fd_grad(lambda v: tangent(dk.tensor(v)).item(), x0)
+    assert rel_err(g, ref) < 1e-6
+
+
+# -- fused primitives ------------------------------------------------------------
+
+
+def layer_chain(act, omega0):
+    """act(a @ w + b) as the chain of primitives that dk.dense fuses."""
+
+    def run(a, w, b):
+        z = dk.matmul(a, w) + b
+        if act == "sine":
+            return dk.sin(omega0 * z)
+        return dk.tanh(z) if act == "tanh" else z
+
+    return run
+
+
+def value_grads_ops(fn, arrays, proj):
+    """fn's value, the gradient of sum(fn * proj) for every argument, and the
+    ops recorded between the leaves and that projection."""
+    tape = dk.Tape()
+    with tape:
+        leaves = [tape.leaf(x) for x in arrays]
+        y = fn(*leaves)
+        ops = [node.op for node in tape.nodes[len(leaves):]]
+        out = dk.sum_(y * proj)
+    g = dk.grad(out, leaves)
+    return y.data, [g[leaf].data for leaf in leaves], ops
+
+
+LAYER_LABELS = {"sine": "sin", "tanh": "tanh", "linear": "matmul"}
+
+
+@pytest.mark.parametrize("act", sorted(LAYER_LABELS))
+def test_dense_is_bitwise_the_chain_it_fuses(act, rng):
+    arrays = (rng.normal(size=(6, 4)), rng.normal(size=(4, 5)), rng.normal(size=(5,)))
+    proj = rng.normal(size=(6, 5))
+    y, grads, ops = value_grads_ops(lambda a, w, b: dk.dense(a, w, b, act, 3.0), arrays, proj)
+    y_ref, grads_ref, _ = value_grads_ops(layer_chain(act, 3.0), arrays, proj)
+    assert ops == [LAYER_LABELS[act]]
+    assert np.array_equal(y, y_ref)
+    for g, g_ref in zip(grads, grads_ref):
+        assert np.array_equal(g, g_ref)
+
+
+@pytest.mark.parametrize("act", sorted(LAYER_LABELS))
+def test_dense_gradients_match_central_differences(act, rng):
+    arrays = (rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=(2,)))
+    proj = rng.normal(size=(3, 2))
+    _, grads, _ = value_grads_ops(lambda a, w, b: dk.dense(a, w, b, act, 1.5), arrays, proj)
+    for i, g in enumerate(grads):
+        def at(v, i=i):
+            args = [v if j == i else x for j, x in enumerate(arrays)]
+            return float((dk.dense(*args, act, 1.5).data * proj).sum())
+        assert rel_err(g, fd_grad(at, arrays[i], h=1e-6)) < 1e-7
+
+
+def test_dense_rejects_unknown_activation_and_bad_shapes():
+    with pytest.raises(ValueError, match="relu"):
+        dk.dense(np.ones((2, 3)), np.ones((3, 1)), np.ones(1), "relu")
+    with pytest.raises(dk.ShapeError):
+        dk.dense(np.ones((2, 3)), np.ones((4, 1)), np.ones(1))
+
+
+def test_fused_primitives_have_no_tangent_rule(rng):
+    x0 = rng.normal(size=(2, 3))
+    with pytest.raises(dk.DiffkitError, match="dense"):
+        dk.jvp(lambda a: dk.dense(a, np.ones((3, 1)), np.ones(1), "tanh"), (x0,),
+               [(np.ones_like(x0),)])
+    with pytest.raises(dk.DiffkitError, match="axpy"):
+        dk.jvp(lambda a: dk.axpy(a, 0.5, a), (x0,), [(np.ones_like(x0),)])
+
+
+# op -> a function of three (3, 3) operands
+SKIP_CASES = {
+    "add": lambda a, b, c: dk.add(a, b),
+    "sub": lambda a, b, c: dk.sub(a, b),
+    "mul": lambda a, b, c: dk.mul(a, b),
+    "div": lambda a, b, c: dk.div(a, b),
+    "matmul": lambda a, b, c: dk.matmul(a, dk.transpose(b)),
+    "dense": lambda a, b, c: dk.dense(a, dk.transpose(b), c[0], "sine", 2.0),
+    "axpy": lambda a, b, c: dk.axpy(a, 0.25, b),
+    "rk4_combine": lambda a, b, c: dk.rk4_combine(a, 0.1, b, a, b, a),
+    "concat": lambda a, b, c: dk.concat([a, b, c], axis=0),
+    "stack": lambda a, b, c: dk.stack([a, b, c], axis=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKIP_CASES))
+@pytest.mark.parametrize("tracked", [(True, False, False), (False, True, False),
+                                     (False, False, True), (True, True, True)])
+def test_backward_returns_none_for_each_untracked_operand(name, tracked, rng):
+    arrays = [rng.uniform(0.5, 2.0, size=(3, 3)) for _ in range(3)]
+    tape = dk.Tape()
+    with tape:
+        ops = [tape.leaf(x) if t else dk.tensor(x) for x, t in zip(arrays, tracked)]
+        y = SKIP_CASES[name](*ops)
+        if y.tape is None:
+            return  # no tracked operand reaches this op
+        node = tape.nodes[y.idx]
+        adjoints = node.backward(np.ones(y.shape), node.parents)
+    assert len(adjoints) == len(node.parents)
+    for p, g in zip(node.parents, adjoints):
+        assert (g is None) == (p < 0)
+
+
+def test_non_finite_adjoint_at_a_fused_node_names_it(rng):
+    a0, w0, b0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=(2,))
+    tape = dk.Tape()
+    with tape, np.errstate(invalid="ignore", over="ignore"):
+        a = tape.leaf(a0)
+        y = dk.dense(a, w0, b0, "sine", 2.0)
+        out = dk.sum_(y * dk.tensor(np.full((3, 2), np.inf), checked=False))
+    with pytest.raises(dk.NumericError, match=rf"node {y.idx} \(op 'sin'\)"):
+        dk.grad(out, [a])
+    # a non-finite adjoint that the fused node computes is caught where it arrives
+    with tape:
+        a = tape.leaf(1e-3 * a0)
+        out = dk.sum_(dk.dense(a, np.full((4, 2), 1e300), b0) * 1e9)
+    assert np.isfinite(out.item())
+    with np.errstate(over="ignore"):
+        with pytest.raises(dk.NumericError, match=rf"node {a.idx} \(op 'leaf'\)"):
+            dk.grad(out, [a])
+
+
+def test_grad_sums_adjoints_in_arrival_order(rng):
+    # many contributions to one operand: wide ones are added left to right,
+    # size-1 ones are summed by np.add.reduce like a stack of them
+    for shape in [(5, 3), (1,), ()]:
+        x0 = rng.normal(size=shape)
+        ws = [rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8) for _ in range(40)]
+        tape = dk.Tape()
+        with tape:
+            x = tape.leaf(x0)
+            terms = [dk.sum_(x * w) for w in ws]
+            out = terms[0]
+            for t in terms[1:]:
+                out = out + t
+        got = dk.grad(out, [x])[x].data
+        # the terms arrive in reverse order of creation
+        arrivals = [np.broadcast_to(1.0 * w, shape) for w in reversed(ws)]
+        if np.size(x0) == 1:
+            want = np.add.reduce(arrivals)
+        else:
+            want = arrivals[0]
+            for c in arrivals[1:]:
+                want = want + c
+        assert np.array_equal(got, want)

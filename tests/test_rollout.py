@@ -1,5 +1,6 @@
 import csv
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hjbctrl import dynzoo as dz
 from hjbctrl import netzoo as nz
 from hjbctrl import rollout as ro
 
-from conftest import rel_err
+from conftest import fd_grad, rel_err
 
 
 def zero_controller(m):
@@ -58,6 +59,64 @@ def test_rk4_nonfinite_aborts():
     f = lambda x, u: dk.tensor(np.full_like(x.data, np.inf), checked=False)
     with pytest.raises(dk.NumericError):
         ro.rk4_step(f, dk.tensor(np.ones((1, 2))), None, 0.1)
+
+
+def rk4_chain(f, x, u, h):
+    """rk4_step as the chain of primitives that its fused nodes replace."""
+    k1 = f(x, u)
+    k2 = f(x + (h / 2.0) * k1, u)
+    k3 = f(x + (h / 2.0) * k2, u)
+    k4 = f(x + h * k3, u)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def step_value_and_grads(step, f, x0, u0, proj):
+    tape = dk.Tape()
+    with tape:
+        x, u = tape.leaf(x0), tape.leaf(u0)
+        y = step(f, x, u, 0.07)
+        ops = Counter(node.op for node in tape.nodes)
+        out = dk.sum_(y * proj)
+    g = dk.grad(out, [x, u])
+    return y.data, g[x].data, g[u].data, ops
+
+
+@pytest.mark.parametrize("system", ["dubins", "cartpole"])
+def test_rk4_step_is_bitwise_the_primitive_chain(system, rng):
+    spec = dz.make_system(system)
+    x0 = rng.uniform(spec.state_box.lo, spec.state_box.hi, size=(64, spec.d))
+    u0 = rng.uniform(spec.action_box.lo, spec.action_box.hi, size=(64, spec.m))
+    proj = rng.normal(size=x0.shape)
+    got = step_value_and_grads(ro.rk4_step, spec.f, x0, u0, proj)
+    want = step_value_and_grads(rk4_chain, spec.f, x0, u0, proj)
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    # three stage inputs and the combine are one "add" node each, and no
+    # mul node outside the four evaluations of f remains
+    f_ops = step_value_and_grads(lambda f, x, u, h: f(x, u), spec.f, x0, u0, proj)[3]
+    assert got[3]["add"] == 4 * f_ops["add"] + 4
+    assert got[3]["mul"] == 4 * f_ops["mul"]
+    assert want[3]["add"] == 4 * f_ops["add"] + 7
+
+
+def test_rk4_nodes_match_central_differences(rng):
+    ops = [rng.normal(size=(3, 2)) for _ in range(5)]
+    proj = rng.normal(size=(3, 2))
+    cases = [
+        (lambda x, k: dk.axpy(x, 0.3, k), ops[:2]),
+        (lambda x, k1, k2, k3, k4: dk.rk4_combine(x, 0.3, k1, k2, k3, k4), ops),
+    ]
+    for fn, arrays in cases:
+        tape = dk.Tape()
+        with tape:
+            leaves = [tape.leaf(a) for a in arrays]
+            out = dk.sum_(fn(*leaves) * proj)
+        grads = dk.grad(out, leaves)
+        for i, leaf in enumerate(leaves):
+            def at(v, i=i):
+                args = [v if j == i else a for j, a in enumerate(arrays)]
+                return float((fn(*[dk.tensor(a) for a in args]).data * proj).sum())
+            assert rel_err(grads[leaf].data, fd_grad(at, arrays[i], h=1e-6)) < 1e-7
 
 
 def test_dubins_full_circle_returns_to_start():
