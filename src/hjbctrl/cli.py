@@ -102,9 +102,9 @@ def cmd_train(args) -> int:
     netzoo.save(controller, ctrl_path, metadata=meta)
     netzoo.save(value, outdir / f"value_{spec.name}.json", metadata=meta)
     hjbtrain.write_training_log(log, outdir / "training_log.csv", header=header)
-    print(f"[train] {spec.name} epochs={hcfg.epochs} "
-          f"final total={log[-1]['loss_total']:.4f} nfe={log[-1]['nfe_cumulative']} "
-          f"-> {ctrl_path}")
+    final = (f"final total={log[-1]['loss_total']:.4f} nfe={log[-1]['nfe_cumulative']}"
+             if log else "untrained")
+    print(f"[train] {spec.name} epochs={hcfg.epochs} {final} -> {ctrl_path}")
     return EXIT_OK
 
 
@@ -124,8 +124,7 @@ def cmd_eval(args) -> int:
     if args.export_trajectories > 0:
         rng = np.random.default_rng(int(ecfg.seed))
         x0 = spec.rho.sample(rng, args.export_trajectories)
-        traj = rollout(spec, AnalyticTransition(spec), controller, x0,
-                       K=hcfg.K, count_nfe=False)
+        traj = rollout(spec, AnalyticTransition(spec), controller, x0, K=hcfg.K)
         export_trajectories(traj, spec, outdir, prefix="eval_traj", header=header,
                             manifest={"seed": ecfg.seed,
                                       "config_hash": cfgmod.config_hash(cfg)})
@@ -149,8 +148,7 @@ def cmd_rollout(args) -> int:
         raise ValueError(f"--x0 needs {spec.d} values for '{spec.name}', got {x0.shape[0]}")
 
     controller = _load_controller(args.controller, spec)
-    traj = rollout(spec, AnalyticTransition(spec), controller, x0[None, :],
-                   K=hcfg.K, count_nfe=False)
+    traj = rollout(spec, AnalyticTransition(spec), controller, x0[None, :], K=hcfg.K)
     header = _header(cfg, "-")
     paths = export_trajectories(traj, spec, outdir, prefix="rollout", header=header,
                                 manifest={"x0": x0.tolist(),

@@ -46,6 +46,10 @@ class EvalConfig:
     metric: str = "position"  # "position" or "state"
     seed: int = 0
 
+    def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError("starts must be >= 1")
+
 
 DEFAULTS: dict = {
     "system": {"name": None, "overrides": {}},

@@ -166,9 +166,15 @@ class HjbConfig:
     resample_each_epoch: bool = True
 
     def __post_init__(self):
-        for name in ("alpha_cost", "alpha_hjb", "alpha_final", "alpha_hamil"):
+        for name in ("alpha_cost", "alpha_hjb", "alpha_final", "alpha_hamil", "epochs"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        for name in ("K", "batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("lr", "lr_final"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 def build_transition(spec: SystemSpec, source: str):
@@ -254,7 +260,7 @@ def train_controller(
             "lr": lr,
             "loss_total": total_v,
             **values,
-            "nfe_cumulative": transition.nfe.count,
+            "nfe_cumulative": transition.nfe,
             "wall_time_s": time.perf_counter() - t_start,
         })
         if log_every and (epoch % log_every == 0 or epoch == cfg.epochs - 1):
@@ -262,7 +268,7 @@ def train_controller(
                 f"[hjb] epoch {epoch + 1:5d}/{cfg.epochs} lr={lr:.5f} "
                 f"total={total_v:.4f} cost={values['loss_cost']:.4f} "
                 f"hjb={values['loss_hjb']:.4f} final={values['loss_final']:.4f} "
-                f"hamil={values['loss_hamil']:.4f} nfe={transition.nfe.count}"
+                f"hamil={values['loss_hamil']:.4f} nfe={transition.nfe}"
             )
 
     return controller.with_params(c_params), value.with_params(v_params), log

@@ -6,13 +6,14 @@
 * value function: tanh hidden activations with the raw input concatenated
   onto every hidden layer's input (input-concatenation skip connections)
 
-``forward``/``input_jacobian``/``vjp`` are built from diffkit primitives,
-so their outputs are themselves differentiable with respect to the network
-parameters when a tape is active.  Every layer is one ``diffkit.dense``
-node (matmul, bias and activation fused); only a sine layer whose
-derivative the Jacobian chain needs keeps its activation as a separate
-``sincos`` node.  The input-Jacobian is exact (layer-wise chain rule), not
-a finite-difference estimate.
+``forward``/``forward_with_jacobian``/``vjp`` take inputs of shape
+(B, in_dim) only and are built from diffkit primitives, so their outputs
+are differentiable with respect to the parameters when a tape is active.
+Every layer is one ``diffkit.dense`` node (matmul, bias and activation
+fused); only a sine layer whose derivative is needed keeps a separate
+``sincos`` node.  Input derivatives come from one reverse chain seeded with
+a matrix S that returns S . dy/dx, exact (layer-wise chain rule): the
+identity seed gives the Jacobian and a row seed v gives the vjp.
 """
 
 from __future__ import annotations
@@ -212,142 +213,82 @@ def _hidden_layer(net: Mlp, a: Tensor, w: Tensor, b: Tensor,
     return h, None
 
 
-def _check_input(net: Mlp, x: Tensor) -> tuple[Tensor, bool]:
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = dk.reshape(x, (1, x.shape[0]))
-    if x.shape[-1] != net.in_dim:
-        raise dk.ShapeError(f"input dim {x.shape[-1]} != network fan-in {net.in_dim}")
-    return x, squeeze
-
-
-def _param_tensors(net: Mlp, params) -> list[tuple[Tensor, Tensor]]:
-    if params is None:
-        return [(dk.tensor(w, checked=False), dk.tensor(b, checked=False)) for w, b in net.layers]
-    if len(params) != 2 * len(net.layers):
-        raise ValueError("parameter count mismatch")
-    return [(params[2 * i], params[2 * i + 1]) for i in range(len(net.layers))]
-
-
-def _forward_core(net: Mlp, x, params, want_jac: bool, vjp_vec: Tensor | None = None):
+def _forward_core(net: Mlp, x, params, seed=None) -> tuple[Tensor, Tensor | None]:
+    """Output y (B, out_dim) and, given a seed S of shape (r, out_dim) or
+    (B, r, out_dim), S . dy/dx of shape (B, r, in_dim), accumulated from the
+    output side: r is never larger than the hidden width, so GEMMs are cheap.
+    """
     x = dk._lift(x)
-    x, squeeze = _check_input(net, x)
-    lp = _param_tensors(net, params)
-    n_hidden = len(lp) - 1
+    if x.ndim != 2 or x.shape[1] != net.in_dim:
+        raise dk.ShapeError(f"input shape {x.shape} is not (B, {net.in_dim})")
+    if params is None:
+        params = net.params()
+    elif len(params) != 2 * len(net.layers):
+        raise ValueError("parameter count mismatch")
+    ws, bs = params[0::2], params[1::2]
+    batch = x.shape[0]
 
     a = x
     derivs: list[Tensor] = []
-    for i, (w, b) in enumerate(lp[:-1]):
+    for i in range(len(ws) - 1):
         if net.skip_connections and i > 0:
             a = dk.concat([a, x], axis=-1)
-        a, d = _hidden_layer(net, a, w, b, want_jac)
-        if want_jac:
-            derivs.append(d)
-    w, b = lp[-1]
-    y = dk.dense(a, w, b)
+        a, d = _hidden_layer(net, a, ws[i], bs[i], seed is not None)
+        derivs.append(d)
+    y = dk.dense(a, ws[-1], bs[-1])
 
     box = net.output_transform
-    box_deriv = None
     if box is not None:
         t = dk.tanh(y)
-        if want_jac:
+        if seed is not None:
             box_deriv = (box.hi - box.lo) * 0.5 * (1.0 - t * t)
+            seed = seed * dk.reshape(box_deriv, (batch, 1, net.out_dim))
         y = box.lo + (box.hi - box.lo) * (t + 1.0) * 0.5
+    if seed is None:
+        return y, None
 
+    g = dk.matmul(seed, dk.transpose(ws[-1]))
     jac = None
-    if want_jac:
-        # accumulate d(out)/d(input) from the output side: out_dim is never
-        # larger than the hidden width, so these are the cheap GEMMs.  With a
-        # vjp vector the "out" axis collapses to a single row immediately.
-        batch = x.shape[0]
-        n_rows = net.out_dim
-        if vjp_vec is not None:
-            vrow = vjp_vec if box_deriv is None else vjp_vec * box_deriv
-            g = dk.matmul(dk.reshape(vrow, (batch, 1, net.out_dim)), dk.transpose(w))
-            n_rows = 1
-        else:
-            g = dk.transpose(w)  # (out, w_last)
-            if box_deriv is not None:
-                g = dk.reshape(box_deriv, (batch, net.out_dim, 1)) * g
-        jac = None
-        for i in range(n_hidden - 1, -1, -1):
-            wi, _ = lp[i]
-            d = derivs[i]
-            gz = g * dk.reshape(d, (batch, 1, d.shape[-1]))
-            full = dk.matmul(gz, dk.transpose(wi))  # (B, n_rows, fan_in_i)
-            if i == 0:
-                jac = full if jac is None else jac + full
-            elif net.skip_connections:
-                width = lp[i - 1][0].shape[1]
-                g = full[:, :, :width]
-                tail = full[:, :, width:]
-                jac = tail if jac is None else jac + tail
-            else:
-                g = full
-        if n_hidden == 0:
-            # single linear layer: jacobian is the (possibly box-scaled) weight
-            jac = g if g.ndim == 3 else g + dk.tensor(
-                np.zeros((batch, n_rows, net.in_dim)), checked=False
-            )
-        if vjp_vec is not None:
-            jac = dk.reshape(jac, (batch, net.in_dim))
-
-    if squeeze:
-        y = dk.reshape(y, (y.shape[-1],))
-        if jac is not None and vjp_vec is None:
-            jac = dk.reshape(jac, (net.out_dim, net.in_dim))
-    return y, jac
+    for i in range(len(derivs) - 1, -1, -1):
+        d = derivs[i]
+        g = dk.matmul(g * dk.reshape(d, (batch, 1, d.shape[-1])), dk.transpose(ws[i]))
+        if net.skip_connections and i > 0:
+            # the tail columns are the skip input's share of d(out)/dx
+            width = ws[i - 1].shape[1]
+            tail = g[:, :, width:]
+            jac = tail if jac is None else jac + tail
+            g = g[:, :, :width]
+    if g.ndim == 2:  # no hidden layer and no box: the seed never met the batch
+        g = g + np.zeros((batch,) + g.shape)
+    return y, g if jac is None else jac + g
 
 
 def forward(net: Mlp, x, params=None) -> Tensor:
-    """Evaluate the network on a (B, in_dim) batch or a single (in_dim,) vector.
+    """Evaluate the network on a (B, in_dim) batch.
 
     ``params`` optionally overrides the stored parameters with taped leaf
     tensors (same flat layout as ``Mlp.params``), which is how training
     steps obtain parameter gradients.
     """
-    y, _ = _forward_core(net, x, params, want_jac=False)
+    y, _ = _forward_core(net, x, params)
     return y
 
 
 def forward_with_jacobian(net: Mlp, x, params=None) -> tuple[Tensor, Tensor]:
-    """Output and exact input-Jacobian sharing one forward pass."""
-    return _forward_core(net, x, params, want_jac=True)
-
-
-def input_jacobian(net: Mlp, x, params=None) -> Tensor:
-    """Exact Jacobian of the network output with respect to its input.
-
-    Returns (out_dim, in_dim) for a single input, (B, out_dim, in_dim) for a
-    batch.  Built as a taped composition (weight matrices interleaved with
-    diagonal activation-derivative factors), so the result can appear inside
-    a loss and be differentiated with respect to the parameters.
-    """
-    _, jac = _forward_core(net, x, params, want_jac=True)
-    return jac
+    """Output (B, out_dim) and exact input-Jacobian (B, out_dim, in_dim),
+    sharing one forward pass; the chain seeded with the identity."""
+    return _forward_core(net, x, params, seed=np.eye(net.out_dim))
 
 
 def vjp(net: Mlp, x, v, params=None) -> tuple[Tensor, Tensor]:
-    """Output and v^T . d(net)/d(input), sharing one forward pass, without
-    materializing the full Jacobian.
-
-    The row equals matmul(v, input_jacobian(net, x)); taped.  It is (in_dim,)
-    for single inputs, (B, in_dim) for batches (v broadcasts over the batch).
-    """
-    v = dk._lift(v)
-    x = dk._lift(x)
-    if v.shape[-1] != net.out_dim:
-        raise dk.ShapeError(f"v has dim {v.shape[-1]}, network out_dim {net.out_dim}")
-    single_x = x.ndim == 1
-    batch = 1 if single_x else x.shape[0]
-    if v.ndim == 1:
-        v = dk.reshape(v, (1, net.out_dim)) + dk.tensor(
-            np.zeros((batch, net.out_dim)), checked=False
-        )
-    y, row = _forward_core(net, x, params, want_jac=True, vjp_vec=v)
-    if single_x:
-        row = dk.reshape(row, (net.in_dim,))
-    return y, row
+    """Output and the rows v_b^T . d(net)/d(input) at x_b, (B, in_dim) for
+    v of shape (B, out_dim), sharing one forward pass; the chain seeded with
+    v, so the full Jacobian is never materialized."""
+    x, v = dk._lift(x), dk._lift(v)
+    if v.shape != (x.shape[0], net.out_dim):
+        raise dk.ShapeError(f"v has shape {v.shape}, expected ({x.shape[0]}, {net.out_dim})")
+    y, row = _forward_core(net, x, params, seed=dk.reshape(v, (v.shape[0], 1, net.out_dim)))
+    return y, dk.reshape(row, (row.shape[0], net.in_dim))
 
 
 # ---------------------------------------------------------------------------

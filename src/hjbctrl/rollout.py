@@ -8,7 +8,7 @@ accumulated with a left-endpoint Riemann sum, consistent with the hold.
 
 Transition sources are interchangeable callables (x, u) -> xdot; analytic
 system dynamics and learned network dynamics run through identical code
-paths.  Each source owns an NFE counter so training budgets are auditable.
+paths.  Each transition counts its own calls, so budgets are auditable.
 
 Evaluation (:func:`evaluate`) scores a controller from starts drawn from
 the system's ``rho``, always under the analytic dynamics; a registry of
@@ -33,21 +33,6 @@ from .diffkit import NumericError, Tensor
 from .dynzoo import SystemSpec
 
 
-class NfeCounter:
-    """Monotone counter of transition-function evaluations."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, n: int) -> None:
-        self.count += n
-
-    def reset(self) -> None:
-        self.count = 0
-
-
 # learned transitions register here so evaluation code can assert that it
 # never touched a network dynamics model
 _LEARNED_REGISTRY: "weakref.WeakSet[LearnedTransition]" = weakref.WeakSet()
@@ -58,9 +43,10 @@ class AnalyticTransition:
 
     def __init__(self, spec: SystemSpec):
         self.spec = spec
-        self.nfe = NfeCounter()
+        self.nfe = 0
 
     def __call__(self, x, u) -> Tensor:
+        self.nfe += 1
         return self.spec.f(x, u)
 
     def costate_vjp_u(self, x, u, v) -> tuple[Tensor, Tensor]:
@@ -90,10 +76,11 @@ class LearnedTransition:
         self.d = d
         self.m = m
         self.params = params
-        self.nfe = NfeCounter()
+        self.nfe = 0
         _LEARNED_REGISTRY.add(self)
 
     def __call__(self, x, u) -> Tensor:
+        self.nfe += 1
         z = dk.concat([dk._lift(x), dk._lift(u)], axis=1)
         return netzoo.forward(self.net, z, params=self.params)
 
@@ -106,7 +93,7 @@ class LearnedTransition:
 
 def learned_nfe_total() -> int:
     """Total NFE across every live learned transition (eval-purity audits)."""
-    return sum(tr.nfe.count for tr in _LEARNED_REGISTRY)
+    return sum(tr.nfe for tr in _LEARNED_REGISTRY)
 
 
 @dataclass
@@ -117,7 +104,6 @@ class TrajectoryBatch:
     states: list[Tensor]  # K+1 tensors of (B, d)
     controls: list[Tensor]  # K tensors of (B, m)
     running_cost_integral: Tensor  # (B,)
-    nfe: int
     # feedback control evaluated at the final state; not integrated, but the
     # HJB residual grid includes the terminal point
     terminal_control: Tensor
@@ -131,6 +117,11 @@ class TrajectoryBatch:
         return len(self.controls)
 
     @property
+    def nfe(self) -> int:
+        """Transition evaluations made by the rollout: four per RK4 step."""
+        return 4 * self.steps
+
+    @property
     def states_array(self) -> np.ndarray:
         return np.stack([s.data for s in self.states], axis=1)
 
@@ -139,7 +130,7 @@ class TrajectoryBatch:
         return np.stack([u.data for u in self.controls], axis=1)
 
 
-def rk4_step(f: Callable, x, u, h: float, nfe: NfeCounter | None = None) -> Tensor:
+def rk4_step(f: Callable, x, u, h: float) -> Tensor:
     """One classical RK4 step with the control held constant (ZOH).
 
     Each stage input ``x + c k`` and the final combine are one tape node
@@ -152,8 +143,6 @@ def rk4_step(f: Callable, x, u, h: float, nfe: NfeCounter | None = None) -> Tens
     k2 = f(dk.axpy(x, h / 2.0, k1), u)
     k3 = f(dk.axpy(x, h / 2.0, k2), u)
     k4 = f(dk.axpy(x, h, k3), u)
-    if nfe is not None:
-        nfe.add(4)
     out = dk.rk4_combine(x, h, k1, k2, k3, k4)
     if not np.all(np.isfinite(out.data)):
         raise NumericError("non-finite state after rk4 step")
@@ -166,14 +155,12 @@ def rollout(
     controller: Callable,
     x0: np.ndarray,
     K: int = 50,
-    count_nfe: bool = True,
 ) -> TrajectoryBatch:
     """Integrate xdot = f(x, u(x)) over [t0, tf] in K uniform RK4 steps.
 
     The control is recomputed from the current state at every grid point
     (feedback).  Under an active tape the whole computation is recorded, so
-    gradients reach the controller through every step.  ``count_nfe``
-    increments the transition's counter (disabled at evaluation time).
+    gradients reach the controller through every step.
     """
     x = dk._lift(np.asarray(x0, dtype=np.float64))
     if x.ndim == 1:
@@ -182,28 +169,24 @@ def rollout(
         raise ValueError(f"x0 has dim {x.shape[1]}, system has d={spec.d}")
     h = (spec.tf - spec.t0) / K
     times = spec.t0 + h * np.arange(K + 1)
-    counter = getattr(transition, "nfe", None) if count_nfe else None
 
     states = [x]
     controls: list[Tensor] = []
     cost = dk.tensor(np.zeros(x.shape[0]), checked=False)
-    nfe_before = counter.count if counter is not None else 0
     for k in range(K):
         u = controller(x)
         controls.append(u)
         cost = cost + h * spec.running_cost(x, u, times[k])
         try:
-            x = rk4_step(transition, x, u, h, nfe=counter)
+            x = rk4_step(transition, x, u, h)
         except NumericError as e:
             raise NumericError(f"{e} (rollout step {k})") from None
         states.append(x)
-    nfe_used = (counter.count - nfe_before) if counter is not None else 4 * K
     return TrajectoryBatch(
         times=times,
         states=states,
         controls=controls,
         running_cost_integral=cost,
-        nfe=nfe_used,
         terminal_control=controller(x),
     )
 
@@ -275,7 +258,7 @@ def evaluate(
         b = min(_EVAL_CHUNK, remaining)
         remaining -= b
         x0 = spec.rho.sample(rng, b)
-        traj = rollout(spec, transition, controller, x0, K=K, count_nfe=False)
+        traj = rollout(spec, transition, controller, x0, K=K)
         xs = traj.states_array  # (b, K+1, d)
         us = traj.controls_array
         h = (spec.tf - spec.t0) / K

@@ -45,6 +45,8 @@ class SysIdConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
         if self.n_train < self.batch:
             raise ValueError("dataset smaller than one batch")
 
@@ -115,7 +117,7 @@ def heldout_errors(net: netzoo.Mlp, data: Dataset) -> np.ndarray:
 def heldout_jac_errors(net: netzoo.Mlp, data: Dataset) -> np.ndarray:
     """Per-sample Frobenius errors of the stacked input-Jacobian."""
     z = np.concatenate([data.x, data.u], axis=1)
-    jac = netzoo.input_jacobian(net, z).data
+    jac = netzoo.forward_with_jacobian(net, z)[1].data
     target = np.concatenate([data.jac_x, data.jac_u], axis=2)
     return np.linalg.norm((jac - target).reshape(len(data), -1), axis=1)
 

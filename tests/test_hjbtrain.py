@@ -107,7 +107,7 @@ def test_grad_u_by_vjp_equals_grad_of_scalar_h(rng):
 
 def make_traj(spec, ctrl, x0, K=20, transition=None):
     tr = transition or ro.AnalyticTransition(spec)
-    return ro.rollout(spec, tr, ctrl, x0, K=K, count_nfe=False), tr
+    return ro.rollout(spec, tr, ctrl, x0, K=K), tr
 
 
 def test_loss_cost_zero_when_pinned_at_goal():
@@ -176,7 +176,7 @@ def test_loss_hjb_analytic_lq_solution_residual():
     p_f = 1.0 / (1.0 + tf - times[-1])
     traj = ro.TrajectoryBatch(
         times=times, states=states, controls=controls,
-        running_cost_integral=dk.tensor(np.zeros(b)), nfe=0,
+        running_cost_integral=dk.tensor(np.zeros(b)),
         terminal_control=dk.tensor(-p_f * states[-1].data),
     )
     resid = hj.loss_hjb(hj.grid_hamiltonian(analytic_value, traj, tr, spec)).item()

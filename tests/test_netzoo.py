@@ -35,8 +35,8 @@ def test_tanh_box_midpoint_at_zero_preactivation():
     layers = ((np.zeros((2, 4)), np.zeros(4)), (np.zeros((4, 1)), np.zeros(1)))
     net = nz.Mlp(layers=layers, activation="tanh",
                  output_transform=nz.TanhBox(lo=np.array([-1.0]), hi=np.array([1.0])))
-    y = nz.forward(net, np.array([3.0, -4.0]))
-    assert y.data[0] == 0.0
+    y = nz.forward(net, np.array([[3.0, -4.0]]))
+    assert y.data[0, 0] == 0.0
 
 
 def test_fixed_221_sine_net_matches_hand_computation():
@@ -46,7 +46,7 @@ def test_fixed_221_sine_net_matches_hand_computation():
     b2 = np.array([0.25])
     omega = 2.0
     net = nz.Mlp(layers=((w1, b1), (w2, b2)), activation="sine", omega0=omega)
-    x = np.array([0.4, -0.6])
+    x = np.array([[0.4, -0.6]])
     h = np.sin(omega * (x @ w1 + b1))
     want = h @ w2 + b2
     got = nz.forward(net, x).data
@@ -65,6 +65,8 @@ def test_forward_dim_mismatch():
     net = small_net()
     with pytest.raises(dk.ShapeError):
         nz.forward(net, np.ones((4, 5)))
+    with pytest.raises(dk.ShapeError):
+        nz.forward(net, np.ones(3))
 
 
 # -- init --------------------------------------------------------------------
@@ -117,15 +119,15 @@ def test_tanh_box_controller_outputs_stay_inside(seed):
 def test_input_jacobian_matches_fd(activation, skip, rng):
     net = small_net(activation, skip=skip, seed=11)
     x = rng.uniform(-1.0, 1.0, size=(6, 3))
-    jac = nz.input_jacobian(net, x).data
-    ref = np.stack([fd_jac(lambda v: nz.forward(net, v).data, x[i]) for i in range(6)])
+    jac = nz.forward_with_jacobian(net, x)[1].data
+    ref = np.stack([fd_jac(lambda v: nz.forward(net, v[None, :]).data[0], x[i]) for i in range(6)])
     assert rel_err(jac, ref) < 1e-5
 
 
 def test_identity_linear_layer_jacobian():
     net = nz.Mlp(layers=((np.eye(3), np.zeros(3)),), activation="tanh")
-    jac = nz.input_jacobian(net, np.array([9.0, -2.0, 4.4]))
-    assert np.array_equal(jac.data, np.eye(3))
+    jac = nz.forward_with_jacobian(net, np.array([[9.0, -2.0, 4.4]]))[1]
+    assert np.array_equal(jac.data, np.eye(3)[None])
 
 
 def test_one_layer_sine_jacobian_symbolic():
@@ -136,47 +138,47 @@ def test_one_layer_sine_jacobian_symbolic():
         activation="sine",
         omega0=1.0,
     )
-    jac = nz.input_jacobian(net, np.array([0.0]))
-    assert np.allclose(jac.data, [[2.0]])
+    jac = nz.forward_with_jacobian(net, np.array([[0.0]]))[1]
+    assert np.allclose(jac.data, [[[2.0]]])
 
 
 def test_jacobian_output_transform_chain(rng):
     net = small_net("tanh", box=([-2.0, 0.0], [2.0, 4.0]), seed=4)
     x = rng.uniform(-1, 1, size=(5, 3))
-    jac = nz.input_jacobian(net, x).data
-    ref = np.stack([fd_jac(lambda v: nz.forward(net, v).data, x[i]) for i in range(5)])
+    jac = nz.forward_with_jacobian(net, x)[1].data
+    ref = np.stack([fd_jac(lambda v: nz.forward(net, v[None, :]).data[0], x[i]) for i in range(5)])
     assert rel_err(jac, ref) < 1e-5
 
 
 def test_value_net_jacobian_finite_everywhere_sampled(rng):
     net = nz.value_net(4, hidden=(32, 32, 32), seed=5)
     z = rng.uniform(-10, 10, size=(500, 5))
-    jac = nz.input_jacobian(net, z).data
+    jac = nz.forward_with_jacobian(net, z)[1].data
     assert np.all(np.isfinite(jac))
 
 
 def test_vjp_basis_vector_extracts_jacobian_row(rng):
     net = small_net("sine", seed=2)
-    x = rng.uniform(-1, 1, size=3)
-    jac = nz.input_jacobian(net, x).data
+    x = rng.uniform(-1, 1, size=(1, 3))
+    jac = nz.forward_with_jacobian(net, x)[1].data
     for i in range(2):
-        e = np.zeros(2)
-        e[i] = 1.0
+        e = np.zeros((1, 2))
+        e[0, i] = 1.0
         row = nz.vjp(net, x, e)[1].data
-        assert np.allclose(row, jac[i], atol=1e-12)
+        assert np.allclose(row, jac[:, i], atol=1e-12)
 
 
 def test_vjp_zero_vector():
     net = small_net()
-    out = nz.vjp(net, np.zeros(3), np.zeros(2))[1].data
-    assert np.array_equal(out, np.zeros(3))
+    out = nz.vjp(net, np.zeros((1, 3)), np.zeros((1, 2)))[1].data
+    assert np.array_equal(out, np.zeros((1, 3)))
 
 
 def test_vjp_agrees_with_dense_product(rng):
     net = small_net("sine", skip=False, seed=9)
     x = rng.uniform(-1, 1, size=(8, 3))
     v = rng.normal(size=(8, 2))
-    dense = np.einsum("bo,boi->bi", v, nz.input_jacobian(net, x).data)
+    dense = np.einsum("bo,boi->bi", v, nz.forward_with_jacobian(net, x)[1].data)
     got = nz.vjp(net, x, v)[1].data
     assert np.max(np.abs(dense - got)) < 1e-12
 
@@ -192,7 +194,7 @@ def test_vjp_output_is_the_forward_value(activation, rng):
 def test_vjp_dim_mismatch():
     net = small_net()
     with pytest.raises(dk.ShapeError):
-        nz.vjp(net, np.zeros(3), np.zeros(5))
+        nz.vjp(net, np.zeros((1, 3)), np.zeros((1, 5)))
 
 
 def test_jacobian_nesting_grad_wrt_params_matches_fd(rng):
@@ -200,12 +202,13 @@ def test_jacobian_nesting_grad_wrt_params_matches_fd(rng):
     x = rng.uniform(-1, 1, size=(5, 4))
 
     def scalar_of(params_list):
-        return float(np.sum(nz.input_jacobian(net.with_params(params_list), x).data ** 2))
+        jac = nz.forward_with_jacobian(net.with_params(params_list), x)[1]
+        return float(np.sum(jac.data ** 2))
 
     tape = dk.Tape()
     with tape:
         leaves = [tape.leaf(p) for p in net.params()]
-        loss = dk.sum_(dk.square(nz.input_jacobian(net, x, params=leaves)))
+        loss = dk.sum_(dk.square(nz.forward_with_jacobian(net, x, params=leaves)[1]))
     grads = dk.grad(loss, leaves)
     p0 = net.params()
     for li in range(len(p0)):

@@ -43,11 +43,9 @@ def test_rk4_exponential_oracle():
 
 
 def test_rk4_counts_four_evals():
-    nfe = ro.NfeCounter()
-    ro.rk4_step(lambda x, u: x, dk.tensor(np.ones((1, 1))), None, 0.1, nfe=nfe)
-    assert nfe.count == 4
-    nfe.reset()
-    assert nfe.count == 0
+    tr = ro.AnalyticTransition(dz.make_system("dubins"))
+    ro.rk4_step(tr, dk.tensor(np.zeros((1, 3))), dk.tensor(np.ones((1, 2))), 0.1)
+    assert tr.nfe == 4
 
 
 def test_rk4_rejects_bad_step():
@@ -223,7 +221,7 @@ def test_rollout_gradient_matches_fd():
 
         def value(ps):
             ctrl = lambda x: nz.forward(net.with_params(ps), x)
-            traj = ro.rollout(spec, tr, ctrl, x0, K=10, count_nfe=False)
+            traj = ro.rollout(spec, tr, ctrl, x0, K=10)
             return float(spec.terminal_cost(traj.states[-1]).data[0])
 
         want = (value(pp) - value(pm)) / (2 * h)
@@ -241,13 +239,10 @@ def test_nfe_accounting():
     x0 = np.zeros((4, 3))
     traj = ro.rollout(spec, tr, ctrl, x0, K=30)
     assert traj.nfe == 4 * 30
-    assert tr.nfe.count == 4 * 30
+    assert tr.nfe == 4 * 30
     for _ in range(4):
         ro.rollout(spec, tr, ctrl, x0, K=30)
-    assert tr.nfe.count == 4 * 30 * 5
-    before = tr.nfe.count
-    ro.rollout(spec, tr, ctrl, x0, K=30, count_nfe=False)
-    assert tr.nfe.count == before
+    assert tr.nfe == 4 * 30 * 5
 
 
 def test_learned_transition_dim_check_and_counting():
@@ -258,7 +253,7 @@ def test_learned_transition_dim_check_and_counting():
         ro.LearnedTransition(net, 4, 2)
     base = ro.learned_nfe_total()
     ro.rollout(spec, lt, constant_controller([0.3, 0.1]), np.zeros((2, 3)), K=5)
-    assert lt.nfe.count == 20
+    assert lt.nfe == 20
     assert ro.learned_nfe_total() - base == 20
 
 
@@ -267,8 +262,6 @@ def test_identical_code_path_for_analytic_and_injected_learned():
     analytic = ro.AnalyticTransition(spec)
 
     class Injected:
-        nfe = ro.NfeCounter()
-
         def __call__(self, x, u):
             return spec.f(x, u)
 
@@ -294,7 +287,6 @@ def test_rollout_abort_names_step():
     spec = dz.make_system("dubins")
 
     class Exploding:
-        nfe = ro.NfeCounter()
         calls = 0
 
         def __call__(self, x, u):

@@ -32,7 +32,7 @@ def test_loss_zero_when_predictions_match(dubins):
     net = nz.dynamics_net(3, 2, hidden=(8,), seed=1)
     z = np.concatenate([data.x, data.u], axis=1)
     pred = nz.forward(net, z).data
-    jac = nz.input_jacobian(net, z).data
+    jac = nz.forward_with_jacobian(net, z)[1].data
     loss = si.sysid_loss(net, data.x, data.u, pred, jac, grad_supervision=True)
     assert loss.item() < 1e-8
 
