@@ -6,7 +6,7 @@ Submodules:
     dynzoo    analytic benchmark systems (f only; Jacobians derived), costs,
               start distributions, datasets
     optim     Adam and learning-rate schedules
-    sysid     Sobolev system identification and the activation ablation
+    sysid     Sobolev system identification
     rollout   differentiable fixed-step RK4 closed-loop simulation, evaluation
     hjbtrain  joint controller/value training from HJB losses
     cli       command-line front end (sysid / train / eval / rollout)

@@ -366,26 +366,18 @@ def matmul(a, b) -> Tensor:
 
 def sin(a) -> Tensor:
     a = _lift(a)
-    cache: dict = {}
 
     def backward(g, p):
-        c = cache.get("c")
-        if c is None:
-            c = cache["c"] = np.cos(a.data)
-        return (g * c,)
+        return (g * np.cos(a.data),)
 
     return _emit("sin", np.sin(a.data), (a,), backward)
 
 
 def cos(a) -> Tensor:
     a = _lift(a)
-    cache: dict = {}
 
     def backward(g, p):
-        s = cache.get("s")
-        if s is None:
-            s = cache["s"] = np.sin(a.data)
-        return (-g * s,)
+        return (-g * np.sin(a.data),)
 
     return _emit("cos", np.cos(a.data), (a,), backward)
 
@@ -564,12 +556,6 @@ def getitem(a, key) -> Tensor:
         return (full,)
 
     return _emit("getitem", out, (a,), backward, key)
-
-
-def detach(a) -> Tensor:
-    """Constant copy: blocks gradient flow."""
-    a = _lift(a)
-    return Tensor(a.data)
 
 
 # ---------------------------------------------------------------------------

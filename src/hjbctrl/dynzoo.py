@@ -3,9 +3,10 @@
 A system supplies only its dynamics f, written against the diffkit op set,
 so the same code evaluates eagerly on plain arrays (dataset generation,
 test-time rollouts) and participates in a tape during training with an
-analytic transition.  Its Jacobians are derived from f by forward-mode
-tangents (:func:`jacobian`).  Everything works on batches: x is (B, d),
-u is (B, m).
+analytic transition.  Its Jacobian [df/dx, df/du] is derived from f by
+forward-mode tangents (:func:`jacobian`) and stacked as one (B, d, d+m)
+array, the layout of a network's input-Jacobian over z = [x, u].
+Everything works on batches: x is (B, d), u is (B, m).
 
 Registered systems: dubins, cartpole, acrobot, quadrotor, lq1d.
 Conventions:
@@ -83,8 +84,9 @@ class SystemSpec:
     """One benchmark system: dimensions, boxes, dynamics, cost data, and the
     start distribution ``rho`` that training and evaluation sample x0 from.
 
-    ``jac(x, u) -> (df/dx, df/du)`` defaults to the Jacobian derived from
-    ``f``; a system needs to set it only to override that derivation.
+    ``jac(x, u) -> [df/dx, df/du]``, stacked as (B, d, d+m), defaults to the
+    Jacobian derived from ``f``; a system needs to set it only to override
+    that derivation.
     """
 
     name: str
@@ -98,13 +100,10 @@ class SystemSpec:
     P: np.ndarray
     R: np.ndarray
     rho: Box | Gaussian
-    jac: Callable[[Tensor, Tensor], tuple[Tensor, Tensor]] | None = None
-    t0: float = 0.0
+    jac: Callable[[Tensor, Tensor], Tensor] | None = None
     tf: float = 6.0
     Q: np.ndarray | None = None  # optional state running-cost weight
     obstacles: tuple[Obstacle, ...] = ()
-    c_obs: float = 100.0
-    obs_margin: float = 0.1
     position_slice: slice | None = None  # planar/3D position coords, if meaningful
     params: dict = field(default_factory=dict)
 
@@ -124,20 +123,18 @@ class SystemSpec:
 
     # -- cost pieces (all taped-compatible) ---------------------------------
 
-    def running_cost(self, x, u, t=None) -> Tensor:
-        """L(x, u, t) = (u - u*)' R (u - u*) [+ (x - x*)' Q (x - x*)] + obstacle penalty."""
+    def running_cost(self, x, u) -> Tensor:
+        """L(x, u) = (u - u*)' R (u - u*) [+ (x - x*)' Q (x - x*)] + obstacle penalty."""
         du = dk._lift(u) - self.u_star
         val = dk.quadform(du, self.R)
         if self.Q is not None:
             dx = dk._lift(x) - self.x_star
             val = val + dk.quadform(dx, self.Q)
         if self.obstacles:
-            val = val + obstacle_penalty(
-                x, self.obstacles, c_obs=self.c_obs, margin=self.obs_margin
-            )
+            val = val + obstacle_penalty(x, self.obstacles)
         return val
 
-    def running_cost_grad_u(self, x, u, t=None) -> Tensor:
+    def running_cost_grad_u(self, x, u) -> Tensor:
         """d L / d u = 2 R (u - u*); obstacles do not depend on u."""
         du = dk._lift(u) - self.u_star
         return dk.matmul(du, 2.0 * self.R)
@@ -173,9 +170,9 @@ def obstacle_penalty(x, obstacles, c_obs: float = 100.0, margin: float = 0.1) ->
 # ---------------------------------------------------------------------------
 
 
-def jacobian(f: Callable, x, u) -> tuple[Tensor, Tensor]:
-    """(df/dx, df/du) of a batched f, shapes (B, d, d) and (B, d, m), from
-    d + m forward-mode tangent directions (taped under an active tape)."""
+def jacobian(f: Callable, x, u) -> Tensor:
+    """[df/dx, df/du] of a batched f, stacked as (B, d, d+m), from d + m
+    forward-mode tangent directions (taped under an active tape)."""
     x, u = dk._lift(x), dk._lift(u)
     b, d = x.shape
     m = u.shape[1]
@@ -183,8 +180,7 @@ def jacobian(f: Callable, x, u) -> tuple[Tensor, Tensor]:
     directions = [(np.broadcast_to(e[:d], (b, d)), np.broadcast_to(e[d:], (b, m))) for e in eye]
     _, tangents = dk.jvp(f, (x, u), directions)
     # (B, d+m, d) then a transposed view: stacking on the last axis copies slowly
-    full = dk.transpose(dk.stack([np.zeros((b, d)) if t is None else t for t in tangents], axis=1))
-    return full[:, :, :d], full[:, :, d:]
+    return dk.transpose(dk.stack([np.zeros((b, d)) if t is None else t for t in tangents], axis=1))
 
 
 def _vec(cols) -> Tensor:
@@ -221,7 +217,6 @@ def _make_dubins(p: dict) -> SystemSpec:
         P=np.eye(3),
         R=0.01 * np.eye(2),
         rho=Box(np.array([-3.5, -3.0, -np.pi]), np.array([-2.5, 3.0, np.pi])),
-        t0=0.0,
         tf=p["tf"],
         position_slice=slice(0, 2),
         params=p,
@@ -267,7 +262,6 @@ def _make_cartpole(p: dict) -> SystemSpec:
         # hanging, within 0.1 of rest in every coordinate
         rho=Box(np.array([-0.1, -0.1, np.pi - 0.1, -0.1]),
                 np.array([0.1, 0.1, np.pi + 0.1, 0.1])),
-        t0=0.0,
         tf=p["tf"],
         params=p,
     )
@@ -321,7 +315,6 @@ def _make_acrobot(p: dict) -> SystemSpec:
         P=np.eye(4),
         R=0.01 * np.eye(1),
         rho=Box(np.full(4, -0.1), np.full(4, 0.1)),
-        t0=0.0,
         tf=p["tf"],
         params=p,
     )
@@ -386,7 +379,6 @@ def _make_quadrotor(p: dict) -> SystemSpec:
         R=0.01 * np.eye(4),
         # positions ~ N(0, I); attitude and rates start at rest
         rho=Gaussian(np.zeros(12), np.array([1.0] * 3 + [0.0] * 9)),
-        t0=0.0,
         tf=p["tf"],
         position_slice=slice(0, 3),
         params=p,
@@ -415,7 +407,6 @@ def _make_lq1d(p: dict) -> SystemSpec:
         R=np.eye(1),
         rho=Box(np.array([-1.0]), np.array([1.0])),
         Q=np.eye(1),
-        t0=0.0,
         tf=p["tf"],
         params=p,
     )
@@ -472,38 +463,33 @@ def system_names() -> tuple[str, ...]:
     return tuple(sorted(_MAKERS))
 
 
+# cost fields of SystemSpec that an override sets directly, as float arrays
+_COST_ARRAYS = ("P", "R", "Q", "x_star", "u_star")
+
+
 def make_system(name: str, overrides: dict | None = None) -> SystemSpec:
-    """Build a registered system, optionally overriding physical parameters."""
+    """Build a registered system, optionally overriding physical parameters
+    (``tf`` among them), cost arrays and obstacles (``[[center, radius], ...]``)."""
     if name not in _MAKERS:
         raise KeyError(f"unknown system '{name}'; known: {', '.join(system_names())}")
     params = dict(_DEFAULT_PARAMS[name])
-    extra = dict(overrides or {})
-    spec_overrides = {
-        k: extra.pop(k) for k in ("obstacles", "P", "R", "Q", "x_star", "u_star", "tf")
-        if k in extra
-    }
-    unknown = set(extra) - set(params)
+    overrides = overrides or {}
+    unknown = set(overrides) - set(params) - {"obstacles", *_COST_ARRAYS}
     if unknown:
         raise KeyError(f"unknown parameter(s) for {name}: {sorted(unknown)}")
-    params.update(extra)
-    if "tf" in spec_overrides:
-        params["tf"] = float(spec_overrides.pop("tf"))
-    sys_spec = _MAKERS[name](params)
-    if spec_overrides:
-        fields = {}
-        if "obstacles" in spec_overrides:
-            fields["obstacles"] = tuple(
+    fields = {}
+    for key, value in overrides.items():
+        if key == "obstacles":
+            fields[key] = tuple(
                 Obstacle(center=np.asarray(o[0], dtype=np.float64), radius=float(o[1]))
-                for o in spec_overrides["obstacles"]
+                for o in value
             )
-        for key in ("P", "R", "Q"):
-            if key in spec_overrides:
-                fields[key] = np.asarray(spec_overrides[key], dtype=np.float64)
-        for key in ("x_star", "u_star"):
-            if key in spec_overrides:
-                fields[key] = np.asarray(spec_overrides[key], dtype=np.float64)
-        sys_spec = replace(sys_spec, **fields)
-    return sys_spec
+        elif key in _COST_ARRAYS:
+            fields[key] = np.asarray(value, dtype=np.float64)
+        else:
+            params[key] = value
+    params["tf"] = float(params["tf"])
+    return replace(_MAKERS[name](params), **fields)
 
 
 @dataclass(frozen=True)
@@ -513,8 +499,7 @@ class Dataset:
     x: np.ndarray  # (N, d)
     u: np.ndarray  # (N, m)
     xdot: np.ndarray  # (N, d)
-    jac_x: np.ndarray  # (N, d, d)
-    jac_u: np.ndarray  # (N, d, m)
+    jac: np.ndarray  # (N, d, d+m): [df/dx, df/du]
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -522,13 +507,11 @@ class Dataset:
 
 def sample_dataset(spec: SystemSpec, n: int, seed: int) -> Dataset:
     """N i.i.d. uniform draws over state_box x action_box with analytic targets
-    (the Jacobians are derived from f unless the system overrides ``jac``)."""
+    (the Jacobian is derived from f unless the system overrides ``jac``)."""
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
     x = spec.state_box.sample(rng, n)
     u = spec.action_box.sample(rng, n)
     spec.validate(x, u)
-    xdot = spec.f(x, u).data
-    jx, ju = spec.jac(x, u)
-    return Dataset(x=x, u=u, xdot=xdot, jac_x=jx.data, jac_u=ju.data)
+    return Dataset(x=x, u=u, xdot=spec.f(x, u).data, jac=spec.jac(x, u).data)

@@ -7,9 +7,12 @@ Four losses over differentiable rollouts:
   final   mean |V(x_f, t_f) - G(x_f)| (PDE boundary condition)
   hamil   mean ||d H / d u||_2 (stationarity of the Hamiltonian in u)
 
-with H = L(x, u, t) + grad_x V(x, t) . f(x, u).  One Adam instance updates
-the controller and value parameters jointly; the transition (analytic or a
-frozen learned checkpoint) is never updated here.
+with H = L(x, u) + grad_x V(x, t) . f(x, u).  The hamil loss trains the
+value net as well as the controller: the costate grad_x V in grad_u H is
+not detached.  Each epoch draws a fresh batch of starts from the system's
+``rho``.  One Adam instance updates the controller and value parameters
+jointly; the transition (analytic or a frozen learned checkpoint) is never
+updated here.
 """
 
 from __future__ import annotations
@@ -38,13 +41,12 @@ from .sysid import TrainingDiverged
 class MlpValue:
     """V(x, t) from an MLP over (x, t_norm) with exact taped derivatives.
 
-    Physical time is normalized to [0, 1] over the horizon before entering
-    the network; dV/dt is rescaled back accordingly.
+    Physical time is normalized to [0, 1] over the horizon [0, tf] before
+    entering the network; dV/dt is rescaled back accordingly.
     """
 
-    def __init__(self, net: netzoo.Mlp, t0: float, tf: float, params=None):
+    def __init__(self, net: netzoo.Mlp, tf: float, params=None):
         self.net = net
-        self.t0 = t0
         self.tf = tf
         self.params = params
 
@@ -52,8 +54,7 @@ class MlpValue:
         """Returns (V, dV/dt, grad_x V) with shapes (B,), (B,), (B, d)."""
         x = dk._lift(x)
         b, d = x.shape
-        span = self.tf - self.t0
-        tn = (np.asarray(t, dtype=np.float64) - self.t0) / span
+        tn = np.asarray(t, dtype=np.float64) / self.tf
         if tn.ndim == 0:
             tn = np.full((b, 1), float(tn))
         elif tn.ndim == 1:
@@ -62,7 +63,7 @@ class MlpValue:
         y, jac = netzoo.forward_with_jacobian(self.net, z, params=self.params)
         value = dk.reshape(y, (b,))
         grad_x = dk.reshape(jac[:, :, :d], (b, d))
-        dvdt = dk.reshape(jac[:, :, d:], (b,)) * (1.0 / span)
+        dvdt = dk.reshape(jac[:, :, d:], (b,)) * (1.0 / self.tf)
         return value, dvdt, grad_x
 
 
@@ -83,22 +84,18 @@ def hamiltonian(
     x,
     u,
     t,
-    hamil_through_value: bool = True,
 ) -> HamiltonianEval:
-    """H = L(x, u, t) + grad_x V(x, t) . f(x, u), with its u-gradient.
+    """H = L(x, u) + grad_x V(x, t) . f(x, u), with its u-gradient.
 
     grad_u H = dL/du + (df/du)^T grad_x V, computed as a vjp so learned
     transitions never materialize their full Jacobian; the same call
-    returns f(x, u), so f is evaluated once per point.  When
-    ``hamil_through_value`` is false the costate entering grad_u H is
-    detached, so the hamiltonian loss regularizes only the controller.
+    returns f(x, u), so f is evaluated once per point.
     """
     x, u = dk._lift(x), dk._lift(u)
     v_val, dvdt, grad_x = value(x, t)
-    costate = grad_x if hamil_through_value else dk.detach(grad_x)
-    f_val, f_vjp_u = transition.costate_vjp_u(x, u, costate)
-    ham = spec.running_cost(x, u, t) + dk.sum_(grad_x * f_val, axis=1)
-    grad_u = spec.running_cost_grad_u(x, u, t) + f_vjp_u
+    f_val, f_vjp_u = transition.costate_vjp_u(x, u, grad_x)
+    ham = spec.running_cost(x, u) + dk.sum_(grad_x * f_val, axis=1)
+    grad_u = spec.running_cost_grad_u(x, u) + f_vjp_u
     if not np.all(np.isfinite(grad_x.data)):
         raise dk.NumericError("non-finite value-function gradient in hamiltonian")
     return HamiltonianEval(H=ham, V=v_val, dV_dt=dvdt, grad_u_H=grad_u)
@@ -114,15 +111,14 @@ def loss_cost(traj: TrajectoryBatch, spec: SystemSpec) -> Tensor:
     return dk.mean_(traj.running_cost_integral + spec.terminal_cost(traj.states[-1]))
 
 
-def grid_hamiltonian(value, traj: TrajectoryBatch, transition, spec: SystemSpec,
-                     hamil_through_value: bool = True) -> HamiltonianEval:
+def grid_hamiltonian(value, traj: TrajectoryBatch, transition,
+                     spec: SystemSpec) -> HamiltonianEval:
     """The Hamiltonian at all K+1 grid points of every trajectory, flattened
     into one batch; shared by the hjb and hamil losses."""
     xs = dk.concat(traj.states, axis=0)
     us = dk.concat(list(traj.controls) + [traj.terminal_control], axis=0)
     ts = np.repeat(traj.times, traj.batch)
-    return hamiltonian(value, transition, spec, xs, us, ts,
-                       hamil_through_value=hamil_through_value)
+    return hamiltonian(value, transition, spec, xs, us, ts)
 
 
 def loss_hjb(ev: HamiltonianEval) -> Tensor:
@@ -162,8 +158,6 @@ class HjbConfig:
     seed: int = 0
     controller_hidden: tuple[int, ...] = (64, 64)
     value_hidden: tuple[int, ...] = (64, 64, 64)
-    hamil_through_value: bool = True
-    resample_each_epoch: bool = True
 
     def __post_init__(self):
         for name in ("alpha_cost", "alpha_hjb", "alpha_final", "alpha_hamil", "epochs"):
@@ -211,21 +205,20 @@ def train_controller(
     adam = optim.Adam(c_params + v_params)
     schedule = optim.exponential_to(cfg.lr, cfg.lr_final, cfg.epochs)
     rng = np.random.default_rng(cfg.seed + 2)
-    x0_fixed = spec.rho.sample(rng, cfg.batch)
 
     log: list[dict] = []
     t_start = time.perf_counter()
     for epoch in range(cfg.epochs):
-        x0 = spec.rho.sample(rng, cfg.batch) if cfg.resample_each_epoch else x0_fixed
+        x0 = spec.rho.sample(rng, cfg.batch)
         lr = schedule(epoch)
         tape = dk.Tape()
         with tape:
             cl = [tape.leaf(p) for p in c_params]
             vl = [tape.leaf(p) for p in v_params]
             ctrl = lambda x: netzoo.forward(controller, x, params=cl)
-            val = MlpValue(value, spec.t0, spec.tf, params=vl)
+            val = MlpValue(value, spec.tf, params=vl)
             traj = rollout(spec, transition, ctrl, x0, K=cfg.K)
-            ev = grid_hamiltonian(val, traj, transition, spec, cfg.hamil_through_value)
+            ev = grid_hamiltonian(val, traj, transition, spec)
             parts = {
                 "loss_cost": loss_cost(traj, spec),
                 "loss_hjb": loss_hjb(ev),

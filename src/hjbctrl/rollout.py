@@ -156,7 +156,7 @@ def rollout(
     x0: np.ndarray,
     K: int = 50,
 ) -> TrajectoryBatch:
-    """Integrate xdot = f(x, u(x)) over [t0, tf] in K uniform RK4 steps.
+    """Integrate xdot = f(x, u(x)) over [0, tf] in K uniform RK4 steps.
 
     The control is recomputed from the current state at every grid point
     (feedback).  Under an active tape the whole computation is recorded, so
@@ -167,8 +167,8 @@ def rollout(
         x = dk.reshape(x, (1, x.shape[0]))
     if x.shape[1] != spec.d:
         raise ValueError(f"x0 has dim {x.shape[1]}, system has d={spec.d}")
-    h = (spec.tf - spec.t0) / K
-    times = spec.t0 + h * np.arange(K + 1)
+    h = spec.tf / K
+    times = h * np.arange(K + 1)
 
     states = [x]
     controls: list[Tensor] = []
@@ -176,7 +176,7 @@ def rollout(
     for k in range(K):
         u = controller(x)
         controls.append(u)
-        cost = cost + h * spec.running_cost(x, u, times[k])
+        cost = cost + h * spec.running_cost(x, u)
         try:
             x = rk4_step(transition, x, u, h)
         except NumericError as e:
@@ -261,7 +261,7 @@ def evaluate(
         traj = rollout(spec, transition, controller, x0, K=K)
         xs = traj.states_array  # (b, K+1, d)
         us = traj.controls_array
-        h = (spec.tf - spec.t0) / K
+        h = spec.tf / K
 
         terminal_errors.append(np.linalg.norm(xs[:, -1, :] - spec.x_star, axis=1))
         control_mags.append(np.linalg.norm(us, axis=2).sum(axis=1) * h)
@@ -341,7 +341,7 @@ def export_trajectories(
     """One CSV per batch element plus a JSON manifest.
 
     Columns: t, x_0..x_{d-1}, u_0..u_{m-1}, running_cost (the rate
-    L(x_k, u_k, t_k); its left Riemann sum over the first K rows times h
+    L(x_k, u_k); its left Riemann sum over the first K rows times h
     reproduces the integral).  The terminal row carries no control.
     """
     outdir = Path(outdir)
@@ -349,7 +349,7 @@ def export_trajectories(
     xs = traj.states_array
     us = traj.controls_array
     rates = np.stack(
-        [spec.running_cost(traj.states[k].data, traj.controls[k].data, traj.times[k]).data
+        [spec.running_cost(traj.states[k].data, traj.controls[k].data).data
          for k in range(traj.steps)],
         axis=1,
     )

@@ -1,16 +1,18 @@
 """Sobolev system identification: fit f_theta to sampled transitions.
 
 The loss is the batch mean of the L2 norm of the value residual plus (when
-gradient supervision is on) the Frobenius norm of the stacked
-[d f/d x, d f/d u] Jacobian residual.  The Jacobian of the network is the
-exact taped input-Jacobian, so the supervision term trains second-order
-structure, not a finite-difference surrogate.
+gradient supervision is on) the Frobenius norm of the Jacobian residual.
+Target and prediction share one layout, [d f/d x, d f/d u] stacked as
+(B, d, d+m): the dataset's ``jac`` and the network's input-Jacobian over
+z = [x, u].  The latter is the exact taped Jacobian, so the supervision
+term trains second-order structure, not a finite-difference surrogate
+(Czarnecki et al. 2017, "Sobolev Training for Neural Networks").
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,9 @@ class SysIdConfig:
             raise ValueError("batch must be >= 1")
         if self.n_train < self.batch:
             raise ValueError("dataset smaller than one batch")
+        for name in ("lr", "lr_decay"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -118,8 +123,7 @@ def heldout_jac_errors(net: netzoo.Mlp, data: Dataset) -> np.ndarray:
     """Per-sample Frobenius errors of the stacked input-Jacobian."""
     z = np.concatenate([data.x, data.u], axis=1)
     jac = netzoo.forward_with_jacobian(net, z)[1].data
-    target = np.concatenate([data.jac_x, data.jac_u], axis=2)
-    return np.linalg.norm((jac - target).reshape(len(data), -1), axis=1)
+    return np.linalg.norm((jac - data.jac).reshape(len(data), -1), axis=1)
 
 
 def _report(spec: SystemSpec, cfg: SysIdConfig, errors: np.ndarray) -> SysIdReport:
@@ -157,12 +161,6 @@ def train_sysid(
         spec.d, spec.m, hidden=cfg.hidden, activation=cfg.activation,
         omega0=cfg.omega0, seed=cfg.seed,
     )
-    jac_full = (
-        np.concatenate([train_data.jac_x, train_data.jac_u], axis=2)
-        if cfg.grad_supervision
-        else None
-    )
-
     params = net.params()
     adam = optim.Adam(params)
     schedule = optim.step_decay(cfg.lr, cfg.lr_decay, max(1, cfg.epochs // 5))
@@ -183,7 +181,7 @@ def train_sysid(
             leaves = [tape.leaf(p) for p in params]
             loss = sysid_loss(
                 net, train_data.x[idx], train_data.u[idx], train_data.xdot[idx],
-                jac_target=jac_full[idx] if jac_full is not None else None,
+                jac_target=train_data.jac[idx] if cfg.grad_supervision else None,
                 grad_supervision=cfg.grad_supervision,
                 params=leaves, jac_weight=cfg.jac_weight,
             )
@@ -199,36 +197,6 @@ def train_sysid(
     net = net.with_params(params)
     report = _report(spec, cfg, heldout_errors(net, test_data))
     return net, report, losses
-
-
-def ablation_harness(
-    spec: SystemSpec,
-    cfg: SysIdConfig,
-    activations=("relu", "tanh", "sine"),
-    supervisions=(False, True),
-    seeds=(0,),
-    log_every: int = 0,
-) -> list[SysIdReport]:
-    """Grid of {activation} x {grad supervision} x {seed} sharing datasets.
-
-    Every cell with the same seed trains on the identical dataset, so the
-    comparison isolates the architecture and the loss.
-    """
-    reports = []
-    for seed in seeds:
-        base = replace(cfg, seed=seed)
-        data = sample_dataset(spec, base.n_train, seed=seed)
-        for act in activations:
-            for sup in supervisions:
-                cell = replace(base, activation=act, grad_supervision=sup)
-                _, rep, _ = train_sysid(spec, cell, train_data=data, log_every=log_every)
-                reports.append(rep)
-                if log_every:
-                    print(
-                        f"[ablation] {spec.name} {act:5s} grad={int(sup)} seed={seed}"
-                        f"  mean={rep.mean:.6f} median={rep.median:.6f}"
-                    )
-    return reports
 
 
 def write_reports_csv(reports, path, header: str = "") -> None:

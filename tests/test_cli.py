@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from hjbctrl import cli, config
+from hjbctrl import cli, config, sysid
 
 # tiny budgets: every command finishes in well under a second on dubins
 TINY = {
@@ -41,6 +41,10 @@ def test_sysid_train_eval_rollout_round_trip(tiny_config, tmp_path):
     assert run("sysid", "--config", tiny_config, "--outdir", sysid_dir) == cli.EXIT_OK
     ckpt = sysid_dir / "ftheta_dubins_sine.json"
     assert ckpt.exists()
+    lines = (sysid_dir / "sysid_report.csv").read_text().splitlines()
+    assert lines[0].startswith("#") and len(lines) == 3  # header comment, columns, one row
+    assert lines[1].split(",") == sysid.REPORT_COLUMNS
+    assert read_report(sysid_dir / "sysid_report.csv")["system"] == "dubins"
 
     assert run("train", "--config", tiny_config, "--outdir", train_dir,
                "--transition", ckpt) == cli.EXIT_OK
@@ -159,6 +163,9 @@ def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
     pytest.param("train", {"hjb": {"lr_final": 0}}, "lr_final must be > 0",
                  id="hjb-lr-final-zero"),
     pytest.param("sysid", {"sysid": {"batch": 0}}, "batch must be >= 1", id="sysid-batch-zero"),
+    pytest.param("sysid", {"sysid": {"lr": 0}}, "lr must be > 0", id="sysid-lr-zero"),
+    pytest.param("sysid", {"sysid": {"lr_decay": 0}}, "lr_decay must be > 0",
+                 id="sysid-lr-decay-zero"),
     pytest.param("eval", {"eval": {"starts": 0}}, "starts must be >= 1", id="eval-starts-zero"),
 ])
 def test_bad_config_section_is_a_usage_error(command, section, message, tmp_path, capsys):

@@ -47,8 +47,8 @@ def test_dubins_forward_examples():
 
 def test_dubins_action_jacobian_example():
     spec = dz.make_system("dubins")
-    _, ju = spec.jac(np.array([[0.0, 0.0, 0.0]]), np.array([[1.0, 0.0]]))
-    assert np.allclose(ju.data[0], [[1, 0], [0, 0], [0, 1]])
+    jac = spec.jac(np.array([[0.0, 0.0, 0.0]]), np.array([[1.0, 0.0]]))
+    assert np.allclose(jac.data[0, :, 3:], [[1, 0], [0, 0], [0, 1]])
 
 
 def test_dubins_arc_closed_form_vs_integration():
@@ -162,12 +162,12 @@ def test_quadrotor_pitch_singularity_flagged():
 def test_analytic_jacobians_match_finite_differences(name):
     spec = dz.make_system(name)
     x, u = interior_points(spec, 1000, seed=12)
-    jx, ju = spec.jac(x, u)
+    jac = spec.jac(x, u).data
     fjx, fju = fd_jacobians(spec, x, u)
     scale_x = max(1.0, np.abs(fjx).max())
     scale_u = max(1.0, np.abs(fju).max())
-    assert np.abs(jx.data - fjx).max() / scale_x < 1e-5
-    assert np.abs(ju.data - fju).max() / scale_u < 1e-5
+    assert np.abs(jac[:, :, :spec.d] - fjx).max() / scale_x < 1e-5
+    assert np.abs(jac[:, :, spec.d:] - fju).max() / scale_u < 1e-5
 
 
 # -- costs ----------------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_sample_dataset_within_boxes_and_deterministic():
     a = dz.sample_dataset(spec, 500, seed=4)
     b = dz.sample_dataset(spec, 500, seed=4)
     assert spec.state_box.contains(a.x) and spec.action_box.contains(a.u)
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.jac_x, b.jac_x)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.jac, b.jac)
     c = dz.sample_dataset(spec, 500, seed=5)
     assert not np.array_equal(a.x, c.x)
 
@@ -276,6 +276,25 @@ def test_parameter_overrides_apply():
     assert spec.tf == 9.0
     spec = dz.make_system("dubins", {"obstacles": [[[-1.0, 0.0], 0.5]]})
     assert len(spec.obstacles) == 1 and spec.obstacles[0].radius == 0.5
+    # cost arrays given as JSON lists of ints come back as float arrays
+    lists = {"P": [[2, 0, 0], [0, 2, 0], [0, 0, 0]], "R": [[1, 0], [0, 1]],
+             "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "x_star": [1, 2, 0], "u_star": [0, 1]}
+    spec = dz.make_system("dubins", lists)
+    for key, value in lists.items():
+        got = getattr(spec, key)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert np.array_equal(got, value)
+    # an integer tf stays a float
+    spec = dz.make_system("cartpole", {"tf": 4})
+    assert type(spec.tf) is float and type(spec.params["tf"]) is float and spec.tf == 4.0
+    # obstacles and a physical parameter in one dict both apply
+    spec = dz.make_system("dubins", {"obstacles": [[[-1, 0], 0.5], [[1, 1], 1]],
+                                     "turn_radius": 2.0})
+    assert spec.params["turn_radius"] == 2.0
+    assert np.allclose(spec.f(np.zeros((1, 3)), np.array([[1.0, 1.0]])).data, [[1.0, 0.0, 0.5]])
+    assert [o.radius for o in spec.obstacles] == [0.5, 1.0]
+    assert spec.obstacles[1].center.dtype == np.float64
+    assert np.array_equal(spec.obstacles[1].center, [1.0, 1.0])
 
 
 def test_checked_mode_rejects_out_of_box_action():

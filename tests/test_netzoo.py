@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hjbctrl import diffkit as dk
 from hjbctrl import netzoo as nz
 
-from conftest import fd_grad, fd_jac, rel_err
+from conftest import fd_jac, rel_err
 
 
 def small_net(activation="tanh", skip=False, box=None, seed=0, in_dim=3, out_dim=2):

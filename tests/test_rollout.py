@@ -1,7 +1,6 @@
 import csv
 import json
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,7 +167,7 @@ def test_initial_states_preserved_and_grid_uniform():
     traj = ro.rollout(spec, tr, constant_controller([0.5, 0.1]), x0, K=25)
     assert np.array_equal(traj.states[0].data, x0)
     hs = np.diff(traj.times)
-    assert np.allclose(hs, (spec.tf - spec.t0) / 25)
+    assert np.allclose(hs, spec.tf / 25)
 
 
 def test_single_step_rollout_equals_rk4_plus_quadrature():
@@ -177,10 +176,10 @@ def test_single_step_rollout_equals_rk4_plus_quadrature():
     x0 = np.array([[0.2, -0.1, 0.4]])
     u = [0.7, -0.5]
     traj = ro.rollout(spec, tr, constant_controller(u), x0, K=1)
-    h = spec.tf - spec.t0
+    h = spec.tf
     want = ro.rk4_step(tr, dk.tensor(x0), dk.tensor(np.array([u])), h).data
     assert np.allclose(traj.states[-1].data, want)
-    l0 = spec.running_cost(x0, np.array([u]), 0.0).data
+    l0 = spec.running_cost(x0, np.array([u])).data
     assert np.allclose(traj.running_cost_integral.data, h * l0)
 
 
@@ -312,7 +311,7 @@ def test_export_reintegrates_to_cost_integral(tmp_path):
     paths = ro.export_trajectories(traj, spec, tmp_path, prefix="t", header="test",
                                    manifest={"seed": 0})
     assert len(paths) == 2
-    h = (spec.tf - spec.t0) / 40
+    h = spec.tf / 40
     for b, path in enumerate(paths):
         with open(path) as fh:
             comment = fh.readline()

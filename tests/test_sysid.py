@@ -58,10 +58,9 @@ def test_loss_hand_computed_one_layer_net(dubins):
     z = np.concatenate([data.x, data.u], axis=1)
     pred = z @ w + b
     want_val = np.mean(np.sqrt(np.sum((pred - data.xdot) ** 2, axis=1) + 1e-18))
-    target_jac = np.concatenate([data.jac_x, data.jac_u], axis=2)
-    jac_resid = np.tile(w.T, (16, 1, 1)) - target_jac
+    jac_resid = np.tile(w.T, (16, 1, 1)) - data.jac
     want_jac = np.mean(np.sqrt(np.sum(jac_resid**2, axis=(1, 2)) + 1e-18))
-    got = si.sysid_loss(net, data.x, data.u, data.xdot, target_jac,
+    got = si.sysid_loss(net, data.x, data.u, data.xdot, data.jac,
                         grad_supervision=True)
     assert abs(got.item() - (want_val + want_jac)) < 1e-12
 
@@ -132,23 +131,3 @@ def test_divergence_aborts_with_diagnostic(dubins):
     cfg = tiny_cfg(epochs=10, lr=1e308)
     with pytest.raises(si.TrainingDiverged, match="epoch"), np.errstate(all="ignore"):
         si.train_sysid(dubins, cfg)
-
-
-# -- ablation harness -----------------------------------------------------------------
-
-
-def test_ablation_grid_cardinality_and_determinism(dubins, tmp_path):
-    cfg = tiny_cfg(epochs=25)
-    reports = si.ablation_harness(dubins, cfg, activations=("relu", "sine"),
-                                  supervisions=(False, True), seeds=(0, 1))
-    assert len(reports) == 8
-    again = si.ablation_harness(dubins, cfg, activations=("relu", "sine"),
-                                supervisions=(False, True), seeds=(0, 1))
-    assert reports == again
-
-    path = tmp_path / "reports.csv"
-    si.write_reports_csv(reports, path, header="hjbctrl test")
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1].split(",") == si.REPORT_COLUMNS
-    assert len(lines) == 2 + 8
