@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -49,6 +50,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if not (math.isfinite(self.threshold) and self.threshold >= 0):
+            raise ValueError("threshold must be finite and >= 0")
 
 
 DEFAULTS: dict = {

@@ -18,6 +18,19 @@ so the same numerical code serves both training and fast evaluation.  A
 node's backward computes adjoints only for the inputs that are on the tape
 (frozen network weights and constant factors cost nothing in reverse).
 
+Retention rule: a node keeps an array only while an adjoint reads it.
+When a node is recorded, it decides from which of its inputs are tracked
+what its backward will read, and keeps only that; of everything else it
+keeps shapes.  A product keeps a factor only if the other factor is
+tracked, so a product with a constant keeps only the constant; a
+:func:`dense` layer with frozen weights keeps neither its input nor, if
+linear, its output; sums, means, reshapes, slices and concats keep
+shapes only.  An untaped call records nothing and builds no
+closure.  :func:`grad` drops each node as soon as its backward has run,
+so the step's arrays are freed while the adjoints grow.  Because a step
+frees and reallocates the same arrays, importing the module also sets
+malloc to keep freed memory in the process (:func:`_keep_freed_memory`).
+
 Three fused primitives record a hot composite as one node with a
 hand-written adjoint, treated as one elemental (Griewank & Walther,
 *Evaluating Derivatives*): :func:`dense`, a network layer
@@ -34,6 +47,7 @@ have no tangent rule.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -53,6 +67,41 @@ class NumericError(DiffkitError):
 
 
 # ---------------------------------------------------------------------------
+# Allocator policy
+# ---------------------------------------------------------------------------
+
+# glibc's mallopt parameter numbers (malloc.h) and the values set here
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20  # the ceiling of glibc's own moving threshold on 64-bit hosts
+_TRIM_THRESHOLD = 128 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Keep the memory of freed arrays in the process for the next step.
+
+    A step allocates and frees the same arrays again and again.  Under
+    glibc's defaults, arrays above a moving threshold (128 KiB at first) get
+    their own mappings, and each free that leaves more than the trim
+    threshold at the top of the heap hands it back to the kernel; the next
+    step faults the same pages in again (~300k minor faults over a
+    300-epoch Sobolev sysid at batch 256, ~1 s of system time).  Fixed
+    thresholds keep those pages mapped, and leave peak RSS as it is.  Called
+    once, on import; a no-op where libc has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_keep_freed_memory()
+
+
+# ---------------------------------------------------------------------------
 # Tape and tensors
 # ---------------------------------------------------------------------------
 
@@ -65,7 +114,8 @@ class _Node:
 
     ``parents[i]`` is -1 for an input that is not on the tape.  The closure
     is called as ``backward(g, parents)`` and returns one adjoint per input,
-    None for each untracked one: it never computes what nobody collects.
+    None for each untracked one: it never computes what nobody collects,
+    and it holds only the arrays that the other adjoints read.
     """
 
     __slots__ = ("op", "parents", "backward")
@@ -81,7 +131,7 @@ class Tape:
 
     Single-writer and single-use: use one tape per optimization step.
     Entering the tape as a context manager makes it the recording target
-    for all ops.  :func:`grad` empties the tape when it is done.
+    for all ops.  :func:`grad` empties the tape as it runs.
     """
 
     def __init__(self) -> None:
@@ -198,11 +248,16 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else tensor(x, checked=False)
 
 
-def _emit(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], backward,
-          aux=None) -> Tensor:
+def _emit(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], vjp,
+          args: tuple = (), aux=None) -> Tensor:
     """Record the op if any input is tracked on the active tape; inside
     :func:`jvp`, also push the output's tangents (``aux`` is the op's
-    static argument that its tangent rule needs: an index or an axis)."""
+    static argument that its tangent rule needs: an index or an axis).
+
+    ``vjp(parents, *args)`` builds the node's backward closure.  It is
+    called only when the node is recorded, with the parent mask, so the
+    closure keeps only the arrays that the adjoints of tracked inputs read.
+    """
     t = Tensor(out)
     tape = _ACTIVE_TAPE
     if tape is not None:
@@ -218,7 +273,8 @@ def _emit(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], backward,
             nodes = tape.nodes
             t.tape = tape
             t.idx = len(nodes)
-            nodes.append(_Node(op, tuple(parents), backward))
+            parents = tuple(parents)
+            nodes.append(_Node(op, parents, vjp(parents, *args)))
     if _JVP is not None:
         _JVP.push(op, t, inputs, aux)
     return t
@@ -238,69 +294,94 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Primitive ops
+# Primitive ops: each hands _emit a module-level ``*_vjp`` factory and the
+# arrays its adjoints may read; the factory drops those no tracked input's
+# adjoint reads before it builds the closure.
 # ---------------------------------------------------------------------------
+
+
+def _add_vjp(p, ad, bd):
+    sa, sb = ad.shape, bd.shape
+
+    def backward(g, p):
+        return (
+            _unbroadcast(g, sa) if p[0] >= 0 else None,
+            _unbroadcast(g, sb) if p[1] >= 0 else None,
+        )
+
+    return backward
 
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = a.data + b.data
+    return _emit("add", a.data + b.data, (a, b), _add_vjp, (a.data, b.data))
+
+
+def _sub_vjp(p, ad, bd):
+    sa, sb = ad.shape, bd.shape
 
     def backward(g, p):
         return (
-            _unbroadcast(g, a.data.shape) if p[0] >= 0 else None,
-            _unbroadcast(g, b.data.shape) if p[1] >= 0 else None,
+            _unbroadcast(g, sa) if p[0] >= 0 else None,
+            _unbroadcast(-g, sb) if p[1] >= 0 else None,
         )
 
-    return _emit("add", out, (a, b), backward)
+    return backward
 
 
 def sub(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = a.data - b.data
+    return _emit("sub", a.data - b.data, (a, b), _sub_vjp, (a.data, b.data))
+
+
+def _mul_vjp(p, ad, bd):
+    sa, sb = ad.shape, bd.shape
+    # each operand's value feeds only the other operand's adjoint
+    if p[1] < 0:
+        ad = None
+    if p[0] < 0:
+        bd = None
 
     def backward(g, p):
         return (
-            _unbroadcast(g, a.data.shape) if p[0] >= 0 else None,
-            _unbroadcast(-g, b.data.shape) if p[1] >= 0 else None,
+            _unbroadcast(g * bd, sa) if p[0] >= 0 else None,
+            _unbroadcast(g * ad, sb) if p[1] >= 0 else None,
         )
 
-    return _emit("sub", out, (a, b), backward)
+    return backward
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = a.data * b.data
+    return _emit("mul", a.data * b.data, (a, b), _mul_vjp, (a.data, b.data))
+
+
+def _div_vjp(p, ad, bd):
+    sa, sb = ad.shape, bd.shape
+    if p[1] < 0:
+        ad = None
 
     def backward(g, p):
         return (
-            _unbroadcast(g * b.data, a.data.shape) if p[0] >= 0 else None,
-            _unbroadcast(g * a.data, b.data.shape) if p[1] >= 0 else None,
+            _unbroadcast(g / bd, sa) if p[0] >= 0 else None,
+            _unbroadcast(-g * ad / (bd * bd), sb) if p[1] >= 0 else None,
         )
 
-    return _emit("mul", out, (a, b), backward)
+    return backward
 
 
 def div(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    out = a.data / b.data
+    return _emit("div", a.data / b.data, (a, b), _div_vjp, (a.data, b.data))
 
-    def backward(g, p):
-        return (
-            _unbroadcast(g / b.data, a.data.shape) if p[0] >= 0 else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if p[1] >= 0 else None,
-        )
 
-    return _emit("div", out, (a, b), backward)
+def _neg_vjp(p):
+    return lambda g, p: (-g,)
 
 
 def neg(a) -> Tensor:
     a = _lift(a)
-
-    def backward(g, p):
-        return (-g,)
-
-    return _emit("neg", -a.data, (a,), backward)
+    return _emit("neg", -a.data, (a,), _neg_vjp)
 
 
 def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -330,23 +411,39 @@ def _check_matmul(ad: np.ndarray, bd: np.ndarray) -> None:
         raise ShapeError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
 
 
-def _mm_grad_a(g: np.ndarray, ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
-    """Adjoint of ``a`` in ``a @ b``; the batch-sum of the adjoint of a 2D
-    operand is fused into the GEMM."""
-    if ad.ndim == 2 and g.ndim == 3:
+def _mm_grad_a(g: np.ndarray, sa: tuple[int, ...], bd: np.ndarray) -> np.ndarray:
+    """Adjoint of ``a`` (of shape ``sa``) in ``a @ b``; the batch-sum of the
+    adjoint of a 2D operand is fused into the GEMM."""
+    if len(sa) == 2 and g.ndim == 3:
         if bd.ndim == 3:
             return np.tensordot(g, bd, axes=([0, 2], [0, 2]))
         return np.tensordot(g.sum(axis=0), bd, axes=([1], [1]))
-    return _unbroadcast(_mm(g, np.swapaxes(bd, -1, -2)), ad.shape)
+    return _unbroadcast(_mm(g, np.swapaxes(bd, -1, -2)), sa)
 
 
-def _mm_grad_b(g: np.ndarray, ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
-    """Adjoint of ``b`` in ``a @ b``."""
-    if bd.ndim == 2 and g.ndim == 3:
+def _mm_grad_b(g: np.ndarray, ad: np.ndarray, sb: tuple[int, ...]) -> np.ndarray:
+    """Adjoint of ``b`` (of shape ``sb``) in ``a @ b``."""
+    if len(sb) == 2 and g.ndim == 3:
         if ad.ndim == 3:
             return np.tensordot(ad, g, axes=([0, 1], [0, 1]))
         return np.tensordot(ad, g.sum(axis=0), axes=([0], [0]))
-    return _unbroadcast(_mm(np.swapaxes(ad, -1, -2), g), bd.shape)
+    return _unbroadcast(_mm(np.swapaxes(ad, -1, -2), g), sb)
+
+
+def _matmul_vjp(p, ad, bd):
+    sa, sb = ad.shape, bd.shape
+    if p[1] < 0:
+        ad = None
+    if p[0] < 0:
+        bd = None
+
+    def backward(g, p):
+        return (
+            _mm_grad_a(g, sa, bd) if p[0] >= 0 else None,
+            _mm_grad_b(g, ad, sb) if p[1] >= 0 else None,
+        )
+
+    return backward
 
 
 def matmul(a, b) -> Tensor:
@@ -354,32 +451,36 @@ def matmul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     ad, bd = a.data, b.data
     _check_matmul(ad, bd)
+    return _emit("matmul", _mm(ad, bd), (a, b), _matmul_vjp, (ad, bd))
 
-    def backward(g, p):
-        return (
-            _mm_grad_a(g, ad, bd) if p[0] >= 0 else None,
-            _mm_grad_b(g, ad, bd) if p[1] >= 0 else None,
-        )
 
-    return _emit("matmul", _mm(ad, bd), (a, b), backward)
+# Unary elementwise ops: ``(g * w,)`` or a variant, for the one array w
+# that the adjoint reads (the input or the output).
+
+def _sin_vjp(p, ad):
+    return lambda g, p: (g * np.cos(ad),)
+
+
+def _cos_vjp(p, ad):
+    return lambda g, p: (-g * np.sin(ad),)
+
+
+def _times_vjp(p, w):
+    return lambda g, p: (g * w,)
+
+
+def _neg_times_vjp(p, w):
+    return lambda g, p: (-g * w,)
 
 
 def sin(a) -> Tensor:
     a = _lift(a)
-
-    def backward(g, p):
-        return (g * np.cos(a.data),)
-
-    return _emit("sin", np.sin(a.data), (a,), backward)
+    return _emit("sin", np.sin(a.data), (a,), _sin_vjp, (a.data,))
 
 
 def cos(a) -> Tensor:
     a = _lift(a)
-
-    def backward(g, p):
-        return (-g * np.sin(a.data),)
-
-    return _emit("cos", np.cos(a.data), (a,), backward)
+    return _emit("cos", np.cos(a.data), (a,), _cos_vjp, (a.data,))
 
 
 def sincos(a) -> tuple[Tensor, Tensor]:
@@ -390,17 +491,10 @@ def sincos(a) -> tuple[Tensor, Tensor]:
     a = _lift(a)
     sv = np.sin(a.data)
     cv = np.cos(a.data)
-
-    def backward_s(g, p):
-        return (g * cv,)
-
-    def backward_c(g, p):
-        return (-g * sv,)
-
     tangents, _JVP = _JVP, None
     try:
-        s = _emit("sin", sv, (a,), backward_s)
-        c = _emit("cos", cv, (a,), backward_c)
+        s = _emit("sin", sv, (a,), _times_vjp, (cv,))
+        c = _emit("cos", cv, (a,), _neg_times_vjp, (sv,))
     finally:
         _JVP = tangents
     if tangents is not None:
@@ -410,152 +504,163 @@ def sincos(a) -> tuple[Tensor, Tensor]:
     return s, c
 
 
+def _tanh_vjp(p, out):
+    return lambda g, p: (g * (1.0 - out * out),)
+
+
 def tanh(a) -> Tensor:
     a = _lift(a)
     out = np.tanh(a.data)
+    return _emit("tanh", out, (a,), _tanh_vjp, (out,))
 
-    def backward(g, p):
-        return (g * (1.0 - out * out),)
 
-    return _emit("tanh", out, (a,), backward)
+def _relu_vjp(p, ad):
+    return lambda g, p: (g * (ad > 0.0),)
 
 
 def relu(a) -> Tensor:
     a = _lift(a)
-
-    def backward(g, p):
-        return (g * (a.data > 0.0),)
-
-    return _emit("relu", np.maximum(a.data, 0.0), (a,), backward)
+    return _emit("relu", np.maximum(a.data, 0.0), (a,), _relu_vjp, (a.data,))
 
 
 def exp(a) -> Tensor:
     a = _lift(a)
     out = np.exp(a.data)
+    return _emit("exp", out, (a,), _times_vjp, (out,))
 
-    def backward(g, p):
-        return (g * out,)
 
-    return _emit("exp", out, (a,), backward)
+def _sqrt_vjp(p, out):
+    return lambda g, p: (g * (0.5 / out),)
 
 
 def sqrt(a) -> Tensor:
     a = _lift(a)
     out = np.sqrt(a.data)
+    return _emit("sqrt", out, (a,), _sqrt_vjp, (out,))
 
-    def backward(g, p):
-        return (g * (0.5 / out),)
 
-    return _emit("sqrt", out, (a,), backward)
+def _square_vjp(p, ad):
+    return lambda g, p: (g * (2.0 * ad),)
 
 
 def square(a) -> Tensor:
     a = _lift(a)
+    return _emit("square", a.data * a.data, (a,), _square_vjp, (a.data,))
 
-    def backward(g, p):
-        return (g * (2.0 * a.data),)
 
-    return _emit("square", a.data * a.data, (a,), backward)
+def _abs_vjp(p, ad):
+    return lambda g, p: (g * np.sign(ad),)
 
 
 def absval(a) -> Tensor:
     a = _lift(a)
+    return _emit("abs", np.abs(a.data), (a,), _abs_vjp, (a.data,))
+
+
+def _sum_vjp(p, shape, axis, keepdims, n=None):
+    """Adjoint of a sum over ``axis`` of an array of ``shape``; of a mean
+    when ``n``, the number of summed entries, is given."""
 
     def backward(g, p):
-        return (g * np.sign(a.data),)
+        if n is not None:
+            g = g / n
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape).copy(),)
 
-    return _emit("abs", np.abs(a.data), (a,), backward)
+    return backward
 
 
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    return _emit("sum", out, (a,), _sum_vjp, (a.data.shape, axis, keepdims))
 
-    def backward(g, p):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        g2 = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2, a.data.shape).copy(),)
 
-    return _emit("sum", out, (a,), backward)
+def _mean_vjp(p, shape, axis, keepdims):
+    axes = range(len(shape)) if axis is None else axis if isinstance(axis, tuple) else (axis,)
+    return _sum_vjp(p, shape, axis, keepdims, math.prod(shape[ax] for ax in axes))
 
 
 def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _lift(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        n = a.data.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([a.data.shape[ax] for ax in axis]))
-    else:
-        n = a.data.shape[axis]
+    return _emit("mean", out, (a,), _mean_vjp, (a.data.shape, axis, keepdims))
+
+
+def _concat_vjp(p, ts, axis):
+    # each operand's adjoint is a basic slice (a view) of the output's
+    lead = (slice(None),) * (axis % ts[0].data.ndim)
+    keys, lo = [], 0
+    for t in ts:
+        hi = lo + t.data.shape[axis]
+        keys.append(lead + (slice(lo, hi),))
+        lo = hi
 
     def backward(g, p):
-        if axis is None:
-            return (np.broadcast_to(g / n, a.data.shape).copy(),)
-        g2 = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2 / n, a.data.shape).copy(),)
+        return tuple(g[key] if i >= 0 else None for key, i in zip(keys, p))
 
-    return _emit("mean", out, (a,), backward)
+    return backward
 
 
 def concat(ts: Sequence, axis: int = -1) -> Tensor:
     ts = [_lift(t) for t in ts]
     out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
+    return _emit("concat", out, tuple(ts), _concat_vjp, (ts, axis), axis)
 
+
+def _stack_vjp(p, n, axis):
     def backward(g, p):
-        return tuple(part if i >= 0 else None
-                     for part, i in zip(np.split(g, splits, axis=axis), p))
+        parts = np.split(g, n, axis=axis)
+        return tuple(part.squeeze(axis=axis) if i >= 0 else None for part, i in zip(parts, p))
 
-    return _emit("concat", out, tuple(ts), backward, axis)
+    return backward
 
 
 def stack(ts: Sequence, axis: int = 0) -> Tensor:
     ts = [_lift(t) for t in ts]
     out = np.stack([t.data for t in ts], axis=axis)
+    return _emit("stack", out, tuple(ts), _stack_vjp, (len(ts), axis))
 
-    def backward(g, p):
-        parts = np.split(g, len(ts), axis=axis)
-        return tuple(part.squeeze(axis=axis) if i >= 0 else None for part, i in zip(parts, p))
 
-    return _emit("stack", out, tuple(ts), backward)
+def _reshape_vjp(p, shape):
+    return lambda g, p: (g.reshape(shape),)
 
 
 def reshape(a, shape) -> Tensor:
     a = _lift(a)
-    shape = tuple(shape)
-    out = a.data.reshape(shape)
+    out = a.data.reshape(tuple(shape))
+    return _emit("reshape", out, (a,), _reshape_vjp, (a.data.shape,))
 
-    def backward(g, p):
-        return (g.reshape(a.data.shape),)
 
-    return _emit("reshape", out, (a,), backward)
+def _transpose_vjp(p):
+    return lambda g, p: (np.swapaxes(g, -1, -2),)
 
 
 def transpose(a) -> Tensor:
     """Swap the last two axes."""
     a = _lift(a)
-    out = np.swapaxes(a.data, -1, -2)
+    return _emit("transpose", np.swapaxes(a.data, -1, -2), (a,), _transpose_vjp)
+
+
+def _getitem_vjp(p, ad, key):
+    # the zero-filled adjoint takes the input's memory layout, which only
+    # a non-C-contiguous input needs to be kept for
+    shape = ad.shape
+    like = None if ad.flags.c_contiguous else ad
 
     def backward(g, p):
-        return (np.swapaxes(g, -1, -2),)
+        full = np.zeros(shape) if like is None else np.zeros_like(like)
+        full[key] = g
+        return (full,)
 
-    return _emit("transpose", out, (a,), backward)
+    return backward
 
 
 def getitem(a, key) -> Tensor:
     """Basic indexing (ints, slices, tuples thereof); no advanced indexing."""
     a = _lift(a)
-    out = a.data[key]
-
-    def backward(g, p):
-        full = np.zeros_like(a.data)
-        full[key] = g
-        return (full,)
-
-    return _emit("getitem", out, (a,), backward, key)
+    return _emit("getitem", a.data[key], (a,), _getitem_vjp, (a.data, key), key)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +676,29 @@ def _no_tangents(name: str, inputs: tuple[Tensor, ...]) -> None:
     inside :func:`jvp` instead of pushing the rule of their label."""
     if _JVP is not None and any(id(t) in _JVP.of for t in inputs):
         raise DiffkitError(f"jvp: op '{name}' has no tangent rule")
+
+
+def _dense_vjp(p, ad, wd, bd, act, omega0, saved):
+    """``saved`` is what the activation's derivative reads: omega0 z for a
+    sine layer, the output for a tanh layer, nothing for a linear one."""
+    sa, sw, sb = ad.shape, wd.shape, bd.shape
+    if p[1] < 0:
+        ad = None
+    if p[0] < 0:
+        wd = None
+
+    def backward(g, p):
+        if act == "sine":
+            g = (g * np.cos(saved)) * omega0
+        elif act == "tanh":
+            g = g * (1.0 - saved * saved)
+        return (
+            _mm_grad_a(g, sa, wd) if p[0] >= 0 else None,
+            _mm_grad_b(g, ad, sw) if p[1] >= 0 else None,
+            _unbroadcast(g, sb) if p[2] >= 0 else None,
+        )
+
+    return backward
 
 
 def dense(a, w, b, act: str = "linear", omega0: float = 1.0) -> Tensor:
@@ -590,23 +718,25 @@ def dense(a, w, b, act: str = "linear", omega0: float = 1.0) -> Tensor:
     _check_matmul(ad, wd)
     z = _mm(ad, wd) + bd
     if act == "sine":
-        wz = omega0 * z
-        out = np.sin(wz)
+        saved = omega0 * z
+        out = np.sin(saved)
+    elif act == "tanh":
+        out = saved = np.tanh(z)
     else:
-        out = np.tanh(z) if act == "tanh" else z
+        out, saved = z, None
+    return _emit(op, out, (a, w, b), _dense_vjp, (ad, wd, bd, act, omega0, saved))
+
+
+def _axpy_vjp(p, xd, c, kd):
+    sx, sk = xd.shape, kd.shape
 
     def backward(g, p):
-        if act == "sine":
-            g = (g * np.cos(wz)) * omega0
-        elif act == "tanh":
-            g = g * (1.0 - out * out)
         return (
-            _mm_grad_a(g, ad, wd) if p[0] >= 0 else None,
-            _mm_grad_b(g, ad, wd) if p[1] >= 0 else None,
-            _unbroadcast(g, bd.shape) if p[2] >= 0 else None,
+            _unbroadcast(g, sx) if p[0] >= 0 else None,
+            _unbroadcast(g, sk) * c if p[1] >= 0 else None,
         )
 
-    return _emit(op, out, (a, w, b), backward)
+    return backward
 
 
 def axpy(x, c: float, k) -> Tensor:
@@ -614,35 +744,35 @@ def axpy(x, c: float, k) -> Tensor:
     stage input), rounded like the mul/add pair it replaces."""
     x, k = _lift(x), _lift(k)
     _no_tangents("axpy", (x, k))
+    return _emit("add", x.data + c * k.data, (x, k), _axpy_vjp, (x.data, c, k.data))
+
+
+def _rk4_vjp(p, c, s, *ins):
+    ss = s.shape
+    sx, s1, s2, s3, s4 = (t.shape for t in ins)
 
     def backward(g, p):
+        gs = _unbroadcast(g, ss) * c
         return (
-            _unbroadcast(g, x.data.shape) if p[0] >= 0 else None,
-            _unbroadcast(g, k.data.shape) * c if p[1] >= 0 else None,
+            _unbroadcast(g, sx) if p[0] >= 0 else None,
+            _unbroadcast(gs, s1) if p[1] >= 0 else None,
+            _unbroadcast(gs, s2) * 2.0 if p[2] >= 0 else None,
+            _unbroadcast(gs, s3) * 2.0 if p[3] >= 0 else None,
+            _unbroadcast(gs, s4) if p[4] >= 0 else None,
         )
 
-    return _emit("add", x.data + c * k.data, (x, k), backward)
+    return backward
 
 
 def rk4_combine(x, h: float, k1, k2, k3, k4) -> Tensor:
     """The RK4 update ``x + h/6 * (k1 + 2 k2 + 2 k3 + k4)`` as one node
     labelled ``add``, summed left to right like the chain it replaces."""
-    x, k1, k2, k3, k4 = (_lift(t) for t in (x, k1, k2, k3, k4))
-    _no_tangents("rk4_combine", (x, k1, k2, k3, k4))
+    ins = tuple(_lift(t) for t in (x, k1, k2, k3, k4))
+    _no_tangents("rk4_combine", ins)
+    x, k1, k2, k3, k4 = (t.data for t in ins)
     c = h / 6.0
-    s = k1.data + 2.0 * k2.data + 2.0 * k3.data + k4.data
-
-    def backward(g, p):
-        gs = _unbroadcast(g, s.shape) * c
-        return (
-            _unbroadcast(g, x.data.shape) if p[0] >= 0 else None,
-            _unbroadcast(gs, k1.data.shape) if p[1] >= 0 else None,
-            _unbroadcast(gs, k2.data.shape) * 2.0 if p[2] >= 0 else None,
-            _unbroadcast(gs, k3.data.shape) * 2.0 if p[3] >= 0 else None,
-            _unbroadcast(gs, k4.data.shape) if p[4] >= 0 else None,
-        )
-
-    return _emit("add", x.data + c * s, (x, k1, k2, k3, k4), backward)
+    s = k1 + 2.0 * k2 + 2.0 * k3 + k4
+    return _emit("add", x + c * s, ins, _rk4_vjp, (c, s, x, k1, k2, k3, k4))
 
 
 # ---------------------------------------------------------------------------
@@ -833,10 +963,10 @@ def grad(expr: Tensor, wrt: Iterable[Tensor]) -> Mapping[Tensor, Tensor]:
 
     Leaves that never entered the expression's tape map to zero tensors of
     their own shape.  The backward pass visits each node exactly once, in
-    reverse creation order, so results are deterministic.  Afterwards the
-    tape's nodes are dropped: their closures hold tensors that point back
-    at the tape, a cycle that would otherwise keep every array of the step
-    alive until the next cyclic garbage collection.
+    reverse creation order, so results are deterministic.  Each node is
+    dropped from the tape as soon as its backward has run, so the arrays its
+    closure kept are freed while the adjoints grow; the tape is empty when
+    grad returns or raises.
     """
     wrt = list(wrt)
     if expr.data.size != 1:
@@ -857,32 +987,37 @@ def grad(expr: Tensor, wrt: Iterable[Tensor]) -> Mapping[Tensor, Tensor]:
     pending: list = [None] * (expr.idx + 1)
     pending[expr.idx] = np.ones_like(expr.data)
     resolved: dict[int, np.ndarray] = {}
-    for i in range(expr.idx, -1, -1):
-        a = pending[i]
-        if a is None:
-            continue
-        pending[i] = None
-        if type(a) is list:
-            a = np.add.reduce(a)
-        node = nodes[i]
-        if not math.isfinite(a.sum()) and not np.all(np.isfinite(a)):
-            raise NumericError(f"non-finite adjoint at node {i} (op '{node.op}')")
-        if node.backward is None:
-            resolved[i] = a
-            continue
-        parents = node.parents
-        for p, g in zip(parents, node.backward(a, parents)):
-            if g is None:
+    try:
+        del nodes[expr.idx + 1:]
+        for i in range(expr.idx, -1, -1):
+            # popping rebinds ``node``, which releases node i + 1's closure
+            node = nodes.pop()
+            a = pending[i]
+            if a is None:
                 continue
-            acc = pending[p]
-            if acc is None:
-                pending[p] = g
-            elif g.size > 1:
-                pending[p] = acc + g
-            elif type(acc) is list:
-                acc.append(g)
-            else:
-                pending[p] = [acc, g]
+            pending[i] = None
+            if type(a) is list:
+                a = np.add.reduce(a)
+            if not math.isfinite(a.sum()) and not np.all(np.isfinite(a)):
+                raise NumericError(f"non-finite adjoint at node {i} (op '{node.op}')")
+            if node.backward is None:
+                resolved[i] = a
+                continue
+            parents = node.parents
+            for p, g in zip(parents, node.backward(a, parents)):
+                if g is None:
+                    continue
+                acc = pending[p]
+                if acc is None:
+                    pending[p] = g
+                elif g.size > 1:
+                    pending[p] = acc + g
+                elif type(acc) is list:
+                    acc.append(g)
+                else:
+                    pending[p] = [acc, g]
+    finally:
+        nodes.clear()
 
     for leaf in wrt:
         if leaf.tape is tape and leaf.idx in resolved:
@@ -891,5 +1026,4 @@ def grad(expr: Tensor, wrt: Iterable[Tensor]) -> Mapping[Tensor, Tensor]:
                                if g.shape != leaf.data.shape else g.copy())
         else:
             out[leaf] = Tensor(np.zeros_like(leaf.data))
-    tape.nodes.clear()
     return out

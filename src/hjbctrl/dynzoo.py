@@ -489,7 +489,11 @@ def make_system(name: str, overrides: dict | None = None) -> SystemSpec:
         else:
             params[key] = value
     params["tf"] = float(params["tf"])
-    return replace(_MAKERS[name](params), **fields)
+    spec = _MAKERS[name](params)
+    if fields.get("obstacles") and spec.position_slice is None:
+        # obstacle_penalty reads x[:, 0:2] as a planar position
+        raise ValueError(f"obstacles need a planar position; system '{name}' has none")
+    return replace(spec, **fields)
 
 
 @dataclass(frozen=True)

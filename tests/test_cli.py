@@ -167,6 +167,13 @@ def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
     pytest.param("sysid", {"sysid": {"lr_decay": 0}}, "lr_decay must be > 0",
                  id="sysid-lr-decay-zero"),
     pytest.param("eval", {"eval": {"starts": 0}}, "starts must be >= 1", id="eval-starts-zero"),
+    pytest.param("eval", {"eval": {"threshold": -0.1}}, "threshold must be finite and >= 0",
+                 id="eval-threshold-negative"),
+    pytest.param("eval", {"eval": {"threshold": float("inf")}},
+                 "threshold must be finite and >= 0", id="eval-threshold-infinite"),
+    pytest.param("sysid", {"system": {"name": "cartpole",
+                                      "overrides": {"obstacles": [[[0, 0], 0.5]]}}},
+                 "system 'cartpole' has none", id="system-obstacles-without-position"),
 ])
 def test_bad_config_section_is_a_usage_error(command, section, message, tmp_path, capsys):
     path = tmp_path / "bad.json"

@@ -565,3 +565,99 @@ def test_grad_sums_adjoints_in_arrival_order(rng):
             for c in arrivals[1:]:
                 want = want + c
         assert np.array_equal(got, want)
+
+
+# -- retention: a node keeps an array only while an adjoint reads it ------------
+
+
+@pytest.mark.parametrize("act", ["sine", "tanh", "linear"])
+def test_dense_keeps_its_input_only_for_a_tracked_weight(act, rng):
+    a0, w0, b0 = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=(3,))
+    for weights_tracked in (False, True):
+        tape = dk.Tape()
+        with tape:
+            x = tape.leaf(a0)
+            w = tape.leaf(w0) if weights_tracked else w0
+            a = x + 1.0  # a node that keeps shapes only
+            input_ref = weakref.ref(a.data)
+            y = dk.dense(a, w, b0, act, 2.0)
+            del a
+            out = dk.sum_(y)
+        # with frozen weights no adjoint reads the layer's input
+        assert (input_ref() is not None) == weights_tracked
+        dk.grad(out, [x])
+        assert input_ref() is None
+
+
+@pytest.mark.parametrize("op", [dk.mul, dk.matmul])
+@pytest.mark.parametrize("tracked_first", [True, False])
+def test_product_with_a_constant_keeps_only_the_constant(op, tracked_first, rng):
+    x0 = rng.normal(size=(3, 3))
+    c0 = rng.normal(size=(3, 3))
+    c = c0.copy()
+    tape = dk.Tape()
+    with tape:
+        x = tape.leaf(x0)
+        a = x + 1.0
+        tracked_ref, const_ref = weakref.ref(a.data), weakref.ref(c)
+        y = op(a, c) if tracked_first else op(c, a)
+        del a, c
+        out = dk.sum_(y)
+    assert tracked_ref() is None
+    assert const_ref() is not None  # the tracked operand's adjoint reads it
+    got = dk.grad(out, [x])[x].data
+    assert const_ref() is None
+    ones = np.ones((3, 3))
+    if op is dk.mul:
+        want = ones * c0
+    else:
+        want = ones @ c0.T if tracked_first else c0.T @ ones
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_grad_releases_each_node_before_the_next_backward(rng):
+    gc.disable()
+    try:
+        tape = dk.Tape()
+        with tape:
+            x = tape.leaf(rng.normal(size=4))
+            probe = x + 0.0
+            c = rng.normal(size=4)
+            kept = weakref.ref(c)
+            y = probe * c  # the node after the probe keeps c for the probe's adjoint
+            del c
+            out = dk.sum_(y)
+        node = tape.nodes[probe.idx]
+        inner = node.backward
+        seen = []
+
+        def spy(g, parents):
+            seen.append(kept() is None)
+            return inner(g, parents)
+
+        node.backward = spy
+        dk.grad(out, [x])
+        assert seen == [True]
+        assert len(tape) == 0
+    finally:
+        gc.enable()
+
+
+def test_an_untaped_call_builds_no_backward(monkeypatch, rng):
+    masks = []
+    real = dk._dense_vjp
+
+    def spy(parents, *args):
+        masks.append(parents)
+        return real(parents, *args)
+
+    monkeypatch.setattr(dk, "_dense_vjp", spy)
+    a0, w0, b0 = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=(3,))
+    dk.dense(a0, w0, b0, "sine", 2.0)
+    tape = dk.Tape()
+    with tape:
+        dk.dense(a0, w0, b0, "sine", 2.0)  # a tape is active, but no input is on it
+        a = tape.leaf(a0)
+        y = dk.dense(a, w0, b0, "sine", 2.0)
+    assert masks == [(a.idx, -1, -1)]
+    assert len(tape) == 2 and tape.nodes[y.idx].op == "sin"

@@ -297,6 +297,13 @@ def test_parameter_overrides_apply():
     assert np.array_equal(spec.obstacles[1].center, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("name", ["cartpole", "acrobot", "lq1d"])
+def test_obstacles_need_a_planar_position(name):
+    with pytest.raises(ValueError, match="planar position"):
+        dz.make_system(name, {"obstacles": [[[0.0, 0.0], 0.5]]})
+    assert dz.make_system(name, {"obstacles": []}).obstacles == ()
+
+
 def test_checked_mode_rejects_out_of_box_action():
     spec = dz.make_system("dubins")
     with pytest.raises(dz.DynamicsError):
