@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sysid", help="train a dynamics model on sampled transitions")
     common(sp, seed="sysid.seed", log_every=True)
-    sp.add_argument("--activation", dest="sysid.activation", choices=["sine", "tanh", "relu"])
+    sp.add_argument("--activation", dest="sysid.activation", choices=netzoo.ACTIVATIONS)
     sp.add_argument("--grad-supervision", dest="sysid.grad_supervision",
                     action="store_true", default=None)
     sp.add_argument("--no-grad-supervision", dest="sysid.grad_supervision",

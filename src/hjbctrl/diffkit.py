@@ -18,6 +18,15 @@ so the same numerical code serves both training and fast evaluation.  A
 node's backward computes adjoints only for the inputs that are on the tape
 (frozen network weights and constant factors cost nothing in reverse).
 
+Every op lifts its operands with :func:`tensor`, which returns a tensor
+unchanged and wraps anything else as a float64 constant without checking
+it; :meth:`Tape.leaf` is where inputs are checked, and it rejects
+non-finite data.  :func:`matmul`, and the product inside :func:`dense`,
+takes a matrix (m, k) or a stack of matrices (B, m, k) on the left and a
+matrix (k, n) on the right; any other layout raises :class:`ShapeError`.
+:func:`grad` adds the contributions to each adjoint left to right in the
+order they arrive, whatever their size.
+
 Retention rule: a node keeps an array only while an adjoint reads it.
 When a node is recorded, it decides from which of its inputs are tracked
 what its backward will read, and keeps only that; of everything else it
@@ -151,11 +160,14 @@ class Tape:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def leaf(self, data, checked: bool = True) -> "Tensor":
-        """Record an input tensor that gradients can be taken with respect to."""
-        t = tensor(data, checked=checked)
+    def leaf(self, data) -> "Tensor":
+        """Record an input tensor that gradients can be taken with respect to;
+        non-finite entries are rejected."""
+        arr = tensor(data).data
+        if not np.all(np.isfinite(arr)):
+            raise NumericError("tape leaf rejected non-finite entries")
         self.nodes.append(_Node("leaf", (), None))
-        return Tensor(t.data, self, len(self.nodes) - 1)
+        return Tensor(arr, self, len(self.nodes) - 1)
 
 
 class Tensor:
@@ -234,18 +246,12 @@ def _scalar_err(t: Tensor):
     raise ShapeError(f"expected a scalar, got shape {t.data.shape}")
 
 
-def tensor(data, checked: bool = True) -> Tensor:
-    """Wrap array-like data as a constant tensor (float64, row-major)."""
+def tensor(data) -> Tensor:
+    """Lift an operand: a tensor is returned unchanged, anything else is
+    wrapped as a constant float64 tensor."""
     if isinstance(data, Tensor):
         return data
-    arr = np.asarray(data, dtype=np.float64)
-    if checked and not np.all(np.isfinite(arr)):
-        raise NumericError("tensor creation rejected non-finite entries")
-    return Tensor(arr)
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else tensor(x, checked=False)
+    return Tensor(np.asarray(data, dtype=np.float64))
 
 
 def _emit(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], vjp,
@@ -313,7 +319,7 @@ def _add_vjp(p, ad, bd):
 
 
 def add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = tensor(a), tensor(b)
     return _emit("add", a.data + b.data, (a, b), _add_vjp, (a.data, b.data))
 
 
@@ -330,7 +336,7 @@ def _sub_vjp(p, ad, bd):
 
 
 def sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = tensor(a), tensor(b)
     return _emit("sub", a.data - b.data, (a, b), _sub_vjp, (a.data, b.data))
 
 
@@ -352,7 +358,7 @@ def _mul_vjp(p, ad, bd):
 
 
 def mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = tensor(a), tensor(b)
     return _emit("mul", a.data * b.data, (a, b), _mul_vjp, (a.data, b.data))
 
 
@@ -371,7 +377,7 @@ def _div_vjp(p, ad, bd):
 
 
 def div(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = tensor(a), tensor(b)
     return _emit("div", a.data / b.data, (a, b), _div_vjp, (a.data, b.data))
 
 
@@ -380,58 +386,36 @@ def _neg_vjp(p):
 
 
 def neg(a) -> Tensor:
-    a = _lift(a)
+    a = tensor(a)
     return _emit("neg", -a.data, (a,), _neg_vjp)
 
 
 def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.matmul with 2D/3D mixes routed through single large GEMMs."""
-    if x.ndim == 2 and y.ndim == 2:
+    """``x @ y`` for a matrix y: one GEMM for a matrix x, and one over all
+    rows of a stack of matrices (B, m, k)."""
+    if x.ndim == 2:
         return np.dot(x, y)
-    if x.ndim == 2 and y.ndim == 3:
-        # (m,k) @ (B,k,n) -> (B,m,n); contract over k in one GEMM
-        return np.tensordot(x, y, axes=([1], [1])).transpose(1, 0, 2)
-    if x.ndim == 3 and y.ndim == 2:
-        # (B,m,k) @ (k,n) -> (B,m,n)
-        return np.tensordot(x, y, axes=([2], [0]))
-    if x.ndim == 3 and y.ndim == 3 and x.shape[0] == y.shape[0]:
-        if x.shape[1] == 1:
-            # batched row-vector product: (B,1,k) @ (B,k,n) -> (B,1,n)
-            return np.einsum("bk,bkn->bn", x[:, 0, :], y)[:, None, :]
-        if x.shape[2] == 1 and y.shape[1] == 1:
-            # batched outer product: (B,m,1) @ (B,1,n) -> (B,m,n)
-            return x * y
-    return np.matmul(x, y)
+    return np.tensordot(x, y, axes=([2], [0]))
 
 
 def _check_matmul(ad: np.ndarray, bd: np.ndarray) -> None:
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul needs ndim >= 2 operands, got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
+    if ad.ndim not in (2, 3) or bd.ndim != 2:
+        raise ShapeError(
+            f"matmul needs (m, k) or (B, m, k) @ (k, n), got {ad.shape} @ {bd.shape}"
+        )
+    if ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
 
 
-def _mm_grad_a(g: np.ndarray, sa: tuple[int, ...], bd: np.ndarray) -> np.ndarray:
-    """Adjoint of ``a`` (of shape ``sa``) in ``a @ b``; the batch-sum of the
-    adjoint of a 2D operand is fused into the GEMM."""
-    if len(sa) == 2 and g.ndim == 3:
-        if bd.ndim == 3:
-            return np.tensordot(g, bd, axes=([0, 2], [0, 2]))
-        return np.tensordot(g.sum(axis=0), bd, axes=([1], [1]))
-    return _unbroadcast(_mm(g, np.swapaxes(bd, -1, -2)), sa)
-
-
-def _mm_grad_b(g: np.ndarray, ad: np.ndarray, sb: tuple[int, ...]) -> np.ndarray:
-    """Adjoint of ``b`` (of shape ``sb``) in ``a @ b``."""
-    if len(sb) == 2 and g.ndim == 3:
-        if ad.ndim == 3:
-            return np.tensordot(ad, g, axes=([0, 1], [0, 1]))
-        return np.tensordot(ad, g.sum(axis=0), axes=([0], [0]))
-    return _unbroadcast(_mm(np.swapaxes(ad, -1, -2), g), sb)
+def _mm_grad_b(g: np.ndarray, ad: np.ndarray) -> np.ndarray:
+    """Adjoint of the matrix ``b`` in ``a @ b``; for a stack ``a`` the sum
+    over the stack is fused into the GEMM."""
+    if ad.ndim == 2:
+        return np.dot(ad.T, g)
+    return np.tensordot(ad, g, axes=([0, 1], [0, 1]))
 
 
 def _matmul_vjp(p, ad, bd):
-    sa, sb = ad.shape, bd.shape
     if p[1] < 0:
         ad = None
     if p[0] < 0:
@@ -439,16 +423,16 @@ def _matmul_vjp(p, ad, bd):
 
     def backward(g, p):
         return (
-            _mm_grad_a(g, sa, bd) if p[0] >= 0 else None,
-            _mm_grad_b(g, ad, sb) if p[1] >= 0 else None,
+            _mm(g, bd.T) if p[0] >= 0 else None,
+            _mm_grad_b(g, ad) if p[1] >= 0 else None,
         )
 
     return backward
 
 
 def matmul(a, b) -> Tensor:
-    """np.matmul semantics for operands of ndim >= 2 (batch dims broadcast)."""
-    a, b = _lift(a), _lift(b)
+    """``a @ b`` for a matrix b and a matrix or stack of matrices a."""
+    a, b = tensor(a), tensor(b)
     ad, bd = a.data, b.data
     _check_matmul(ad, bd)
     return _emit("matmul", _mm(ad, bd), (a, b), _matmul_vjp, (ad, bd))
@@ -474,12 +458,12 @@ def _neg_times_vjp(p, w):
 
 
 def sin(a) -> Tensor:
-    a = _lift(a)
+    a = tensor(a)
     return _emit("sin", np.sin(a.data), (a,), _sin_vjp, (a.data,))
 
 
 def cos(a) -> Tensor:
-    a = _lift(a)
+    a = tensor(a)
     return _emit("cos", np.cos(a.data), (a,), _cos_vjp, (a.data,))
 
 
@@ -488,7 +472,7 @@ def sincos(a) -> tuple[Tensor, Tensor]:
     either node, and inside :func:`jvp` the tangent of either, reuses the
     other's forward value instead of recomputing it."""
     global _JVP
-    a = _lift(a)
+    a = tensor(a)
     sv = np.sin(a.data)
     cv = np.cos(a.data)
     tangents, _JVP = _JVP, None
@@ -509,7 +493,7 @@ def _tanh_vjp(p, out):
 
 
 def tanh(a) -> Tensor:
-    a = _lift(a)
+    a = tensor(a)
     out = np.tanh(a.data)
     return _emit("tanh", out, (a,), _tanh_vjp, (out,))
 
@@ -519,12 +503,12 @@ def _relu_vjp(p, ad):
 
 
 def relu(a) -> Tensor:
-    a = _lift(a)
+    a = tensor(a)
     return _emit("relu", np.maximum(a.data, 0.0), (a,), _relu_vjp, (a.data,))
 
 
 def exp(a) -> Tensor:
-    a = _lift(a)
+    a = tensor(a)
     out = np.exp(a.data)
     return _emit("exp", out, (a,), _times_vjp, (out,))
 
@@ -534,7 +518,7 @@ def _sqrt_vjp(p, out):
 
 
 def sqrt(a) -> Tensor:
-    a = _lift(a)
+    a = tensor(a)
     out = np.sqrt(a.data)
     return _emit("sqrt", out, (a,), _sqrt_vjp, (out,))
 
@@ -544,7 +528,7 @@ def _square_vjp(p, ad):
 
 
 def square(a) -> Tensor:
-    a = _lift(a)
+    a = tensor(a)
     return _emit("square", a.data * a.data, (a,), _square_vjp, (a.data,))
 
 
@@ -553,7 +537,7 @@ def _abs_vjp(p, ad):
 
 
 def absval(a) -> Tensor:
-    a = _lift(a)
+    a = tensor(a)
     return _emit("abs", np.abs(a.data), (a,), _abs_vjp, (a.data,))
 
 
@@ -572,7 +556,7 @@ def _sum_vjp(p, shape, axis, keepdims, n=None):
 
 
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _lift(a)
+    a = tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
     return _emit("sum", out, (a,), _sum_vjp, (a.data.shape, axis, keepdims))
 
@@ -583,7 +567,7 @@ def _mean_vjp(p, shape, axis, keepdims):
 
 
 def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _lift(a)
+    a = tensor(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
     return _emit("mean", out, (a,), _mean_vjp, (a.data.shape, axis, keepdims))
 
@@ -604,7 +588,7 @@ def _concat_vjp(p, ts, axis):
 
 
 def concat(ts: Sequence, axis: int = -1) -> Tensor:
-    ts = [_lift(t) for t in ts]
+    ts = [tensor(t) for t in ts]
     out = np.concatenate([t.data for t in ts], axis=axis)
     return _emit("concat", out, tuple(ts), _concat_vjp, (ts, axis), axis)
 
@@ -618,7 +602,7 @@ def _stack_vjp(p, n, axis):
 
 
 def stack(ts: Sequence, axis: int = 0) -> Tensor:
-    ts = [_lift(t) for t in ts]
+    ts = [tensor(t) for t in ts]
     out = np.stack([t.data for t in ts], axis=axis)
     return _emit("stack", out, tuple(ts), _stack_vjp, (len(ts), axis))
 
@@ -628,7 +612,7 @@ def _reshape_vjp(p, shape):
 
 
 def reshape(a, shape) -> Tensor:
-    a = _lift(a)
+    a = tensor(a)
     out = a.data.reshape(tuple(shape))
     return _emit("reshape", out, (a,), _reshape_vjp, (a.data.shape,))
 
@@ -639,7 +623,7 @@ def _transpose_vjp(p):
 
 def transpose(a) -> Tensor:
     """Swap the last two axes."""
-    a = _lift(a)
+    a = tensor(a)
     return _emit("transpose", np.swapaxes(a.data, -1, -2), (a,), _transpose_vjp)
 
 
@@ -659,7 +643,7 @@ def _getitem_vjp(p, ad, key):
 
 def getitem(a, key) -> Tensor:
     """Basic indexing (ints, slices, tuples thereof); no advanced indexing."""
-    a = _lift(a)
+    a = tensor(a)
     return _emit("getitem", a.data[key], (a,), _getitem_vjp, (a.data, key), key)
 
 
@@ -681,7 +665,7 @@ def _no_tangents(name: str, inputs: tuple[Tensor, ...]) -> None:
 def _dense_vjp(p, ad, wd, bd, act, omega0, saved):
     """``saved`` is what the activation's derivative reads: omega0 z for a
     sine layer, the output for a tanh layer, nothing for a linear one."""
-    sa, sw, sb = ad.shape, wd.shape, bd.shape
+    sb = bd.shape
     if p[1] < 0:
         ad = None
     if p[0] < 0:
@@ -693,8 +677,8 @@ def _dense_vjp(p, ad, wd, bd, act, omega0, saved):
         elif act == "tanh":
             g = g * (1.0 - saved * saved)
         return (
-            _mm_grad_a(g, sa, wd) if p[0] >= 0 else None,
-            _mm_grad_b(g, ad, sw) if p[1] >= 0 else None,
+            _mm(g, wd.T) if p[0] >= 0 else None,
+            _mm_grad_b(g, ad) if p[1] >= 0 else None,
             _unbroadcast(g, sb) if p[2] >= 0 else None,
         )
 
@@ -712,7 +696,7 @@ def dense(a, w, b, act: str = "linear", omega0: float = 1.0) -> Tensor:
     op = _LAYER_OPS.get(act)
     if op is None:
         raise ValueError(f"unknown layer activation '{act}'")
-    a, w, b = _lift(a), _lift(w), _lift(b)
+    a, w, b = tensor(a), tensor(w), tensor(b)
     _no_tangents("dense", (a, w, b))
     ad, wd, bd = a.data, w.data, b.data
     _check_matmul(ad, wd)
@@ -742,7 +726,7 @@ def _axpy_vjp(p, xd, c, kd):
 def axpy(x, c: float, k) -> Tensor:
     """``x + c * k`` for a constant c as one node labelled ``add`` (an RK4
     stage input), rounded like the mul/add pair it replaces."""
-    x, k = _lift(x), _lift(k)
+    x, k = tensor(x), tensor(k)
     _no_tangents("axpy", (x, k))
     return _emit("add", x.data + c * k.data, (x, k), _axpy_vjp, (x.data, c, k.data))
 
@@ -767,7 +751,7 @@ def _rk4_vjp(p, c, s, *ins):
 def rk4_combine(x, h: float, k1, k2, k3, k4) -> Tensor:
     """The RK4 update ``x + h/6 * (k1 + 2 k2 + 2 k3 + k4)`` as one node
     labelled ``add``, summed left to right like the chain it replaces."""
-    ins = tuple(_lift(t) for t in (x, k1, k2, k3, k4))
+    ins = tuple(tensor(t) for t in (x, k1, k2, k3, k4))
     _no_tangents("rk4_combine", ins)
     x, k1, k2, k3, k4 = (t.data for t in ins)
     c = h / 6.0
@@ -794,7 +778,7 @@ def fronorm(a) -> Tensor:
 
 def quadform(x, m) -> Tensor:
     """Row-wise quadratic form x M x^T for batched row vectors x: (B, n) -> (B,)."""
-    x = _lift(x)
+    x = tensor(x)
     return sum_(matmul(x, m) * x, axis=-1)
 
 
@@ -930,14 +914,14 @@ def jvp(fn: Callable, primals: Sequence, directions: Sequence[Sequence]):
     global _JVP
     if _JVP is not None:
         raise DiffkitError("jvp is already running; jvp calls do not nest")
-    primals = tuple(_lift(p) for p in primals)
+    primals = tuple(tensor(p) for p in primals)
     state = _Tangents(len(directions))
     for i, p in enumerate(primals):
         seeds = []
         for direction in directions:
             dp = direction[i]
             if dp is not None:
-                dp = _lift(dp)
+                dp = tensor(dp)
                 if dp.data.shape != p.data.shape:
                     raise ShapeError(
                         f"jvp direction of shape {dp.data.shape} for a primal of shape "
@@ -963,7 +947,8 @@ def grad(expr: Tensor, wrt: Iterable[Tensor]) -> Mapping[Tensor, Tensor]:
 
     Leaves that never entered the expression's tape map to zero tensors of
     their own shape.  The backward pass visits each node exactly once, in
-    reverse creation order, so results are deterministic.  Each node is
+    reverse creation order, and adds the contributions to each adjoint left
+    to right in arrival order, so results are deterministic.  Each node is
     dropped from the tape as soon as its backward has run, so the arrays its
     closure kept are freed while the adjoints grow; the tape is empty when
     grad returns or raises.
@@ -981,12 +966,9 @@ def grad(expr: Tensor, wrt: Iterable[Tensor]) -> Mapping[Tensor, Tensor]:
     nodes = tape.nodes
     # pending[i]: node i's adjoint, summed left to right in arrival order
     # into new arrays, so arrays returned by backward closures are never
-    # mutated.  Size-1 adjoints are collected in a list and summed by
-    # np.add.reduce, which adds ten or more of them pairwise: their sums
-    # round like those of a stacked array, as wider adjoints' sums do.
+    # mutated; a leaf's stays there to be read out
     pending: list = [None] * (expr.idx + 1)
     pending[expr.idx] = np.ones_like(expr.data)
-    resolved: dict[int, np.ndarray] = {}
     try:
         del nodes[expr.idx + 1:]
         for i in range(expr.idx, -1, -1):
@@ -995,35 +977,20 @@ def grad(expr: Tensor, wrt: Iterable[Tensor]) -> Mapping[Tensor, Tensor]:
             a = pending[i]
             if a is None:
                 continue
-            pending[i] = None
-            if type(a) is list:
-                a = np.add.reduce(a)
             if not math.isfinite(a.sum()) and not np.all(np.isfinite(a)):
                 raise NumericError(f"non-finite adjoint at node {i} (op '{node.op}')")
             if node.backward is None:
-                resolved[i] = a
                 continue
+            pending[i] = None
             parents = node.parents
             for p, g in zip(parents, node.backward(a, parents)):
-                if g is None:
-                    continue
-                acc = pending[p]
-                if acc is None:
-                    pending[p] = g
-                elif g.size > 1:
-                    pending[p] = acc + g
-                elif type(acc) is list:
-                    acc.append(g)
-                else:
-                    pending[p] = [acc, g]
+                if g is not None:
+                    acc = pending[p]
+                    pending[p] = g if acc is None else acc + g
     finally:
         nodes.clear()
 
     for leaf in wrt:
-        if leaf.tape is tape and leaf.idx in resolved:
-            g = resolved[leaf.idx]
-            out[leaf] = Tensor(np.broadcast_to(g, leaf.data.shape).astype(np.float64, copy=True)
-                               if g.shape != leaf.data.shape else g.copy())
-        else:
-            out[leaf] = Tensor(np.zeros_like(leaf.data))
+        g = pending[leaf.idx] if leaf.tape is tape and leaf.idx <= expr.idx else None
+        out[leaf] = Tensor(np.zeros_like(leaf.data) if g is None else g.copy())
     return out

@@ -125,10 +125,10 @@ class SystemSpec:
 
     def running_cost(self, x, u) -> Tensor:
         """L(x, u) = (u - u*)' R (u - u*) [+ (x - x*)' Q (x - x*)] + obstacle penalty."""
-        du = dk._lift(u) - self.u_star
+        du = dk.tensor(u) - self.u_star
         val = dk.quadform(du, self.R)
         if self.Q is not None:
-            dx = dk._lift(x) - self.x_star
+            dx = dk.tensor(x) - self.x_star
             val = val + dk.quadform(dx, self.Q)
         if self.obstacles:
             val = val + obstacle_penalty(x, self.obstacles)
@@ -136,12 +136,12 @@ class SystemSpec:
 
     def running_cost_grad_u(self, x, u) -> Tensor:
         """d L / d u = 2 R (u - u*); obstacles do not depend on u."""
-        du = dk._lift(u) - self.u_star
+        du = dk.tensor(u) - self.u_star
         return dk.matmul(du, 2.0 * self.R)
 
     def terminal_cost(self, x) -> Tensor:
         """G(x) = (x - x*)' P (x - x*)."""
-        dx = dk._lift(x) - self.x_star
+        dx = dk.tensor(x) - self.x_star
         return dk.quadform(dx, self.P)
 
 
@@ -151,7 +151,7 @@ def obstacle_penalty(x, obstacles, c_obs: float = 100.0, margin: float = 0.1) ->
     Quadratic in the clearance violation, hence C^1; exactly zero at planar
     distance >= radius + margin.
     """
-    x = dk._lift(x)
+    x = dk.tensor(x)
     pos = x[:, 0:2]
     total = None
     for obs in obstacles:
@@ -161,7 +161,7 @@ def obstacle_penalty(x, obstacles, c_obs: float = 100.0, margin: float = 0.1) ->
         term = c_obs * dk.square(gap)
         total = term if total is None else total + term
     if total is None:
-        return dk.tensor(np.zeros(x.shape[0]), checked=False)
+        return dk.tensor(np.zeros(x.shape[0]))
     return total
 
 
@@ -173,7 +173,7 @@ def obstacle_penalty(x, obstacles, c_obs: float = 100.0, margin: float = 0.1) ->
 def jacobian(f: Callable, x, u) -> Tensor:
     """[df/dx, df/du] of a batched f, stacked as (B, d, d+m), from d + m
     forward-mode tangent directions (taped under an active tape)."""
-    x, u = dk._lift(x), dk._lift(u)
+    x, u = dk.tensor(x), dk.tensor(u)
     b, d = x.shape
     m = u.shape[1]
     eye = np.eye(d + m)
@@ -198,7 +198,7 @@ def _make_dubins(p: dict) -> SystemSpec:
     v_max = p["v_max"]
 
     def f(x, u):
-        x, u = dk._lift(x), dk._lift(u)
+        x, u = dk.tensor(x), dk.tensor(u)
         psi = x[:, 2:3]
         v = u[:, 0:1]
         alpha = u[:, 1:2]
@@ -234,7 +234,7 @@ def _make_cartpole(p: dict) -> SystemSpec:
     k = mp * lp
 
     def f(x, u):
-        x, u = dk._lift(x), dk._lift(u)
+        x, u = dk.tensor(x), dk.tensor(u)
         phi = x[:, 2]
         phid = x[:, 3]
         force = u[:, 0]
@@ -283,7 +283,7 @@ def _make_acrobot(p: dict) -> SystemSpec:
     g2 = m2 * lc2 * g
 
     def f(x, u):
-        x, u = dk._lift(x), dk._lift(u)
+        x, u = dk.tensor(x), dk.tensor(u)
         q1, q2 = x[:, 0], x[:, 1]
         qd1, qd2 = x[:, 2], x[:, 3]
         tau = u[:, 0]
@@ -330,7 +330,7 @@ def _make_quadrotor(p: dict) -> SystemSpec:
     j1, j2, j3 = p["inertia"]
 
     def f(x, u):
-        x, u = dk._lift(x), dk._lift(u)
+        x, u = dk.tensor(x), dk.tensor(u)
         roll, pitch, yaw = x[:, 3], x[:, 4], x[:, 5]
         sr, cr = dk.sincos(roll)
         sp, cp = dk.sincos(pitch)
@@ -392,7 +392,7 @@ def _make_quadrotor(p: dict) -> SystemSpec:
 
 def _make_lq1d(p: dict) -> SystemSpec:
     def f(x, u):
-        return dk._lift(u)[:, 0:1]
+        return dk.tensor(u)[:, 0:1]
 
     return SystemSpec(
         name="lq1d",

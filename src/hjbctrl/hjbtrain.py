@@ -18,6 +18,7 @@ updated here.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,22 +46,20 @@ class MlpValue:
     entering the network; dV/dt is rescaled back accordingly.
     """
 
-    def __init__(self, net: netzoo.Mlp, tf: float, params=None):
+    def __init__(self, net: netzoo.Mlp, tf: float):
         self.net = net
         self.tf = tf
-        self.params = params
 
     def __call__(self, x, t) -> tuple[Tensor, Tensor, Tensor]:
-        """Returns (V, dV/dt, grad_x V) with shapes (B,), (B,), (B, d)."""
-        x = dk._lift(x)
+        """Returns (V, dV/dt, grad_x V) with shapes (B,), (B,), (B, d) for
+        x of shape (B, d) and t of shape (B,)."""
+        x = dk.tensor(x)
         b, d = x.shape
         tn = np.asarray(t, dtype=np.float64) / self.tf
-        if tn.ndim == 0:
-            tn = np.full((b, 1), float(tn))
-        elif tn.ndim == 1:
-            tn = tn[:, None]
-        z = dk.concat([x, dk.tensor(tn, checked=False)], axis=1)
-        y, jac = netzoo.forward_with_jacobian(self.net, z, params=self.params)
+        if tn.shape != (b,):
+            raise dk.ShapeError(f"t has shape {tn.shape}, expected ({b},)")
+        z = dk.concat([x, dk.tensor(tn[:, None])], axis=1)
+        y, jac = netzoo.forward_with_jacobian(self.net, z)
         value = dk.reshape(y, (b,))
         grad_x = dk.reshape(jac[:, :, :d], (b, d))
         dvdt = dk.reshape(jac[:, :, d:], (b,)) * (1.0 / self.tf)
@@ -91,7 +90,7 @@ def hamiltonian(
     transitions never materialize their full Jacobian; the same call
     returns f(x, u), so f is evaluated once per point.
     """
-    x, u = dk._lift(x), dk._lift(u)
+    x, u = dk.tensor(x), dk.tensor(u)
     v_val, dvdt, grad_x = value(x, t)
     f_val, f_vjp_u = transition.costate_vjp_u(x, u, grad_x)
     ham = spec.running_cost(x, u) + dk.sum_(grad_x * f_val, axis=1)
@@ -160,6 +159,9 @@ class HjbConfig:
     value_hidden: tuple[int, ...] = (64, 64, 64)
 
     def __post_init__(self):
+        for name in ("alpha_cost", "alpha_hjb", "alpha_final", "alpha_hamil", "lr", "lr_final"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("alpha_cost", "alpha_hjb", "alpha_final", "alpha_hamil", "epochs"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -169,6 +171,9 @@ class HjbConfig:
         for name in ("lr", "lr_final"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        for name in ("controller_hidden", "value_hidden"):
+            if any(w < 1 for w in getattr(self, name)):
+                raise ValueError(f"{name} widths must be >= 1")
 
 
 def build_transition(spec: SystemSpec, source: str):
@@ -213,10 +218,9 @@ def train_controller(
         lr = schedule(epoch)
         tape = dk.Tape()
         with tape:
-            cl = [tape.leaf(p) for p in c_params]
-            vl = [tape.leaf(p) for p in v_params]
-            ctrl = lambda x: netzoo.forward(controller, x, params=cl)
-            val = MlpValue(value, spec.tf, params=vl)
+            ctrl = controller.with_params([tape.leaf(p) for p in c_params])
+            vnet = value.with_params([tape.leaf(p) for p in v_params])
+            val = MlpValue(vnet, spec.tf)
             traj = rollout(spec, transition, ctrl, x0, K=cfg.K)
             ev = grid_hamiltonian(val, traj, transition, spec)
             parts = {
@@ -243,8 +247,9 @@ def train_controller(
         if not np.isfinite(total_v):
             raise TrainingDiverged(f"total loss became {total_v} at epoch {epoch}")
 
-        grads = dk.grad(total, cl + vl)
-        flat = [grads[l].data for l in cl + vl]
+        leaves = ctrl.params() + vnet.params()
+        grads = dk.grad(total, leaves)
+        flat = [grads[l].data for l in leaves]
         new = adam.step(c_params + v_params, flat, lr)
         c_params, v_params = new[:n_c], new[n_c:]
 

@@ -7,8 +7,10 @@
   onto every hidden layer's input (input-concatenation skip connections)
 
 ``forward``/``forward_with_jacobian``/``vjp`` take inputs of shape
-(B, in_dim) only and are built from diffkit primitives, so their outputs
-are differentiable with respect to the parameters when a tape is active.
+(B, in_dim) only and are built from diffkit primitives.  A net's weights
+are arrays or taped leaves: training records its parameters as leaves,
+builds ``net.with_params(leaves)`` and evaluates that net, so everything
+it computes is differentiable with respect to those leaves.
 Every layer is one ``diffkit.dense`` node (matmul, bias and activation
 fused); only a sine layer whose derivative is needed keeps a separate
 ``sincos`` node.  Input derivatives come from one reverse chain seeded with
@@ -58,7 +60,8 @@ class MlpSpec:
 
 @dataclass(frozen=True)
 class Mlp:
-    """Immutable MLP: list of (W, b) with W of shape (fan_in, fan_out)."""
+    """Immutable MLP: list of (W, b) with W of shape (fan_in, fan_out),
+    arrays or taped leaves (see :meth:`with_params`)."""
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     activation: str
@@ -96,15 +99,17 @@ class Mlp:
             out.append(b)
         return out
 
-    def with_params(self, params: Sequence[np.ndarray]) -> "Mlp":
-        """New network with the same architecture and replaced parameters."""
+    def with_params(self, params: Sequence) -> "Mlp":
+        """New network with the same architecture and replaced parameters
+        in the flat layout of :meth:`params`: arrays, or taped leaf
+        tensors, in which case every evaluation of the new net is taped."""
         if len(params) != 2 * len(self.layers):
             raise ValueError("parameter count mismatch")
         layers = tuple((params[2 * i], params[2 * i + 1]) for i in range(len(self.layers)))
         return replace(self, layers=layers)
 
-    def __call__(self, x, params=None) -> Tensor:
-        return forward(self, x, params=params)
+    def __call__(self, x) -> Tensor:
+        return forward(self, x)
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +214,19 @@ def _hidden_layer(net: Mlp, a: Tensor, w: Tensor, b: Tensor,
     h = dk.relu(z)
     if want_deriv:
         # a.e. constant step function, so it enters the tape as a constant
-        return h, dk.tensor((z.data > 0.0).astype(np.float64), checked=False)
+        return h, dk.tensor((z.data > 0.0).astype(np.float64))
     return h, None
 
 
-def _forward_core(net: Mlp, x, params, seed=None) -> tuple[Tensor, Tensor | None]:
+def _forward_core(net: Mlp, x, seed=None) -> tuple[Tensor, Tensor | None]:
     """Output y (B, out_dim) and, given a seed S of shape (r, out_dim) or
     (B, r, out_dim), S . dy/dx of shape (B, r, in_dim), accumulated from the
     output side: r is never larger than the hidden width, so GEMMs are cheap.
     """
-    x = dk._lift(x)
+    x = dk.tensor(x)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise dk.ShapeError(f"input shape {x.shape} is not (B, {net.in_dim})")
-    if params is None:
-        params = net.params()
-    elif len(params) != 2 * len(net.layers):
-        raise ValueError("parameter count mismatch")
-    ws, bs = params[0::2], params[1::2]
+    ws, bs = zip(*net.layers)
     batch = x.shape[0]
 
     a = x
@@ -263,31 +264,26 @@ def _forward_core(net: Mlp, x, params, seed=None) -> tuple[Tensor, Tensor | None
     return y, g if jac is None else jac + g
 
 
-def forward(net: Mlp, x, params=None) -> Tensor:
-    """Evaluate the network on a (B, in_dim) batch.
-
-    ``params`` optionally overrides the stored parameters with taped leaf
-    tensors (same flat layout as ``Mlp.params``), which is how training
-    steps obtain parameter gradients.
-    """
-    y, _ = _forward_core(net, x, params)
+def forward(net: Mlp, x) -> Tensor:
+    """Evaluate the network on a (B, in_dim) batch."""
+    y, _ = _forward_core(net, x)
     return y
 
 
-def forward_with_jacobian(net: Mlp, x, params=None) -> tuple[Tensor, Tensor]:
+def forward_with_jacobian(net: Mlp, x) -> tuple[Tensor, Tensor]:
     """Output (B, out_dim) and exact input-Jacobian (B, out_dim, in_dim),
     sharing one forward pass; the chain seeded with the identity."""
-    return _forward_core(net, x, params, seed=np.eye(net.out_dim))
+    return _forward_core(net, x, seed=np.eye(net.out_dim))
 
 
-def vjp(net: Mlp, x, v, params=None) -> tuple[Tensor, Tensor]:
+def vjp(net: Mlp, x, v) -> tuple[Tensor, Tensor]:
     """Output and the rows v_b^T . d(net)/d(input) at x_b, (B, in_dim) for
     v of shape (B, out_dim), sharing one forward pass; the chain seeded with
     v, so the full Jacobian is never materialized."""
-    x, v = dk._lift(x), dk._lift(v)
+    x, v = dk.tensor(x), dk.tensor(v)
     if v.shape != (x.shape[0], net.out_dim):
         raise dk.ShapeError(f"v has shape {v.shape}, expected ({x.shape[0]}, {net.out_dim})")
-    y, row = _forward_core(net, x, params, seed=dk.reshape(v, (v.shape[0], 1, net.out_dim)))
+    y, row = _forward_core(net, x, seed=dk.reshape(v, (v.shape[0], 1, net.out_dim)))
     return y, dk.reshape(row, (row.shape[0], net.in_dim))
 
 

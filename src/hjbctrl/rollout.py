@@ -52,11 +52,11 @@ class AnalyticTransition:
     def costate_vjp_u(self, x, u, v) -> tuple[Tensor, Tensor]:
         """(f, v^T . df/du) for a batch of costate rows v: (B, d) -> (B, m),
         from one forward-mode tangent of f per action coordinate."""
-        u = dk._lift(u)
+        u = dk.tensor(u)
         b, m = u.shape
         directions = [(None, np.broadcast_to(e, (b, m))) for e in np.eye(m)]
         f, tangents = dk.jvp(self.spec.f, (x, u), directions)
-        v = dk._lift(v)
+        v = dk.tensor(v)
         return f, dk.concat(
             [np.zeros((b, 1)) if t is None else dk.sum_(v * t, axis=1, keepdims=True)
              for t in tangents],
@@ -65,9 +65,10 @@ class AnalyticTransition:
 
 
 class LearnedTransition:
-    """Network dynamics model f_theta(x, u) as a transition source."""
+    """Network dynamics model f_theta(x, u) as a transition source; a net
+    built by ``with_params(leaves)`` makes it differentiable in theta."""
 
-    def __init__(self, net: netzoo.Mlp, d: int, m: int, params=None):
+    def __init__(self, net: netzoo.Mlp, d: int, m: int):
         if net.in_dim != d + m or net.out_dim != d:
             raise ValueError(
                 f"network dims ({net.in_dim}->{net.out_dim}) do not match system ({d + m}->{d})"
@@ -75,19 +76,18 @@ class LearnedTransition:
         self.net = net
         self.d = d
         self.m = m
-        self.params = params
         self.nfe = 0
         _LEARNED_REGISTRY.add(self)
 
     def __call__(self, x, u) -> Tensor:
         self.nfe += 1
-        z = dk.concat([dk._lift(x), dk._lift(u)], axis=1)
-        return netzoo.forward(self.net, z, params=self.params)
+        z = dk.concat([dk.tensor(x), dk.tensor(u)], axis=1)
+        return netzoo.forward(self.net, z)
 
     def costate_vjp_u(self, x, u, v) -> tuple[Tensor, Tensor]:
         """(f_theta, v^T . df_theta/du) without materializing the network Jacobian."""
-        z = dk.concat([dk._lift(x), dk._lift(u)], axis=1)
-        f, row = netzoo.vjp(self.net, z, v, params=self.params)
+        z = dk.concat([dk.tensor(x), dk.tensor(u)], axis=1)
+        f, row = netzoo.vjp(self.net, z, v)
         return f, row[:, self.d:]
 
 
@@ -138,7 +138,7 @@ def rk4_step(f: Callable, x, u, h: float) -> Tensor:
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    x = dk._lift(x)
+    x = dk.tensor(x)
     k1 = f(x, u)
     k2 = f(dk.axpy(x, h / 2.0, k1), u)
     k3 = f(dk.axpy(x, h / 2.0, k2), u)
@@ -156,23 +156,22 @@ def rollout(
     x0: np.ndarray,
     K: int = 50,
 ) -> TrajectoryBatch:
-    """Integrate xdot = f(x, u(x)) over [0, tf] in K uniform RK4 steps.
+    """Integrate xdot = f(x, u(x)) over [0, tf] in K uniform RK4 steps from
+    a (B, d) batch of initial states.
 
     The control is recomputed from the current state at every grid point
     (feedback).  Under an active tape the whole computation is recorded, so
     gradients reach the controller through every step.
     """
-    x = dk._lift(np.asarray(x0, dtype=np.float64))
-    if x.ndim == 1:
-        x = dk.reshape(x, (1, x.shape[0]))
-    if x.shape[1] != spec.d:
-        raise ValueError(f"x0 has dim {x.shape[1]}, system has d={spec.d}")
+    x = dk.tensor(x0)
+    if x.ndim != 2 or x.shape[1] != spec.d:
+        raise ValueError(f"x0 has shape {x.shape}, expected (B, {spec.d})")
     h = spec.tf / K
     times = h * np.arange(K + 1)
 
     states = [x]
     controls: list[Tensor] = []
-    cost = dk.tensor(np.zeros(x.shape[0]), checked=False)
+    cost = dk.tensor(np.zeros(x.shape[0]))
     for k in range(K):
         u = controller(x)
         controls.append(u)

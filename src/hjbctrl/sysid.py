@@ -12,6 +12,7 @@ term trains second-order structure, not a finite-difference surrogate
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,9 +52,16 @@ class SysIdConfig:
             raise ValueError("batch must be >= 1")
         if self.n_train < self.batch:
             raise ValueError("dataset smaller than one batch")
-        for name in ("lr", "lr_decay"):
+        for name in ("lr", "lr_decay", "omega0", "jac_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("lr", "lr_decay", "omega0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        if self.jac_weight < 0:
+            raise ValueError("jac_weight must be >= 0")
+        if any(w < 1 for w in self.hidden):
+            raise ValueError("hidden widths must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -91,25 +99,18 @@ def sysid_loss(
     u: np.ndarray,
     xdot: np.ndarray,
     jac_target: np.ndarray | None = None,
-    grad_supervision: bool = False,
-    params=None,
     jac_weight: float = 1.0,
 ) -> Tensor:
-    """Training loss on one batch; taped when params are leaf tensors.
+    """Training loss on one batch; taped when the net's weights are leaves.
 
-    With gradient supervision the Jacobian target must stack the state and
-    action derivatives as (B, d, d+m).
+    A Jacobian target, stacked as (B, d, d+m), adds the Sobolev term.
     """
     z = np.concatenate([x, u], axis=1)
-    if grad_supervision:
-        if jac_target is None:
-            raise ValueError("gradient supervision enabled but no Jacobian targets")
-        pred, jac = netzoo.forward_with_jacobian(net, z, params=params)
-        loss = dk.mean_(dk.l2norm(pred - xdot, axis=-1))
-        loss = loss + jac_weight * dk.mean_(dk.fronorm(jac - jac_target))
-        return loss
-    pred = netzoo.forward(net, z, params=params)
-    return dk.mean_(dk.l2norm(pred - xdot, axis=-1))
+    if jac_target is None:
+        return dk.mean_(dk.l2norm(netzoo.forward(net, z) - xdot, axis=-1))
+    pred, jac = netzoo.forward_with_jacobian(net, z)
+    loss = dk.mean_(dk.l2norm(pred - xdot, axis=-1))
+    return loss + jac_weight * dk.mean_(dk.fronorm(jac - jac_target))
 
 
 def heldout_errors(net: netzoo.Mlp, data: Dataset) -> np.ndarray:
@@ -180,10 +181,10 @@ def train_sysid(
         with tape:
             leaves = [tape.leaf(p) for p in params]
             loss = sysid_loss(
-                net, train_data.x[idx], train_data.u[idx], train_data.xdot[idx],
+                net.with_params(leaves), train_data.x[idx], train_data.u[idx],
+                train_data.xdot[idx],
                 jac_target=train_data.jac[idx] if cfg.grad_supervision else None,
-                grad_supervision=cfg.grad_supervision,
-                params=leaves, jac_weight=cfg.jac_weight,
+                jac_weight=cfg.jac_weight,
             )
         value = loss.item()
         if not np.isfinite(value):

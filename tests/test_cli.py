@@ -166,6 +166,21 @@ def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
     pytest.param("sysid", {"sysid": {"lr": 0}}, "lr must be > 0", id="sysid-lr-zero"),
     pytest.param("sysid", {"sysid": {"lr_decay": 0}}, "lr_decay must be > 0",
                  id="sysid-lr-decay-zero"),
+    pytest.param("sysid", {"sysid": {"omega0": 0}}, "omega0 must be > 0",
+                 id="sysid-omega0-zero"),
+    pytest.param("sysid", {"sysid": {"hidden": [8, 0]}}, "hidden widths must be >= 1",
+                 id="sysid-hidden-zero"),
+    pytest.param("sysid", {"sysid": {"jac_weight": -1}}, "jac_weight must be >= 0",
+                 id="sysid-jac-weight-negative"),
+    pytest.param("sysid", {"sysid": {"lr": float("nan")}}, "lr must be finite",
+                 id="sysid-lr-nan"),
+    pytest.param("train", {"hjb": {"controller_hidden": [0]}},
+                 "controller_hidden widths must be >= 1", id="hjb-controller-hidden-zero"),
+    pytest.param("train", {"hjb": {"value_hidden": [0]}},
+                 "value_hidden widths must be >= 1", id="hjb-value-hidden-zero"),
+    pytest.param("train", {"hjb": {"lr": float("nan")}}, "lr must be finite", id="hjb-lr-nan"),
+    pytest.param("train", {"hjb": {"alpha_hjb": float("inf")}}, "alpha_hjb must be finite",
+                 id="hjb-alpha-hjb-infinite"),
     pytest.param("eval", {"eval": {"starts": 0}}, "starts must be >= 1", id="eval-starts-zero"),
     pytest.param("eval", {"eval": {"threshold": -0.1}}, "threshold must be finite and >= 0",
                  id="eval-threshold-negative"),

@@ -66,7 +66,7 @@ def test_grad_requires_scalar():
 def test_nan_in_backward_names_the_node():
     # d(sqrt)/dx at 0 is infinite, so the adjoint arriving at the leaf blows up
     out, leaf, _ = taped_scalar(lambda x: dk.sum_(dk.sqrt(x)), np.array([0.0]))
-    with pytest.raises(dk.NumericError, match="node"):
+    with pytest.raises(dk.NumericError, match="node"), np.errstate(divide="ignore"):
         dk.grad(out, [leaf])
 
 
@@ -77,19 +77,25 @@ def test_finite_adjoint_whose_sum_overflows_passes_the_check():
         assert np.array_equal(dk.grad(out, [leaf])[leaf].data, big)
 
 
-def test_tensor_creation_rejects_nonfinite():
-    with pytest.raises(dk.NumericError):
-        dk.tensor(np.array([1.0, np.nan]))
-    # unchecked mode admits it (internal use)
-    t = dk.tensor(np.array([np.inf]), checked=False)
-    assert np.isinf(t.data[0])
+def test_leaf_rejects_nonfinite():
+    tape = dk.Tape()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(dk.NumericError, match="leaf"):
+            tape.leaf(np.array([1.0, bad]))
+    assert len(tape) == 0
+    # a constant is only lifted
+    assert np.isinf(dk.tensor(np.array([np.inf])).data[0])
 
 
 def test_matmul_shape_errors():
-    with pytest.raises(dk.ShapeError):
-        dk.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-    with pytest.raises(dk.ShapeError):
-        dk.matmul(np.zeros(3), np.zeros((3, 2)))
+    # inner dims differ; a 1-D left operand; a 3-D right operand, also under
+    # a 3-D left one; a 1-D right operand
+    for sa, sb in [((2, 3), (4, 2)), ((3,), (3, 2)), ((2, 3), (7, 3, 2)),
+                   ((7, 2, 3), (7, 3, 2)), ((2, 3), (3,))]:
+        with pytest.raises(dk.ShapeError):
+            dk.matmul(np.zeros(sa), np.zeros(sb))
+        with pytest.raises(dk.ShapeError):
+            dk.dense(np.zeros(sa), np.zeros(sb), np.zeros(sb[-1:]))
 
 
 def test_grad_frees_the_step_without_the_cyclic_collector():
@@ -181,11 +187,8 @@ def test_binary_op_gradients_with_broadcasting(op, rng):
     assert rel_err(g[b].data, gb_ref) < 1e-4
 
 
-@pytest.mark.parametrize(
-    "sa,sb",
-    [((4, 5), (5, 3)), ((4, 5), (7, 5, 3)), ((7, 4, 5), (5, 3)),
-     ((7, 4, 5), (7, 5, 3)), ((7, 1, 5), (7, 5, 3)), ((7, 5, 1), (7, 1, 3))],
-)
+# a matrix or a stack of matrices on the left, a matrix on the right
+@pytest.mark.parametrize("sa,sb", [((4, 5), (5, 3)), ((7, 4, 5), (5, 3))])
 def test_matmul_forward_and_backward_all_paths(sa, sb, rng):
     a0, b0 = rng.normal(size=sa), rng.normal(size=sb)
     proj = rng.normal(size=np.matmul(a0, b0).shape)
@@ -364,8 +367,7 @@ def test_gradient_through_tangents_matches_fd():
     x0 = np.array([[0.1, 0.0, 3.0, 0.2], [-0.2, 0.1, 2.9, -0.1]])
 
     def loss(params):
-        ctrl = lambda x: nz.forward(ctrl_net, x, params=params)
-        traj = ro.rollout(spec, tr, ctrl, x0, K=3)
+        traj = ro.rollout(spec, tr, ctrl_net.with_params(params), x0, K=3)
         return hj.loss_hamil(hj.grid_hamiltonian(value, traj, tr, spec))
 
     p0 = ctrl_net.params()
@@ -529,7 +531,7 @@ def test_non_finite_adjoint_at_a_fused_node_names_it(rng):
     with tape, np.errstate(invalid="ignore", over="ignore"):
         a = tape.leaf(a0)
         y = dk.dense(a, w0, b0, "sine", 2.0)
-        out = dk.sum_(y * dk.tensor(np.full((3, 2), np.inf), checked=False))
+        out = dk.sum_(y * dk.tensor(np.full((3, 2), np.inf)))
     with pytest.raises(dk.NumericError, match=rf"node {y.idx} \(op 'sin'\)"):
         dk.grad(out, [a])
     # a non-finite adjoint that the fused node computes is caught where it arrives
@@ -543,28 +545,28 @@ def test_non_finite_adjoint_at_a_fused_node_names_it(rng):
 
 
 def test_grad_sums_adjoints_in_arrival_order(rng):
-    # many contributions to one operand: wide ones are added left to right,
-    # size-1 ones are summed by np.add.reduce like a stack of them
+    # many contributions to one operand, of any size, are added left to right
     for shape in [(5, 3), (1,), ()]:
         x0 = rng.normal(size=shape)
-        ws = [rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8) for _ in range(40)]
-        tape = dk.Tape()
-        with tape:
-            x = tape.leaf(x0)
-            terms = [dk.sum_(x * w) for w in ws]
-            out = terms[0]
-            for t in terms[1:]:
-                out = out + t
-        got = dk.grad(out, [x])[x].data
-        # the terms arrive in reverse order of creation
-        arrivals = [np.broadcast_to(1.0 * w, shape) for w in reversed(ws)]
-        if np.size(x0) == 1:
-            want = np.add.reduce(arrivals)
-        else:
+        spread = [rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8) for _ in range(40)]
+        # 1 arrives first, then 39 terms that each round away when added to
+        # it; a pairwise sum would keep their total
+        tiny = [np.full(shape, 1e-16)] * 39 + [np.ones(shape)]
+        for ws in (spread, tiny):
+            tape = dk.Tape()
+            with tape:
+                x = tape.leaf(x0)
+                terms = [dk.sum_(x * w) for w in ws]
+                out = terms[0]
+                for t in terms[1:]:
+                    out = out + t
+            got = dk.grad(out, [x])[x].data
+            # the terms arrive in reverse order of creation
+            arrivals = [np.broadcast_to(1.0 * w, shape) for w in reversed(ws)]
             want = arrivals[0]
             for c in arrivals[1:]:
                 want = want + c
-        assert np.array_equal(got, want)
+            assert np.array_equal(got, want)
 
 
 # -- retention: a node keeps an array only while an adjoint reads it ------------

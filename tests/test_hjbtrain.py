@@ -14,16 +14,16 @@ from conftest import rel_err
 
 def zero_value(x, t):
     b = x.shape[0] if x.ndim == 2 else 1
-    z = dk.tensor(np.zeros(b), checked=False)
-    gz = dk.tensor(np.zeros((b, x.shape[-1])), checked=False)
+    z = dk.tensor(np.zeros(b))
+    gz = dk.tensor(np.zeros((b, x.shape[-1])))
     return z, z, gz
 
 
 def quadratic_value(x, t):
     """V(x) = x . x (time-independent)."""
-    x = dk._lift(x)
+    x = dk.tensor(x)
     v = dk.sum_(dk.square(x), axis=1)
-    dvdt = dk.tensor(np.zeros(x.shape[0]), checked=False)
+    dvdt = dk.tensor(np.zeros(x.shape[0]))
     return v, dvdt, 2.0 * x
 
 
@@ -60,6 +60,16 @@ def test_hamiltonian_hand_derivation():
     assert np.allclose(ev.grad_u_H.data, 2 * x)
 
 
+def test_value_takes_one_time_per_row(rng):
+    value = hj.MlpValue(nz.value_net(2, hidden=(4,), seed=0), 6.0)
+    x = rng.uniform(-1, 1, size=(3, 2))
+    v, dvdt, grad_x = value(x, np.full(3, 1.5))
+    assert v.shape == dvdt.shape == (3,) and grad_x.shape == (3, 2)
+    for t in (1.5, np.full(2, 1.5), np.full((3, 1), 1.5)):
+        with pytest.raises(dk.ShapeError):
+            value(x, t)
+
+
 def test_hamiltonian_grad_u_matches_fd(rng):
     spec = dz.make_system("cartpole")
     tr = ro.AnalyticTransition(spec)
@@ -67,15 +77,15 @@ def test_hamiltonian_grad_u_matches_fd(rng):
     value = hj.MlpValue(vnet, spec.tf)
     x = rng.uniform(-0.5, 0.5, size=(1, 4))
     u0 = rng.uniform(-2, 2, size=(1, 1))
-    ev = hj.hamiltonian(value, tr, spec, x, u0, 1.0)
+    ev = hj.hamiltonian(value, tr, spec, x, u0, [1.0])
     h = 1e-6
     fd = np.zeros(1)
     for i in range(1):
         up, um = u0.copy(), u0.copy()
         up[0, i] += h
         um[0, i] -= h
-        hp = hj.hamiltonian(value, tr, spec, x, up, 1.0).H.data[0]
-        hm = hj.hamiltonian(value, tr, spec, x, um, 1.0).H.data[0]
+        hp = hj.hamiltonian(value, tr, spec, x, up, [1.0]).H.data[0]
+        hm = hj.hamiltonian(value, tr, spec, x, um, [1.0]).H.data[0]
         fd[i] = (hp - hm) / (2 * h)
     assert rel_err(ev.grad_u_H.data[0], fd) < 1e-4
 
@@ -90,12 +100,12 @@ def test_grad_u_by_vjp_equals_grad_of_scalar_h(rng):
     x = rng.uniform(-1, 1, size=(1, 3))
     u0 = rng.uniform([0.0, -1.0], [1.0, 1.0], size=(1, 2))
 
-    ev = hj.hamiltonian(value, lt, spec, x, u0, 2.0)
+    ev = hj.hamiltonian(value, lt, spec, x, u0, [2.0])
 
     tape = dk.Tape()
     with tape:
         u = tape.leaf(u0)
-        _, _, gradv = value(x, 2.0)
+        _, _, gradv = value(x, [2.0])
         fval = lt(dk.tensor(x), u)
         ham = dk.sum_(spec.running_cost(x, u)) + dk.sum_(gradv * fval)
     g = dk.grad(ham, [u])[u].data
@@ -112,14 +122,14 @@ def make_traj(spec, ctrl, x0, K=20, transition=None):
 
 def test_loss_cost_zero_when_pinned_at_goal():
     spec = dz.make_system("dubins")
-    ctrl = lambda x: dk.tensor(np.zeros((x.shape[0], 2)), checked=False)
+    ctrl = lambda x: dk.tensor(np.zeros((x.shape[0], 2)))
     traj, _ = make_traj(spec, ctrl, np.tile(spec.x_star, (3, 1)))
     assert hj.loss_cost(traj, spec).item() < 1e-12
 
 
 def test_loss_cost_terminal_only():
     spec = replace(dz.make_system("dubins"), R=np.zeros((2, 2)))
-    ctrl = lambda x: dk.tensor(np.tile([0.5, 0.1], (x.shape[0], 1)), checked=False)
+    ctrl = lambda x: dk.tensor(np.tile([0.5, 0.1], (x.shape[0], 1)))
     x0 = np.array([[0.1, 0.2, 0.0], [-1.0, 0.5, 0.4]])
     traj, _ = make_traj(spec, ctrl, x0)
     want = spec.terminal_cost(traj.states[-1]).data.mean()
@@ -128,14 +138,14 @@ def test_loss_cost_terminal_only():
 
 def test_loss_hjb_zero_for_constant_value_and_zero_cost():
     spec = replace(integrator_system(), R=np.zeros((1, 1)))
-    ctrl = lambda x: dk.tensor(np.full((x.shape[0], 1), 0.3), checked=False)
+    ctrl = lambda x: dk.tensor(np.full((x.shape[0], 1), 0.3))
     traj, tr = make_traj(spec, ctrl, np.array([[0.5]]))
 
     def const_value(x, t):
         b = x.shape[0]
-        c = dk.tensor(np.full(b, 7.7), checked=False)
-        z = dk.tensor(np.zeros(b), checked=False)
-        return c, z, dk.tensor(np.zeros((b, 1)), checked=False)
+        c = dk.tensor(np.full(b, 7.7))
+        z = dk.tensor(np.zeros(b))
+        return c, z, dk.tensor(np.zeros((b, 1)))
 
     assert hj.loss_hjb(hj.grid_hamiltonian(const_value, traj, tr, spec)).item() < 1e-12
 
@@ -148,7 +158,7 @@ def test_loss_hjb_analytic_lq_solution_residual():
     tr = ro.AnalyticTransition(spec)
 
     def analytic_value(x, t):
-        x = dk._lift(x)
+        x = dk.tensor(x)
         tt = np.asarray(t, dtype=np.float64)
         if tt.ndim == 0:
             tt = np.full(x.shape[0], float(tt))
@@ -185,7 +195,7 @@ def test_loss_hjb_analytic_lq_solution_residual():
 
 def test_loss_final_identities():
     spec = dz.make_system("dubins")
-    ctrl = lambda x: dk.tensor(np.tile([0.4, 0.2], (x.shape[0], 1)), checked=False)
+    ctrl = lambda x: dk.tensor(np.tile([0.4, 0.2], (x.shape[0], 1)))
     traj, tr = make_traj(spec, ctrl, np.array([[0.3, -0.5, 0.1], [1.0, 1.0, 0.0]]))
 
     def value_equals_g(x, t):
@@ -203,7 +213,7 @@ def test_loss_final_identities():
 def test_loss_hamil_identities():
     spec = dz.make_system("dubins")
     u_star_ctrl = lambda x: dk.tensor(
-        np.tile(spec.u_star + np.array([0.5, 0.0]), (x.shape[0], 1)), checked=False
+        np.tile(spec.u_star + np.array([0.5, 0.0]), (x.shape[0], 1))
     )
     # at u = u* (interior after adding 0.5 to stay inside the box for v) the
     # running-cost gradient is 2R(u - u*); with V = 0 that is all of grad_u H
@@ -214,7 +224,7 @@ def test_loss_hamil_identities():
 
     # toy: L = 0, V = x'x, xdot = u: ||grad_u H|| = ||2x||
     ispec = replace(integrator_system(), R=np.zeros((1, 1)))
-    ctrl = lambda x: dk.tensor(np.full((x.shape[0], 1), 0.2), checked=False)
+    ctrl = lambda x: dk.tensor(np.full((x.shape[0], 1), 0.2))
     traj, tr = make_traj(ispec, ctrl, np.array([[0.8]]), K=5)
     got = hj.loss_hamil(hj.grid_hamiltonian(quadratic_value, traj, tr, ispec)).item()
     xs = np.concatenate([s.data for s in traj.states], axis=0)
@@ -229,15 +239,15 @@ def test_loss_hamil_fd_cross_check(rng):
     value = hj.MlpValue(vnet, spec.tf)
     x = rng.uniform(-1, 1, size=(1, 3))
     u0 = np.array([[0.5, 0.2]])
-    ev = hj.hamiltonian(value, tr, spec, x, u0, 3.0)
+    ev = hj.hamiltonian(value, tr, spec, x, u0, [3.0])
     h = 1e-6
     fd = np.zeros(2)
     for i in range(2):
         up, um = u0.copy(), u0.copy()
         up[0, i] += h
         um[0, i] -= h
-        fd[i] = (hj.hamiltonian(value, tr, spec, x, up, 3.0).H.data[0]
-                 - hj.hamiltonian(value, tr, spec, x, um, 3.0).H.data[0]) / (2 * h)
+        fd[i] = (hj.hamiltonian(value, tr, spec, x, up, [3.0]).H.data[0]
+                 - hj.hamiltonian(value, tr, spec, x, um, [3.0]).H.data[0]) / (2 * h)
     assert rel_err(np.linalg.norm(ev.grad_u_H.data[0]), np.linalg.norm(fd)) < 1e-4
 
 

@@ -208,7 +208,7 @@ def test_jacobian_nesting_grad_wrt_params_matches_fd(rng):
     tape = dk.Tape()
     with tape:
         leaves = [tape.leaf(p) for p in net.params()]
-        loss = dk.sum_(dk.square(nz.forward_with_jacobian(net, x, params=leaves)[1]))
+        loss = dk.sum_(dk.square(nz.forward_with_jacobian(net.with_params(leaves), x)[1]))
     grads = dk.grad(loss, leaves)
     p0 = net.params()
     for li in range(len(p0)):

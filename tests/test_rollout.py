@@ -14,12 +14,12 @@ from conftest import fd_grad, rel_err
 
 
 def zero_controller(m):
-    return lambda x: dk.tensor(np.zeros((x.shape[0], m)), checked=False)
+    return lambda x: dk.tensor(np.zeros((x.shape[0], m)))
 
 
 def constant_controller(u):
     u = np.asarray(u, dtype=np.float64)
-    return lambda x: dk.tensor(np.tile(u, (x.shape[0], 1)), checked=False)
+    return lambda x: dk.tensor(np.tile(u, (x.shape[0], 1)))
 
 
 # -- rk4_step -------------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_rk4_rejects_bad_step():
 
 
 def test_rk4_nonfinite_aborts():
-    f = lambda x, u: dk.tensor(np.full_like(x.data, np.inf), checked=False)
+    f = lambda x, u: dk.tensor(np.full_like(x.data, np.inf))
     with pytest.raises(dk.NumericError):
         ro.rk4_step(f, dk.tensor(np.ones((1, 2))), None, 0.1)
 
@@ -185,9 +185,10 @@ def test_single_step_rollout_equals_rk4_plus_quadrature():
 
 def test_rollout_rejects_wrong_dim():
     spec = dz.make_system("dubins")
-    with pytest.raises(ValueError):
-        ro.rollout(spec, ro.AnalyticTransition(spec), zero_controller(2),
-                   np.zeros((2, 5)), K=3)
+    # a wrong state dim, and one start that is not a (1, d) batch
+    for x0 in (np.zeros((2, 5)), np.zeros(3), np.zeros((1, 1, 3))):
+        with pytest.raises(ValueError, match=r"expected \(B, 3\)"):
+            ro.rollout(spec, ro.AnalyticTransition(spec), zero_controller(2), x0, K=3)
 
 
 def test_rollout_gradient_matches_fd():
@@ -198,8 +199,7 @@ def test_rollout_gradient_matches_fd():
     x0 = np.array([[-1.0, 0.5, 0.2]])
 
     def terminal_cost_of(params):
-        ctrl = lambda x: nz.forward(net, x, params=params)
-        traj = ro.rollout(spec, tr, ctrl, x0, K=10)
+        traj = ro.rollout(spec, tr, net.with_params(params), x0, K=10)
         return spec.terminal_cost(traj.states[-1])
 
     tape = dk.Tape()
@@ -291,7 +291,7 @@ def test_rollout_abort_names_step():
         def __call__(self, x, u):
             Exploding.calls += 1
             if Exploding.calls > 10:
-                return dk.tensor(np.full_like(x.data, np.nan), checked=False)
+                return dk.tensor(np.full_like(x.data, np.nan))
             return spec.f(x, u)
 
     with pytest.raises(dk.NumericError, match="step 2"):

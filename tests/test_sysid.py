@@ -33,7 +33,7 @@ def test_loss_zero_when_predictions_match(dubins):
     z = np.concatenate([data.x, data.u], axis=1)
     pred = nz.forward(net, z).data
     jac = nz.forward_with_jacobian(net, z)[1].data
-    loss = si.sysid_loss(net, data.x, data.u, pred, jac, grad_supervision=True)
+    loss = si.sysid_loss(net, data.x, data.u, pred, jac)
     assert loss.item() < 1e-8
 
 
@@ -45,7 +45,7 @@ def test_loss_constant_residual_norm(dubins):
     c = 0.75
     shift = np.zeros_like(pred)
     shift[:, 0] = c  # residual vector of norm c for every sample
-    loss = si.sysid_loss(net, data.x, data.u, pred + shift, grad_supervision=False)
+    loss = si.sysid_loss(net, data.x, data.u, pred + shift)
     assert abs(loss.item() - c) < 1e-12
 
 
@@ -60,16 +60,21 @@ def test_loss_hand_computed_one_layer_net(dubins):
     want_val = np.mean(np.sqrt(np.sum((pred - data.xdot) ** 2, axis=1) + 1e-18))
     jac_resid = np.tile(w.T, (16, 1, 1)) - data.jac
     want_jac = np.mean(np.sqrt(np.sum(jac_resid**2, axis=(1, 2)) + 1e-18))
-    got = si.sysid_loss(net, data.x, data.u, data.xdot, data.jac,
-                        grad_supervision=True)
+    got = si.sysid_loss(net, data.x, data.u, data.xdot, data.jac)
     assert abs(got.item() - (want_val + want_jac)) < 1e-12
 
 
-def test_loss_missing_jacobian_targets_errors(dubins):
+def test_loss_without_target_is_the_value_term(dubins):
     net = nz.dynamics_net(3, 2, hidden=(8,), seed=1)
     data = dz.sample_dataset(dubins, 8, seed=3)
-    with pytest.raises(ValueError):
-        si.sysid_loss(net, data.x, data.u, data.xdot, None, grad_supervision=True)
+    without = si.sysid_loss(net, data.x, data.u, data.xdot).item()
+    # a zero-weight Sobolev term adds exactly zero to the value term
+    assert without == si.sysid_loss(net, data.x, data.u, data.xdot, data.jac,
+                                    jac_weight=0.0).item()
+    pred = nz.forward(net, np.concatenate([data.x, data.u], axis=1)).data
+    want = np.mean(np.sqrt(np.sum((pred - data.xdot) ** 2, axis=1) + 1e-18))
+    assert abs(without - want) < 1e-12
+    assert si.sysid_loss(net, data.x, data.u, data.xdot, data.jac).item() > without
 
 
 # -- training ----------------------------------------------------------------------
