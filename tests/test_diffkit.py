@@ -77,7 +77,8 @@ def test_finite_adjoint_whose_sum_overflows_passes_the_check():
         assert np.array_equal(dk.grad(out, [leaf])[leaf].data, big)
 
 
-def test_leaf_rejects_nonfinite():
+def test_tensor_creation_rejects_nonfinite():
+    # a taped leaf is checked; the plain lift is not
     tape = dk.Tape()
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(dk.NumericError, match="leaf"):
@@ -187,8 +188,10 @@ def test_binary_op_gradients_with_broadcasting(op, rng):
     assert rel_err(g[b].data, gb_ref) < 1e-4
 
 
-# a matrix or a stack of matrices on the left, a matrix on the right
-@pytest.mark.parametrize("sa,sb", [((4, 5), (5, 3)), ((7, 4, 5), (5, 3))])
+# a matrix or a stack of matrices on the left, a matrix on the right; the ids
+# are the ones these two layouts had in the wider table of earlier layouts
+@pytest.mark.parametrize("sa,sb", [((4, 5), (5, 3)), ((7, 4, 5), (5, 3))],
+                         ids=["sa0-sb0", "sa2-sb2"])
 def test_matmul_forward_and_backward_all_paths(sa, sb, rng):
     a0, b0 = rng.normal(size=sa), rng.normal(size=sb)
     proj = rng.normal(size=np.matmul(a0, b0).shape)
