@@ -7,9 +7,12 @@ Submodules:
               start distributions, datasets
     optim     Adam and learning-rate schedules
     sysid     Sobolev system identification
-    rollout   differentiable fixed-step RK4 closed-loop simulation, evaluation
+    rollout   differentiable fixed-step RK4 closed-loop simulation and
+              evaluation under the analytic dynamics
     hjbtrain  joint controller/value training from HJB losses
-    cli       command-line front end (sysid / train / eval / rollout)
+    config    JSON configs, shipped presets, typed section parsing
+    cli       command-line front end (sysid / train / eval / rollout); writes
+              every CSV and trajectory manifest
 """
 
 __version__ = "0.1.0"

@@ -1,13 +1,18 @@
 """Command-line front end: sysid / train / eval / rollout.
 
-Every command writes into an output directory (--outdir, or the
-HJBCTRL_OUTDIR environment variable, or ./runs/<command>) and records the
-seed and a hash of the effective config in every CSV header, so identical
-(seed, config) pairs reproduce identical outputs.  A flag that sets a
-config value declares it as ``dest="section.key"`` (``--epochs`` of
-``train`` is ``hjb.epochs``), and :func:`_setup` turns every such flag
-into a config override.  Evaluation lives in :mod:`hjbctrl.rollout`; it
-always integrates with the analytic dynamics.
+The library modules compute and return results; this module owns every
+output file format.  Every command writes into an output directory
+(--outdir, or the HJBCTRL_OUTDIR environment variable, or
+./runs/<command>).  Every CSV comes from :func:`_write_csv`: a
+``# header`` comment with the seed and a hash of the effective config, so
+identical (seed, config) pairs reproduce identical outputs, then the
+column row, then the rows, with floats as ``repr`` and None as an empty
+cell.  A report's columns are its dataclass fields.
+
+A flag that sets a config value declares it as ``dest="section.key"``
+(``--epochs`` of ``train`` is ``hjb.epochs``), and :func:`_setup` turns
+every such flag into a config override.  Evaluation lives in
+:mod:`hjbctrl.rollout`; it always integrates with the analytic dynamics.
 
 Exit codes: 0 ok, 2 usage/config error, 3 numeric failure (reported by
 diffkit's checks; numpy's floating-point warnings are silenced).
@@ -16,8 +21,11 @@ diffkit's checks; numpy's floating-point warnings are silenced).
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import os
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +33,7 @@ import numpy as np
 from . import __version__, config as cfgmod, hjbtrain, netzoo, sysid
 from .diffkit import NumericError
 from .dynzoo import SystemSpec, system_names
-from .rollout import AnalyticTransition, evaluate, export_trajectories, rollout, write_eval_csv
+from .rollout import AnalyticTransition, TrajectoryBatch, evaluate, rollout
 from .sysid import TrainingDiverged
 
 EXIT_OK = 0
@@ -66,6 +74,57 @@ def _load_controller(path, spec: SystemSpec) -> netzoo.Mlp:
 
 
 # ---------------------------------------------------------------------------
+# Output files
+# ---------------------------------------------------------------------------
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else value
+
+
+def _write_csv(path: Path, header: str, columns, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {header}\n")
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows([_cell(v) for v in row] for row in rows)
+
+
+def _write_report(path: Path, header: str, report) -> None:
+    """One dataclass record as a one-row CSV; its fields are the columns."""
+    _write_csv(path, header, [f.name for f in fields(report)], [astuple(report)])
+
+
+def _write_trajectories(traj: TrajectoryBatch, spec: SystemSpec, outdir: Path, prefix: str,
+                        header: str, manifest: dict) -> list[Path]:
+    """One CSV per batch element plus a JSON manifest.
+
+    Columns: t, x_0..x_{d-1}, u_0..u_{m-1}, running_cost (the rate
+    L(x_k, u_k); its left Riemann sum over the first K rows times h
+    reproduces the integral).  The terminal row carries no control.
+    """
+    times = traj.times.tolist()
+    xs = traj.states_array.tolist()
+    us = traj.controls_array.tolist()
+    rates = np.stack([spec.running_cost(x.data, u.data).data
+                      for x, u in zip(traj.states, traj.controls)], axis=1).tolist()
+    columns = (["t"] + [f"x_{i}" for i in range(spec.d)] + [f"u_{i}" for i in range(spec.m)]
+               + ["running_cost"])
+    paths = []
+    for b in range(traj.batch):
+        rows = [[t, *x, *u, r] for t, x, u, r in zip(times, xs[b], us[b], rates[b])]
+        rows.append([times[-1], *xs[b][-1]] + [None] * (spec.m + 1))
+        paths.append(outdir / f"{prefix}_{b:04d}.csv")
+        _write_csv(paths[-1], header, columns, rows)
+    manifest = {**manifest, "nfe": traj.nfe, "steps": traj.steps, "batch": traj.batch,
+                "system": spec.name}
+    (outdir / f"{prefix}_manifest.json").write_text(json.dumps(manifest, indent=2))
+    return paths
+
+
+# ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
@@ -81,9 +140,8 @@ def cmd_sysid(args) -> int:
         "system": spec.name, "d": spec.d, "m": spec.m,
         "seed": scfg.seed, "config_hash": cfgmod.config_hash(cfg),
     })
-    sysid.write_reports_csv([report], outdir / "sysid_report.csv", header=header)
-    np.savetxt(outdir / "sysid_losses.csv", np.asarray(losses),
-               header=header, comments="# ")
+    _write_report(outdir / "sysid_report.csv", header, report)
+    _write_csv(outdir / "sysid_losses.csv", header, ["loss"], ([v] for v in losses))
     print(f"[sysid] {spec.name}/{scfg.activation} mean={report.mean:.6f} "
           f"median={report.median:.6f} -> {ckpt}")
     return EXIT_OK
@@ -101,7 +159,8 @@ def cmd_train(args) -> int:
     ctrl_path = outdir / f"controller_{spec.name}.json"
     netzoo.save(controller, ctrl_path, metadata=meta)
     netzoo.save(value, outdir / f"value_{spec.name}.json", metadata=meta)
-    hjbtrain.write_training_log(log, outdir / "training_log.csv", header=header)
+    _write_csv(outdir / "training_log.csv", header, hjbtrain.LOG_COLUMNS,
+               ([row[c] for c in hjbtrain.LOG_COLUMNS] for row in log))
     final = (f"final total={log[-1]['loss_total']:.4f} nfe={log[-1]['nfe_cumulative']}"
              if log else "untrained")
     print(f"[train] {spec.name} epochs={hcfg.epochs} {final} -> {ctrl_path}")
@@ -115,19 +174,16 @@ def cmd_eval(args) -> int:
     header = _header(cfg, ecfg.seed)
 
     controller = _load_controller(args.controller, spec)
-    report = evaluate(
-        spec, controller, n_starts=int(ecfg.starts), seed=int(ecfg.seed),
-        K=hcfg.K, threshold=float(ecfg.threshold), metric=ecfg.metric,
-    )
-    write_eval_csv(report, outdir / "eval_report.csv", header=header)
+    report = evaluate(spec, controller, n_starts=ecfg.starts, seed=ecfg.seed, K=hcfg.K,
+                      threshold=ecfg.threshold, metric=ecfg.metric)
+    _write_report(outdir / "eval_report.csv", header, report)
 
     if args.export_trajectories > 0:
-        rng = np.random.default_rng(int(ecfg.seed))
+        rng = np.random.default_rng(ecfg.seed)
         x0 = spec.rho.sample(rng, args.export_trajectories)
         traj = rollout(spec, AnalyticTransition(spec), controller, x0, K=hcfg.K)
-        export_trajectories(traj, spec, outdir, prefix="eval_traj", header=header,
-                            manifest={"seed": ecfg.seed,
-                                      "config_hash": cfgmod.config_hash(cfg)})
+        _write_trajectories(traj, spec, outdir, "eval_traj", header,
+                            {"seed": ecfg.seed, "config_hash": cfgmod.config_hash(cfg)})
     print(f"[eval] {spec.name} starts={report.n_starts} "
           f"success={report.success_rate:.3f} "
           f"terminal_err={report.terminal_error_mean:.4f}"
@@ -149,10 +205,8 @@ def cmd_rollout(args) -> int:
 
     controller = _load_controller(args.controller, spec)
     traj = rollout(spec, AnalyticTransition(spec), controller, x0[None, :], K=hcfg.K)
-    header = _header(cfg, "-")
-    paths = export_trajectories(traj, spec, outdir, prefix="rollout", header=header,
-                                manifest={"x0": x0.tolist(),
-                                          "config_hash": cfgmod.config_hash(cfg)})
+    paths = _write_trajectories(traj, spec, outdir, "rollout", _header(cfg, "-"),
+                                {"x0": x0.tolist(), "config_hash": cfgmod.config_hash(cfg)})
     print(f"[rollout] {spec.name} x0={args.x0} -> {paths[0]}")
     return EXIT_OK
 

@@ -26,6 +26,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import typing
 from importlib import resources
 from pathlib import Path
 
@@ -129,17 +130,34 @@ def echo_config(cfg: dict, outdir) -> Path:
 # ---------------------------------------------------------------------------
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               tuple[int, ...]: "a list of integers"}
+
+
+def _typed(name: str, key: str, value, hint):
+    """``value`` checked against the field's type ``hint``: a bool is no
+    number, an int is a float, and a list of ints is a tuple of them."""
+    if hint is float and type(value) is int:
+        return float(value)
+    if hint == tuple[int, ...]:
+        if isinstance(value, (list, tuple)) and all(type(v) is int for v in value):
+            return tuple(value)
+    elif type(value) is hint:
+        return value
+    raise ConfigError(f"{name}.{key} must be {_TYPE_NAMES[hint]}, got {value!r}")
+
+
 def _section(cfg: dict, name: str, cls):
-    """Parse config section ``name`` into dataclass ``cls``; JSON lists become
-    tuples."""
-    section = {k: tuple(v) if isinstance(v, list) else v
-               for k, v in (cfg.get(name) or {}).items()}
-    unknown = set(section) - {f.name for f in dataclasses.fields(cls)}
+    """Parse config section ``name`` into dataclass ``cls``, checking each
+    value against its field's type."""
+    section = cfg.get(name) or {}
+    hints = typing.get_type_hints(cls)
+    unknown = set(section) - set(hints)
     if unknown:
         raise ConfigError(f"unknown {name} option(s): {sorted(unknown)}")
     try:
-        return cls(**section)
-    except (TypeError, ValueError) as e:
+        return cls(**{k: _typed(name, k, v, hints[k]) for k, v in section.items()})
+    except ValueError as e:
         raise ConfigError(f"bad {name} config: {e}")
 
 

@@ -430,7 +430,6 @@ _DEFAULT_PARAMS: dict[str, dict] = {
         "m1": 1.0,
         "m2": 1.0,
         "l1": 1.0,
-        "l2": 1.0,
         "lc1": 0.5,
         "lc2": 0.5,
         "I1": 1.0,

@@ -17,11 +17,9 @@ updated here.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -272,24 +270,8 @@ def train_controller(
     return controller.with_params(c_params), value.with_params(v_params), log
 
 
+# keys of each per-epoch log entry, in the column order of training_log.csv
 LOG_COLUMNS = [
     "epoch", "lr", "loss_total", "loss_cost", "loss_hjb", "loss_final",
     "loss_hamil", "nfe_cumulative", "wall_time_s",
 ]
-
-
-def write_training_log(log: list[dict], path, header: str = "") -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        w = csv.writer(fh)
-        w.writerow(LOG_COLUMNS)
-        for row in log:
-            w.writerow([
-                row["epoch"], repr(row["lr"]), repr(row["loss_total"]),
-                repr(row["loss_cost"]), repr(row["loss_hjb"]),
-                repr(row["loss_final"]), repr(row["loss_hamil"]),
-                row["nfe_cumulative"], f"{row['wall_time_s']:.3f}",
-            ])

@@ -17,12 +17,9 @@ learned transitions lets it assert that no network dynamics were touched.
 
 from __future__ import annotations
 
-import csv
-import json
 import time
 import weakref
-from dataclasses import dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -194,10 +191,6 @@ def rollout(
 # Evaluation
 # ---------------------------------------------------------------------------
 
-# starts rolled out per batch while evaluating
-_EVAL_CHUNK = 250
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Closed-loop metrics over a batch of evaluation starts.
@@ -224,9 +217,6 @@ class EvalReport:
     compute_time_per_traj_s: float
 
 
-EVAL_COLUMNS = [f.name for f in fields(EvalReport)]
-
-
 def evaluate(
     spec: SystemSpec,
     controller: netzoo.Mlp,
@@ -242,138 +232,46 @@ def evaluate(
         raise ValueError(f"eval metric must be 'position' or 'state', got {metric!r}")
     if metric == "position" and spec.position_slice is None:
         raise ValueError(f"system '{spec.name}' has no position subspace")
-    rng = np.random.default_rng(seed)
-    transition = AnalyticTransition(spec)
     nfe_learned_before = learned_nfe_total()
-
-    terminal_errors = []
-    control_mags = []
-    lengths = []
-    successes = 0
-    violations = 0
     t_start = time.perf_counter()
-    remaining = n_starts
-    while remaining > 0:
-        b = min(_EVAL_CHUNK, remaining)
-        remaining -= b
-        x0 = spec.rho.sample(rng, b)
-        traj = rollout(spec, transition, controller, x0, K=K)
-        xs = traj.states_array  # (b, K+1, d)
-        us = traj.controls_array
-        h = spec.tf / K
+    x0 = spec.rho.sample(np.random.default_rng(seed), n_starts)
+    traj = rollout(spec, AnalyticTransition(spec), controller, x0, K=K)
+    xs = traj.states_array  # (n_starts, K+1, d)
+    h = spec.tf / K
 
-        terminal_errors.append(np.linalg.norm(xs[:, -1, :] - spec.x_star, axis=1))
-        control_mags.append(np.linalg.norm(us, axis=2).sum(axis=1) * h)
-        if spec.position_slice is not None:
-            pos = xs[:, :, spec.position_slice]
-            lengths.append(np.linalg.norm(np.diff(pos, axis=1), axis=2).sum(axis=1))
-        if metric == "position":
-            final_dist = np.linalg.norm(pos[:, -1, :] - spec.x_star[spec.position_slice], axis=1)
-        else:
-            final_dist = terminal_errors[-1]
-        successes += int(np.sum(final_dist <= threshold))
-        for obs in spec.obstacles:
-            dmin = np.linalg.norm(
-                xs[:, :, 0:2] - np.asarray(obs.center), axis=2
-            ).min(axis=1)
-            violations += int(np.sum(dmin < obs.radius))
+    te = np.linalg.norm(xs[:, -1, :] - spec.x_star, axis=1)
+    cm = np.linalg.norm(traj.controls_array, axis=2).sum(axis=1) * h
+    ln = None
+    if spec.position_slice is not None:
+        pos = xs[:, :, spec.position_slice]
+        ln = np.linalg.norm(np.diff(pos, axis=1), axis=2).sum(axis=1)
+    if metric == "position":
+        final_dist = np.linalg.norm(pos[:, -1, :] - spec.x_star[spec.position_slice], axis=1)
+    else:
+        final_dist = te
+    violations = sum(
+        int(np.sum(np.linalg.norm(xs[:, :, 0:2] - obs.center, axis=2).min(axis=1) < obs.radius))
+        for obs in spec.obstacles
+    )
     elapsed = time.perf_counter() - t_start
 
     ftheta_nfe = learned_nfe_total() - nfe_learned_before
     assert ftheta_nfe == 0, "evaluation must never touch learned dynamics"
 
-    te = np.concatenate(terminal_errors)
-    cm = np.concatenate(control_mags)
-    ln = np.concatenate(lengths) if lengths else None
     return EvalReport(
         system=spec.name,
         n_starts=n_starts,
         seed=seed,
         metric=metric,
         threshold=threshold,
-        success_rate=successes / n_starts,
+        success_rate=int(np.sum(final_dist <= threshold)) / n_starts,
         terminal_error_mean=float(te.mean()),
-        terminal_error_std=float(te.std()) if n_starts > 1 else 0.0,
+        terminal_error_std=float(te.std()),
         control_magnitude_mean=float(cm.mean()),
-        control_magnitude_std=float(cm.std()) if n_starts > 1 else 0.0,
+        control_magnitude_std=float(cm.std()),
         traj_length_mean=float(ln.mean()) if ln is not None else None,
-        traj_length_std=(float(ln.std()) if n_starts > 1 else 0.0) if ln is not None else None,
+        traj_length_std=float(ln.std()) if ln is not None else None,
         obstacle_violations=violations,
         ftheta_nfe=ftheta_nfe,
         compute_time_per_traj_s=elapsed / n_starts,
     )
-
-
-def write_eval_csv(report: EvalReport, path, header: str = "") -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        w = csv.writer(fh)
-        w.writerow(EVAL_COLUMNS)
-        row = []
-        for col in EVAL_COLUMNS:
-            v = getattr(report, col)
-            if v is None:
-                row.append("")
-            elif isinstance(v, float):
-                row.append(repr(v))
-            else:
-                row.append(v)
-        w.writerow(row)
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-def export_trajectories(
-    traj: TrajectoryBatch,
-    spec: SystemSpec,
-    outdir,
-    prefix: str = "traj",
-    header: str = "",
-    manifest: dict | None = None,
-) -> list[Path]:
-    """One CSV per batch element plus a JSON manifest.
-
-    Columns: t, x_0..x_{d-1}, u_0..u_{m-1}, running_cost (the rate
-    L(x_k, u_k); its left Riemann sum over the first K rows times h
-    reproduces the integral).  The terminal row carries no control.
-    """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    xs = traj.states_array
-    us = traj.controls_array
-    rates = np.stack(
-        [spec.running_cost(traj.states[k].data, traj.controls[k].data).data
-         for k in range(traj.steps)],
-        axis=1,
-    )
-    paths = []
-    cols = ["t"] + [f"x_{i}" for i in range(spec.d)] + [f"u_{i}" for i in range(spec.m)]
-    cols += ["running_cost"]
-    for b in range(traj.batch):
-        path = outdir / f"{prefix}_{b:04d}.csv"
-        with open(path, "w", newline="") as fh:
-            if header:
-                fh.write(f"# {header}\n")
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for k in range(traj.steps + 1):
-                row = [repr(float(traj.times[k]))]
-                row += [repr(float(v)) for v in xs[b, k]]
-                if k < traj.steps:
-                    row += [repr(float(v)) for v in us[b, k]]
-                    row += [repr(float(rates[b, k]))]
-                else:
-                    row += [""] * (spec.m + 1)
-                w.writerow(row)
-        paths.append(path)
-    man = dict(manifest or {})
-    man.update({"nfe": traj.nfe, "steps": traj.steps, "batch": traj.batch,
-                "system": spec.name})
-    (outdir / f"{prefix}_manifest.json").write_text(json.dumps(man, indent=2))
-    return paths

@@ -11,10 +11,8 @@ term trains second-order structure, not a finite-difference surrogate
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -79,18 +77,6 @@ class SysIdReport:
     n_train: int
     seed: int
 
-    def row(self) -> list:
-        return [
-            self.system, self.activation, int(self.grad_supervision),
-            repr(self.mean), repr(self.std), repr(self.median), repr(self.iqr),
-            self.epochs, self.n_train, self.seed,
-        ]
-
-
-REPORT_COLUMNS = [
-    "system", "activation", "grad_supervision", "mean", "std", "median", "iqr",
-    "epochs", "N", "seed",
-]
 
 
 def sysid_loss(
@@ -198,15 +184,3 @@ def train_sysid(
     net = net.with_params(params)
     report = _report(spec, cfg, heldout_errors(net, test_data))
     return net, report, losses
-
-
-def write_reports_csv(reports, path, header: str = "") -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        w = csv.writer(fh)
-        w.writerow(REPORT_COLUMNS)
-        for rep in reports:
-            w.writerow(rep.row())

@@ -1,6 +1,7 @@
 import csv
 import json
 import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -43,7 +44,7 @@ def test_sysid_train_eval_rollout_round_trip(tiny_config, tmp_path):
     assert ckpt.exists()
     lines = (sysid_dir / "sysid_report.csv").read_text().splitlines()
     assert lines[0].startswith("#") and len(lines) == 3  # header comment, columns, one row
-    assert lines[1].split(",") == sysid.REPORT_COLUMNS
+    assert lines[1].split(",") == [f.name for f in fields(sysid.SysIdReport)]
     assert read_report(sysid_dir / "sysid_report.csv")["system"] == "dubins"
 
     assert run("train", "--config", tiny_config, "--outdir", train_dir,
@@ -181,6 +182,21 @@ def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
     pytest.param("train", {"hjb": {"lr": float("nan")}}, "lr must be finite", id="hjb-lr-nan"),
     pytest.param("train", {"hjb": {"alpha_hjb": float("inf")}}, "alpha_hjb must be finite",
                  id="hjb-alpha-hjb-infinite"),
+    pytest.param("train", {"hjb": {"epochs": 1.5}}, "hjb.epochs must be an integer, got 1.5",
+                 id="hjb-epochs-float"),
+    pytest.param("train", {"hjb": {"K": True}}, "hjb.K must be an integer, got True",
+                 id="hjb-K-bool"),
+    pytest.param("sysid", {"sysid": {"hidden": [8.5]}},
+                 "sysid.hidden must be a list of integers, got [8.5]", id="sysid-hidden-float"),
+    pytest.param("eval", {"eval": {"starts": 12.7}}, "eval.starts must be an integer, got 12.7",
+                 id="eval-starts-float"),
+    pytest.param("train", {"hjb": {"lr": True}}, "hjb.lr must be a number, got True",
+                 id="hjb-lr-bool"),
+    pytest.param("sysid", {"sysid": {"grad_supervision": 1}},
+                 "sysid.grad_supervision must be true or false, got 1",
+                 id="sysid-grad-supervision-int"),
+    pytest.param("train", {"hjb": {"transition": 3}}, "hjb.transition must be a string, got 3",
+                 id="hjb-transition-number"),
     pytest.param("eval", {"eval": {"starts": 0}}, "starts must be >= 1", id="eval-starts-zero"),
     pytest.param("eval", {"eval": {"threshold": -0.1}}, "threshold must be finite and >= 0",
                  id="eval-threshold-negative"),
@@ -198,6 +214,12 @@ def test_bad_config_section_is_a_usage_error(command, section, message, tmp_path
     assert run(command, "--config", path, "--outdir", tmp_path / "out",
                *argv) == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+def test_config_values_take_their_field_types():
+    hcfg = config.hjb_config({"hjb": {"lr": 1, "controller_hidden": [8, 4]}})
+    assert type(hcfg.lr) is float and hcfg.lr == 1.0
+    assert hcfg.controller_hidden == (8, 4)
 
 
 def test_zero_epoch_train_writes_the_initial_nets(tiny_config, tmp_path, capsys):

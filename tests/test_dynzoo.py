@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,25 @@ def test_parameter_overrides_apply():
     assert [o.radius for o in spec.obstacles] == [0.5, 1.0]
     assert spec.obstacles[1].center.dtype == np.float64
     assert np.array_equal(spec.obstacles[1].center, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_every_parameter_changes_the_system(name):
+    """Raising any default parameter changes f on a fixed batch or a field
+    of the spec, so no parameter is accepted and then ignored."""
+    base = dz.make_system(name)
+    rng = np.random.default_rng(0)
+    x, u = base.state_box.sample(rng, 16), base.action_box.sample(rng, 16)
+
+    def spec_fields(spec):
+        with np.printoptions(precision=17):
+            return [repr(getattr(spec, f.name)) for f in fields(dz.SystemSpec)
+                    if f.name not in ("f", "jac", "params")]
+
+    for key, value in base.params.items():
+        raised = dz.make_system(name, {key: np.add(value, 0.5).tolist()})
+        assert (not np.array_equal(raised.f(x, u).data, base.f(x, u).data)
+                or spec_fields(raised) != spec_fields(base)), f"{name}: {key} changes nothing"
 
 
 @pytest.mark.parametrize("name", ["cartpole", "acrobot", "lq1d"])

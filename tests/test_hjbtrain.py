@@ -1,8 +1,10 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hjbctrl import cli
 from hjbctrl import diffkit as dk
 from hjbctrl import dynzoo as dz
 from hjbctrl import hjbtrain as hj
@@ -351,13 +353,13 @@ def test_rho_defaults_and_sampling():
 
 
 def test_write_training_log(tmp_path):
-    spec = dz.make_system("lq1d")
-    cfg = hj.HjbConfig(epochs=2, batch=4, K=5, seed=0,
-                       controller_hidden=(8,), value_hidden=(8,))
-    _, _, log = hj.train_controller(spec, cfg)
-    path = tmp_path / "log.csv"
-    hj.write_training_log(log, path, header="hjbctrl test")
-    lines = path.read_text().splitlines()
+    config = tmp_path / "lq1d.json"
+    config.write_text(json.dumps({
+        "system": {"name": "lq1d"},
+        "hjb": {"epochs": 2, "batch": 4, "K": 5, "controller_hidden": [8], "value_hidden": [8]},
+    }))
+    assert cli.main(["train", "--config", str(config), "--outdir", str(tmp_path)]) == cli.EXIT_OK
+    lines = (tmp_path / "training_log.csv").read_text().splitlines()
     assert lines[0].startswith("# hjbctrl")
     assert lines[1].split(",") == hj.LOG_COLUMNS
     assert len(lines) == 2 + 2

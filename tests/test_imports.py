@@ -1,9 +1,11 @@
-"""Every import in src/ and tests/ is used.
+"""Every import in src/ and tests/ is used, and library modules do no file I/O.
 
 Deleting code tends to leave imports behind; this check parses each file
 and fails on a name that is imported but never read.  ``__future__``
 imports and package ``__init__`` files (whose imports are re-exports) are
-skipped.
+skipped.  The compute modules import none of csv, json or pathlib: the CLI
+writes every output file, and netzoo (checkpoints) and config (config
+files) are the only other modules that touch files.
 """
 
 import ast
@@ -50,3 +52,30 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_caught():
     tree = ast.parse("import os\nimport os.path as osp\nfrom a import b, c\nprint(c, osp.sep)\n")
     assert set(imported_names(tree)) - read_names(tree) == {"os", "b"}
+
+
+LIBRARY = ("diffkit", "dynzoo", "optim", "rollout", "hjbtrain", "sysid")
+FILE_IO = {"csv", "json", "pathlib"}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Root package of every module the file imports."""
+    mods = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            mods.add(node.module.split(".")[0])
+    return mods
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_library_modules_write_no_files(name):
+    """Library modules compute; the CLI owns every output file format."""
+    tree = ast.parse((ROOT / "src" / "hjbctrl" / f"{name}.py").read_text(encoding="utf-8"))
+    assert not imported_modules(tree) & FILE_IO
+
+
+def test_a_file_io_import_is_caught():
+    tree = ast.parse("import json\nfrom pathlib import Path\nimport os.path\nfrom . import csv\n")
+    assert imported_modules(tree) & FILE_IO == {"json", "pathlib"}

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hjbctrl import cli
 from hjbctrl import diffkit as dk
 from hjbctrl import dynzoo as dz
 from hjbctrl import netzoo as nz
@@ -303,23 +304,26 @@ def test_rollout_abort_names_step():
 
 
 def test_export_reintegrates_to_cost_integral(tmp_path):
-    spec = dz.make_system("dubins", {"obstacles": [[[-1.0, 0.0], 0.5]]})
-    tr = ro.AnalyticTransition(spec)
-    ctrl = constant_controller([0.9, 0.3])
-    x0 = np.array([[-2.0, 0.5, 0.0], [-3.0, -1.0, 1.0]])
-    traj = ro.rollout(spec, tr, ctrl, x0, K=40)
-    paths = ro.export_trajectories(traj, spec, tmp_path, prefix="t", header="test",
-                                   manifest={"seed": 0})
-    assert len(paths) == 2
+    obstacles = [[[-1.0, 0.0], 0.5]]
+    spec = dz.make_system("dubins", {"obstacles": obstacles})
+    controller = nz.controller_net(spec.d, spec.action_box.lo, spec.action_box.hi,
+                                   hidden=(8,), seed=0)
+    nz.save(controller, tmp_path / "controller.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"system": {"name": "dubins", "overrides": {"obstacles": obstacles}},
+                                  "hjb": {"K": 40}}))
+    assert cli.main(["rollout", "--config", str(config), "--outdir", str(tmp_path),
+                     "--controller", str(tmp_path / "controller.json"),
+                     "--x0=-2,0.5,0"]) == cli.EXIT_OK
+    traj = ro.rollout(spec, ro.AnalyticTransition(spec), controller,
+                      np.array([[-2.0, 0.5, 0.0]]), K=40)
+    with open(tmp_path / "rollout_0000.csv") as fh:
+        assert fh.readline().startswith("#")
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 41
+    rates = [float(r["running_cost"]) for r in rows if r["running_cost"] != ""]
+    assert len(rates) == 40
     h = spec.tf / 40
-    for b, path in enumerate(paths):
-        with open(path) as fh:
-            comment = fh.readline()
-            assert comment.startswith("#")
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 41
-        rates = [float(r["running_cost"]) for r in rows if r["running_cost"] != ""]
-        assert len(rates) == 40
-        assert abs(sum(rates) * h - traj.running_cost_integral.data[b]) < 1e-8
-    man = json.loads((tmp_path / "t_manifest.json").read_text())
+    assert abs(sum(rates) * h - traj.running_cost_integral.data[0]) < 1e-8
+    man = json.loads((tmp_path / "rollout_manifest.json").read_text())
     assert man["nfe"] == traj.nfe and man["system"] == "dubins"
