@@ -49,6 +49,8 @@ EXIT_NUMERIC = 3
 def _setup(args, command: str) -> tuple[dict, SystemSpec, Path]:
     """Effective config (flags with a ``section.key`` dest override it), the
     system it names, and the command's output directory."""
+    if getattr(args, "log_every", 0) < 0:
+        raise ValueError(f"--log-every must be >= 0, got {args.log_every}")
     overrides: dict = {}
     for dest, value in vars(args).items():
         if "." in dest and value is not None:
@@ -173,6 +175,9 @@ def cmd_eval(args) -> int:
     ecfg = cfgmod.eval_config(cfg)
     header = _header(cfg, ecfg.seed)
 
+    if not 0 <= args.export_trajectories <= ecfg.starts:
+        raise ValueError(f"--export-trajectories must be between 0 and the {ecfg.starts} "
+                         f"evaluation starts, got {args.export_trajectories}")
     controller = _load_controller(args.controller, spec)
     report = evaluate(spec, controller, n_starts=ecfg.starts, seed=ecfg.seed, K=hcfg.K,
                       threshold=ecfg.threshold, metric=ecfg.metric)
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--starts", dest="eval.starts", type=int)
     sp.add_argument("--threshold", dest="eval.threshold", type=float)
     sp.add_argument("--export-trajectories", type=int, default=0,
-                    help="also export this many trajectories as CSV")
+                    help="also export the first N of the evaluated trajectories as CSV")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("rollout", help="roll out one trajectory from a given state")

@@ -33,25 +33,30 @@ what its backward will read, and keeps only that; of everything else it
 keeps shapes.  A product keeps a factor only if the other factor is
 tracked, so a product with a constant keeps only the constant; a
 :func:`dense` layer with frozen weights keeps neither its input nor, if
-linear, its output; sums, means, reshapes, slices and concats keep
-shapes only.  An untaped call records nothing and builds no
-closure.  :func:`grad` drops each node as soon as its backward has run,
-so the step's arrays are freed while the adjoints grow.  Because a step
-frees and reallocates the same arrays, importing the module also sets
-malloc to keep freed memory in the process (:func:`_keep_freed_memory`).
+linear, its output, except that a sine layer whose input is narrower than
+its output keeps that input (and its weights) instead of omega0 z and
+rebuilds omega0 z in backward with the forward's ops; sums, means,
+reshapes, slices and concats keep shapes only.  An untaped call records
+nothing and builds no closure.  :func:`grad` drops each node as soon as
+its backward has run, so the step's arrays are freed while the adjoints
+grow.  Because a step frees and reallocates the same arrays, importing the
+module also sets malloc to keep freed memory in the process
+(:func:`_keep_freed_memory`).
 
-Three fused primitives record a hot composite as one node with a
+Four fused primitives record a hot composite as one node with a
 hand-written adjoint, treated as one elemental (Griewank & Walther,
 *Evaluating Derivatives*): :func:`dense`, a network layer
-``act(a @ w + b)``; :func:`axpy`, an RK4 stage input ``x + c k``; and
+``act(a @ w + b)``; :func:`chain`, one layer ``(g * d) @ w^T`` of a
+network's seeded reverse Jacobian chain, which keeps g, d and w but never
+their product; :func:`axpy`, an RK4 stage input ``x + c k``; and
 :func:`rk4_combine`, the RK4 update.  Each rounds exactly like the chain
 of primitives it replaces, so results are bitwise those of the chain.
 They carry the label of an existing op (``sin``, ``tanh`` or ``matmul``
-for a layer, after its activation; ``add`` for the RK4 nodes) rather than
-names of their own, so a tally of the tape over the fixed list of op
-names, such as the benchmark's traced op table, still accounts for every
-node; a fused layer's backward time lands in its activation's row.  They
-have no tangent rule.
+for a layer, after its activation; ``matmul`` for a chain layer; ``add``
+for the RK4 nodes) rather than names of their own, so a tally of the tape
+over the fixed list of op names, such as the benchmark's traced op table,
+still accounts for every node; a fused layer's backward time lands in its
+activation's row.  They have no tangent rule.
 """
 
 from __future__ import annotations
@@ -664,16 +669,25 @@ def _no_tangents(name: str, inputs: tuple[Tensor, ...]) -> None:
 
 def _dense_vjp(p, ad, wd, bd, act, omega0, saved):
     """``saved`` is what the activation's derivative reads: omega0 z for a
-    sine layer, the output for a tanh layer, nothing for a linear one."""
+    sine layer, the output for a tanh layer, nothing for a linear one.  A
+    sine layer whose input is narrower than its output keeps the input
+    instead, and backward rebuilds omega0 z with the forward's ops."""
     sb = bd.shape
-    if p[1] < 0:
-        ad = None
-    if p[0] < 0:
-        wd = None
+    if act == "sine" and ad.shape[-1] < wd.shape[-1]:
+        saved = None
+    else:
+        bd = None
+        if p[1] < 0:
+            ad = None
+        if p[0] < 0:
+            wd = None
 
     def backward(g, p):
         if act == "sine":
-            g = (g * np.cos(saved)) * omega0
+            if saved is None:
+                g = (g * np.cos(omega0 * (_mm(ad, wd) + bd))) * omega0
+            else:
+                g = (g * np.cos(saved)) * omega0
         elif act == "tanh":
             g = g * (1.0 - saved * saved)
         return (
@@ -709,6 +723,67 @@ def dense(a, w, b, act: str = "linear", omega0: float = 1.0) -> Tensor:
     else:
         out, saved = z, None
     return _emit(op, out, (a, w, b), _dense_vjp, (ad, wd, bd, act, omega0, saved))
+
+
+def _chain_rows(dd: np.ndarray, scale) -> np.ndarray:
+    """``scale * d`` as (B, 1, h) rows, rounded like the mul/reshape pair."""
+    if scale is not None:
+        dd = scale * dd
+    return dd.reshape(dd.shape[0], 1, dd.shape[1])
+
+
+def _chain_vjp(p, gd, dd, wd, scale):
+    # each operand's adjoint reads the other two
+    sg, sd = gd.shape, dd.shape
+    if p[1] < 0 and p[2] < 0:
+        gd = None
+    if p[0] < 0 and p[2] < 0:
+        dd = None
+    if p[0] < 0 and p[1] < 0:
+        wd = None
+
+    def backward(a, p):
+        # the w adjoint first, so the rebuilt product is freed before the
+        # grid-size adjoints are built
+        gw = None
+        if p[2] >= 0:
+            gw = _mm_grad_b(a, gd * _chain_rows(dd, scale)).T
+        if p[0] < 0 and p[1] < 0:
+            return None, None, gw
+        # the adjoint of the product, overwritten by g's once d's has read it
+        gp = _mm(a, wd)
+        gdd = gg = None
+        if p[1] >= 0:
+            gdd = _unbroadcast(gp * gd, (sd[0], 1, sd[1])).reshape(sd)
+            if scale is not None:
+                gdd *= scale
+        if p[0] >= 0:
+            gg = _unbroadcast(np.multiply(gp, _chain_rows(dd, scale), out=gp), sg)
+        return gg, gdd, gw
+
+    return backward
+
+
+def chain(g, d, w, scale: float | None = None) -> Tensor:
+    """One layer of a seeded reverse Jacobian chain,
+    ``(g * (scale d)[:, None, :]) @ w^T`` for g of shape (r, h) or
+    (B, r, h), d of shape (B, h) and w of shape (n, h), as one node
+    labelled ``matmul``.
+
+    The node keeps g, d and w only, never their product or scale d, and
+    rounds exactly like the mul/reshape/mul/transpose/matmul chain it
+    replaces.
+    """
+    g, d, w = tensor(g), tensor(d), tensor(w)
+    _no_tangents("chain", (g, d, w))
+    gd, dd, wd = g.data, d.data, w.data
+    if (dd.ndim != 2 or gd.ndim not in (2, 3) or gd.shape[-1] != dd.shape[1]
+            or (gd.ndim == 3 and gd.shape[0] != dd.shape[0])):
+        raise ShapeError(f"chain needs g (r, h) or (B, r, h) and d (B, h), got {gd.shape} "
+                         f"and {dd.shape}")
+    _check_matmul(gd, wd.T)
+    out = _mm(gd * _chain_rows(dd, scale), wd.T)
+    return _emit("matmul", out, (g, d, w), _chain_vjp, (gd, dd, wd, scale))
 
 
 def _axpy_vjp(p, xd, c, kd):

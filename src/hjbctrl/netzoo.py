@@ -15,7 +15,9 @@ Every layer is one ``diffkit.dense`` node (matmul, bias and activation
 fused); only a sine layer whose derivative is needed keeps a separate
 ``sincos`` node.  Input derivatives come from one reverse chain seeded with
 a matrix S that returns S . dy/dx, exact (layer-wise chain rule): the
-identity seed gives the Jacobian and a row seed v gives the vjp.
+identity seed gives the Jacobian and a row seed v gives the vjp.  The chain
+records one ``diffkit.chain`` node per hidden layer; a sine layer hands it
+its cos node and omega0, so omega0 cos is never stored.
 """
 
 from __future__ import annotations
@@ -193,28 +195,30 @@ def value_net(d: int, hidden=(64, 64, 64), seed: int = 0) -> Mlp:
 
 
 def _hidden_layer(net: Mlp, a: Tensor, w: Tensor, b: Tensor,
-                  want_deriv: bool) -> tuple[Tensor, Tensor | None]:
+                  want_deriv: bool) -> tuple[Tensor, tuple | None]:
     """One hidden layer's activation and (optionally) its derivative with
-    respect to the pre-activation z = a @ w + b.
+    respect to the pre-activation z = a @ w + b, as a pair (d, scale) for
+    ``diffkit.chain``: the derivative is scale * d, or d if scale is None.
 
     Without the derivative, sine and tanh layers are one fused node.  The
     derivative of a tanh layer comes from that node's output; a sine layer
-    that needs one is a fused linear node followed by sincos(omega0 z).
+    that needs one is a fused linear node followed by sincos(omega0 z), and
+    its derivative is the cos node scaled by omega0.
     """
     act = net.activation
     if act == "tanh":
         t = dk.dense(a, w, b, "tanh")
-        return t, (1.0 - t * t) if want_deriv else None
+        return t, (1.0 - t * t, None) if want_deriv else None
     if act == "sine" and not want_deriv:
         return dk.dense(a, w, b, "sine", net.omega0), None
     z = dk.dense(a, w, b)
     if act == "sine":
         s, c = dk.sincos(net.omega0 * z)
-        return s, net.omega0 * c
+        return s, (c, net.omega0)
     h = dk.relu(z)
     if want_deriv:
         # a.e. constant step function, so it enters the tape as a constant
-        return h, dk.tensor((z.data > 0.0).astype(np.float64))
+        return h, (dk.tensor((z.data > 0.0).astype(np.float64)), None)
     return h, None
 
 
@@ -230,7 +234,7 @@ def _forward_core(net: Mlp, x, seed=None) -> tuple[Tensor, Tensor | None]:
     batch = x.shape[0]
 
     a = x
-    derivs: list[Tensor] = []
+    derivs: list[tuple] = []
     for i in range(len(ws) - 1):
         if net.skip_connections and i > 0:
             a = dk.concat([a, x], axis=-1)
@@ -251,8 +255,8 @@ def _forward_core(net: Mlp, x, seed=None) -> tuple[Tensor, Tensor | None]:
     g = dk.matmul(seed, dk.transpose(ws[-1]))
     jac = None
     for i in range(len(derivs) - 1, -1, -1):
-        d = derivs[i]
-        g = dk.matmul(g * dk.reshape(d, (batch, 1, d.shape[-1])), dk.transpose(ws[i]))
+        d, scale = derivs[i]
+        g = dk.chain(g, d, ws[i], scale)
         if net.skip_connections and i > 0:
             # the tail columns are the skip input's share of d(out)/dx
             width = ws[i - 1].shape[1]

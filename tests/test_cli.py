@@ -124,6 +124,24 @@ def test_x0_with_negative_first_coordinate_takes_either_spelling(tiny_config, tm
 
 
 @pytest.mark.parametrize("argv, message", [
+    pytest.param(["eval", "--export-trajectories", -3], "--export-trajectories must be between 0",
+                 id="negative-export"),
+    pytest.param(["eval", "--export-trajectories", 8, "--starts", 5],
+                 "--export-trajectories must be between 0 and the 5", id="export-beyond-starts"),
+    pytest.param(["train", "--log-every", -5], "--log-every must be >= 0", id="negative-log-every"),
+])
+def test_out_of_range_flag_is_a_usage_error(argv, message, tiny_config, tmp_path, capsys):
+    train_dir = tmp_path / "train"
+    assert run("train", "--config", tiny_config, "--outdir", train_dir) == cli.EXIT_OK
+    if argv[0] == "eval":
+        argv = argv + ["--controller", train_dir / "controller_dubins.json"]
+    out = tmp_path / "out"
+    assert run(*argv, "--config", tiny_config, "--outdir", out) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, message", [
     pytest.param(["--preset", "no_such_preset"], "unknown preset 'no_such_preset'",
                  id="unknown-preset"),
     pytest.param(["--config", "{tmp}/missing.json"], "config file not found", id="missing-file"),

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -457,14 +458,18 @@ LAYER_LABELS = {"sine": "sin", "tanh": "tanh", "linear": "matmul"}
 
 @pytest.mark.parametrize("act", sorted(LAYER_LABELS))
 def test_dense_is_bitwise_the_chain_it_fuses(act, rng):
-    arrays = (rng.normal(size=(6, 4)), rng.normal(size=(4, 5)), rng.normal(size=(5,)))
-    proj = rng.normal(size=(6, 5))
-    y, grads, ops = value_grads_ops(lambda a, w, b: dk.dense(a, w, b, act, 3.0), arrays, proj)
-    y_ref, grads_ref, _ = value_grads_ops(layer_chain(act, 3.0), arrays, proj)
-    assert ops == [LAYER_LABELS[act]]
-    assert np.array_equal(y, y_ref)
-    for g, g_ref in zip(grads, grads_ref):
-        assert np.array_equal(g, g_ref)
+    # a narrower input than output (a sine layer keeps the input) and a wider one
+    for fan_in, fan_out in ((4, 5), (5, 4)):
+        arrays = (rng.normal(size=(6, fan_in)), rng.normal(size=(fan_in, fan_out)),
+                  rng.normal(size=(fan_out,)))
+        proj = rng.normal(size=(6, fan_out))
+        y, grads, ops = value_grads_ops(lambda a, w, b: dk.dense(a, w, b, act, 3.0), arrays,
+                                        proj)
+        y_ref, grads_ref, _ = value_grads_ops(layer_chain(act, 3.0), arrays, proj)
+        assert ops == [LAYER_LABELS[act]]
+        assert np.array_equal(y, y_ref)
+        for g, g_ref in zip(grads, grads_ref):
+            assert np.array_equal(g, g_ref)
 
 
 @pytest.mark.parametrize("act", sorted(LAYER_LABELS))
@@ -477,6 +482,76 @@ def test_dense_gradients_match_central_differences(act, rng):
             args = [v if j == i else x for j, x in enumerate(arrays)]
             return float((dk.dense(*args, act, 1.5).data * proj).sum())
         assert rel_err(g, fd_grad(at, arrays[i], h=1e-6)) < 1e-7
+
+
+def chain_unfused(g, d, w, scale=None):
+    """The mul/reshape/mul/transpose/matmul chain that dk.chain fuses."""
+    if scale is not None:
+        d = scale * d
+    return dk.matmul(g * dk.reshape(d, (d.shape[0], 1, d.shape[1])), dk.transpose(w))
+
+
+# g of shape (B, r, h) or (r, h) for a stack of r = 1 or 3 rows, d (B, h), w (n, h)
+CHAIN_G_SHAPES = [(6, 1, 4), (6, 3, 4), (1, 4), (3, 4)]
+
+
+def chain_arrays(g_shape, rng):
+    return rng.normal(size=g_shape), rng.normal(size=(6, 4)), rng.normal(size=(5, 4))
+
+
+@pytest.mark.parametrize("scale", [None, 2.5])
+@pytest.mark.parametrize("g_shape", CHAIN_G_SHAPES)
+def test_chain_is_bitwise_the_chain_it_fuses(g_shape, scale, rng):
+    arrays = chain_arrays(g_shape, rng)
+    proj = rng.normal(size=(6, g_shape[-2], 5))
+    y, grads, ops = value_grads_ops(lambda g, d, w: dk.chain(g, d, w, scale), arrays, proj)
+    y_ref, grads_ref, _ = value_grads_ops(lambda g, d, w: chain_unfused(g, d, w, scale),
+                                          arrays, proj)
+    assert ops == ["matmul"]
+    assert np.array_equal(y, y_ref)
+    for g, g_ref in zip(grads, grads_ref):
+        assert np.array_equal(g, g_ref)
+
+
+@pytest.mark.parametrize("tracked", [(True, False, False), (False, True, False),
+                                     (False, False, True), (True, True, False)])
+def test_chain_adjoints_of_a_partly_tracked_layer_are_bitwise(tracked, rng):
+    arrays = chain_arrays((6, 3, 4), rng)
+    proj = rng.normal(size=(6, 3, 5))
+
+    def grads(fn):
+        tape = dk.Tape()
+        with tape:
+            ops = [tape.leaf(x) if t else x for x, t in zip(arrays, tracked)]
+            out = dk.sum_(fn(*ops, 2.5) * proj)
+        leaves = [x for x, t in zip(ops, tracked) if t]
+        g = dk.grad(out, leaves)
+        return [g[leaf].data for leaf in leaves]
+
+    for g, g_ref in zip(grads(dk.chain), grads(chain_unfused), strict=True):
+        assert np.array_equal(g, g_ref)
+
+
+@pytest.mark.parametrize("scale", [None, 1.5])
+@pytest.mark.parametrize("g_shape", [(3, 2, 4), (2, 4)])
+def test_chain_gradients_match_central_differences(g_shape, scale, rng):
+    arrays = (rng.normal(size=g_shape), rng.normal(size=(3, 4)), rng.normal(size=(2, 4)))
+    proj = rng.normal(size=(3, g_shape[-2], 2))
+    _, grads, _ = value_grads_ops(lambda g, d, w: dk.chain(g, d, w, scale), arrays, proj)
+    for i, g in enumerate(grads):
+        def at(v, i=i):
+            args = [v if j == i else x for j, x in enumerate(arrays)]
+            return float((dk.chain(*args, scale).data * proj).sum())
+        assert rel_err(g, fd_grad(at, arrays[i], h=1e-6)) < 1e-7
+
+
+def test_chain_rejects_bad_shapes():
+    with pytest.raises(dk.ShapeError):
+        dk.chain(np.ones((6, 1, 4)), np.ones((5, 4)), np.ones((2, 4)))  # batch 6 vs 5
+    with pytest.raises(dk.ShapeError):
+        dk.chain(np.ones((6, 1, 4)), np.ones((6, 3)), np.ones((2, 4)))
+    with pytest.raises(dk.ShapeError):
+        dk.chain(np.ones((6, 1, 4)), np.ones((6, 4)), np.ones((2, 3)))
 
 
 def test_dense_rejects_unknown_activation_and_bad_shapes():
@@ -493,6 +568,9 @@ def test_fused_primitives_have_no_tangent_rule(rng):
                [(np.ones_like(x0),)])
     with pytest.raises(dk.DiffkitError, match="axpy"):
         dk.jvp(lambda a: dk.axpy(a, 0.5, a), (x0,), [(np.ones_like(x0),)])
+    with pytest.raises(dk.DiffkitError, match="chain"):
+        dk.jvp(lambda g: dk.chain(g, np.ones((4, 3)), np.ones((2, 3)), 2.0), (x0,),
+               [(np.ones_like(x0),)])
 
 
 # op -> a function of three (3, 3) operands
@@ -503,6 +581,8 @@ SKIP_CASES = {
     "div": lambda a, b, c: dk.div(a, b),
     "matmul": lambda a, b, c: dk.matmul(a, dk.transpose(b)),
     "dense": lambda a, b, c: dk.dense(a, dk.transpose(b), c[0], "sine", 2.0),
+    "dense_narrow_input": lambda a, b, c: dk.dense(a[:, :2], b[:2], c[0], "sine", 2.0),
+    "chain": lambda a, b, c: dk.chain(a, b, c, 2.0),
     "axpy": lambda a, b, c: dk.axpy(a, 0.25, b),
     "rk4_combine": lambda a, b, c: dk.rk4_combine(a, 0.1, b, a, b, a),
     "concat": lambda a, b, c: dk.concat([a, b, c], axis=0),
@@ -588,10 +668,58 @@ def test_dense_keeps_its_input_only_for_a_tracked_weight(act, rng):
             y = dk.dense(a, w, b0, act, 2.0)
             del a
             out = dk.sum_(y)
-        # with frozen weights no adjoint reads the layer's input
+        # with frozen weights no adjoint reads an input wider than the output
         assert (input_ref() is not None) == weights_tracked
         dk.grad(out, [x])
         assert input_ref() is None
+
+
+def kept_bytes(fn, arrays) -> int:
+    """Traced bytes that the nodes ``fn`` records on leaves of ``arrays``
+    keep once its output is dropped."""
+    tape = dk.Tape()
+    with tape:
+        leaves = [tape.leaf(x) for x in arrays]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = fn(*leaves)
+            del y
+            return tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scale", [None, 2.0])
+def test_chain_never_keeps_the_product_of_g_and_d(scale, rng):
+    g0, d0, w0 = rng.normal(size=(500, 1, 64)), rng.normal(size=(500, 64)), rng.normal(size=(8, 64))
+    product = g0.nbytes
+    # the unfused chain keeps g * d for w's adjoint, and scale * d for g's
+    assert kept_bytes(lambda g, d, w: chain_unfused(g, d, w, scale), (g0, d0, w0)) >= product
+    # the fused node keeps g, d and w, which exist already
+    assert kept_bytes(lambda g, d, w: dk.chain(g, d, w, scale), (g0, d0, w0)) < product // 10
+
+
+@pytest.mark.parametrize("weights_tracked", [False, True])
+def test_a_sine_layer_keeps_its_narrower_input_not_omega0_z(weights_tracked, rng):
+    a0, w0, b0 = rng.normal(size=(500, 3)), rng.normal(size=(3, 64)), rng.normal(size=(64,))
+    tape = dk.Tape()
+    with tape:
+        x = tape.leaf(a0)
+        w = tape.leaf(w0) if weights_tracked else w0
+        a = x + 1.0  # a node that keeps shapes only
+        input_ref = weakref.ref(a.data)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = dk.dense(a, w, b0, "sine", 2.0)
+            del a, y
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+    assert input_ref() is not None
+    # omega0 z, (500, 64), is not kept; the input, (500, 3), existed already
+    assert kept < 500 * 64 * 8 // 10
 
 
 @pytest.mark.parametrize("op", [dk.mul, dk.matmul])

@@ -1,10 +1,10 @@
-"""Memory guards: tracemalloc's peak over small training runs.
+"""Memory guards: tracemalloc's peak over small training and evaluation runs.
 
 The peaks count every array numpy allocates (numpy reports its buffers to
 tracemalloc).  Each bound is the value measured on Python 3.11 with numpy
-2.4 plus a 10% margin; the peak before the tape kept only what its adjoints
-read is given next to it.  A bound that fails means a change keeps more of
-a step alive than before, not that the margin needs widening.
+2.4 plus a 10% margin; earlier peaks of the same run are given next to it.
+A bound that fails means a change keeps more of a step alive than before,
+not that the margin needs widening.
 """
 
 import tracemalloc
@@ -12,6 +12,7 @@ import tracemalloc
 from hjbctrl import dynzoo as dz
 from hjbctrl import hjbtrain as hj
 from hjbctrl import netzoo as nz
+from hjbctrl import rollout as ro
 from hjbctrl import sysid as si
 
 
@@ -28,12 +29,30 @@ def traced_peak_mb(fn) -> float:
 
 
 def test_learned_hjb_step_peak(tmp_path):
-    # measured 14.8 MB (23.5 MB when every node kept its inputs)
+    # measured 12.0 MB (14.8 MB before the Jacobian chain kept one node per
+    # layer, 23.5 MB when every node kept its inputs)
     spec = dz.make_system("dubins")
     path = tmp_path / "ftheta.json"
     nz.save(nz.dynamics_net(spec.d, spec.m, omega0=8.0, seed=0), path)
     cfg = hj.HjbConfig(epochs=1, batch=32, K=20, transition=str(path))
-    assert traced_peak_mb(lambda: hj.train_controller(spec, cfg)) < 16.3
+    assert traced_peak_mb(lambda: hj.train_controller(spec, cfg)) < 13.2
+
+
+def test_analytic_hjb_step_peak():
+    # measured 6.64 MB (6.90 MB before the Jacobian chain kept one node per layer)
+    spec = dz.make_system("dubins")
+    cfg = hj.HjbConfig(epochs=1, batch=32, K=20)
+    assert traced_peak_mb(lambda: hj.train_controller(spec, cfg)) < 7.3
+
+
+def test_evaluation_peak_does_not_grow_with_starts():
+    # measured 14.6 MB at 20k starts (108.5 MB when they were one batch)
+    spec = dz.make_system("dubins")
+    controller = nz.controller_net(spec.d, spec.action_box.lo, spec.action_box.hi,
+                                   hidden=(16,), seed=0)
+    peak = traced_peak_mb(lambda: ro.evaluate(spec, controller, n_starts=20_000, seed=0,
+                                              K=50, threshold=0.15))
+    assert peak < 16.1
 
 
 def test_sobolev_sysid_peak():

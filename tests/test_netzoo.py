@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -189,6 +190,22 @@ def test_vjp_output_is_the_forward_value(activation, rng):
     x = rng.uniform(-1, 1, size=(8, 3))
     y, _ = nz.vjp(net, x, rng.normal(size=(8, 2)))
     assert np.array_equal(y.data, nz.forward(net, x).data)
+
+
+def test_the_reverse_chain_records_one_node_per_layer(rng):
+    net = small_net("tanh", seed=3)  # two hidden layers, linear output
+
+    def ops(fn):
+        tape = dk.Tape()
+        with tape:
+            fn(net.with_params([tape.leaf(p) for p in net.params()]), tape.leaf(x))
+        return Counter(node.op for node in tape.nodes)
+
+    x = rng.uniform(-1, 1, size=(5, 3))
+    extra = ops(nz.forward_with_jacobian) - ops(nz.forward)
+    # per hidden layer 1 - t * t and one chain node; the output layer's
+    # transpose and matmul start the chain
+    assert extra == Counter({"mul": 2, "sub": 2, "matmul": 3, "transpose": 1})
 
 
 def test_vjp_dim_mismatch():
