@@ -11,6 +11,8 @@ differentiates through them:
   every primitive also pushes one tangent per requested direction, built
   from primitives (Griewank & Walther, *Evaluating Derivatives*, ch. 3).
   This is how the dynamics Jacobians of ``dynzoo`` are derived from f.
+  Each primitive hands its own tangent rule (a module-level ``_t_*``
+  function) to the op recorder; a primitive without one refuses a tangent.
 
 Tensors are immutable values.  Ops executed while a tape is active record
 themselves; ops on plain constants evaluate eagerly and record nothing,
@@ -21,11 +23,12 @@ node's backward computes adjoints only for the inputs that are on the tape
 Every op lifts its operands with :func:`tensor`, which returns a tensor
 unchanged and wraps anything else as a float64 constant without checking
 it; :meth:`Tape.leaf` is where inputs are checked, and it rejects
-non-finite data.  :func:`matmul`, and the product inside :func:`dense`,
-takes a matrix (m, k) or a stack of matrices (B, m, k) on the left and a
-matrix (k, n) on the right; any other layout raises :class:`ShapeError`.
-:func:`grad` adds the contributions to each adjoint left to right in the
-order they arrive, whatever their size.
+non-finite data.  :func:`sin` and :func:`cos` are the two halves of
+:func:`sincos`, the one trig primitive.  :func:`matmul`, and the product
+inside :func:`dense`, takes a matrix (m, k) or a stack of matrices
+(B, m, k) on the left and a matrix (k, n) on the right; any other layout
+raises :class:`ShapeError`.  :func:`grad` adds the contributions to each
+adjoint left to right in the order they arrive, whatever their size.
 
 Retention rule: a node keeps an array only while an adjoint reads it.
 When a node is recorded, it decides from which of its inputs are tracked
@@ -51,12 +54,12 @@ network's seeded reverse Jacobian chain, which keeps g, d and w but never
 their product; :func:`axpy`, an RK4 stage input ``x + c k``; and
 :func:`rk4_combine`, the RK4 update.  Each rounds exactly like the chain
 of primitives it replaces, so results are bitwise those of the chain.
-They carry the label of an existing op (``sin``, ``tanh`` or ``matmul``
-for a layer, after its activation; ``matmul`` for a chain layer; ``add``
-for the RK4 nodes) rather than names of their own, so a tally of the tape
-over the fixed list of op names, such as the benchmark's traced op table,
-still accounts for every node; a fused layer's backward time lands in its
-activation's row.  They have no tangent rule.
+Their nodes carry the label of an existing op (``sin``, ``tanh`` or
+``matmul`` for a layer, after its activation; ``matmul`` for a chain
+layer; ``add`` for the RK4 nodes), so a tally of the tape over the fixed
+list of op names, such as the benchmark's traced op table, still accounts
+for every node; a fused layer's backward time lands in its activation's
+row.  They have no tangent rule, and refuse a tangent under their own name.
 """
 
 from __future__ import annotations
@@ -260,14 +263,17 @@ def tensor(data) -> Tensor:
 
 
 def _emit(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], vjp,
-          args: tuple = (), aux=None) -> Tensor:
+          args: tuple = (), tangent=None, aux=None, name: str | None = None) -> Tensor:
     """Record the op if any input is tracked on the active tape; inside
-    :func:`jvp`, also push the output's tangents (``aux`` is the op's
-    static argument that its tangent rule needs: an index or an axis).
+    :func:`jvp`, also push the output's tangents.
 
     ``vjp(parents, *args)`` builds the node's backward closure.  It is
     called only when the node is recorded, with the parent mask, so the
     closure keeps only the arrays that the adjoints of tracked inputs read.
+    ``tangent(out, inputs, tangents, aux)``, the op's module-level tangent
+    rule, maps the inputs' tangents to the output's; ``aux`` is its static
+    argument (an index or an axis).  An op without a rule refuses a tangent,
+    naming itself ``name`` (default ``op``).
     """
     t = Tensor(out)
     tape = _ACTIVE_TAPE
@@ -287,7 +293,7 @@ def _emit(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], vjp,
             parents = tuple(parents)
             nodes.append(_Node(op, parents, vjp(parents, *args)))
     if _JVP is not None:
-        _JVP.push(op, t, inputs, aux)
+        _JVP.push(name or op, t, inputs, tangent, aux)
     return t
 
 
@@ -304,10 +310,36 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _plus(a, b):
+    """Sum of two tangents, either of which may be None (zero)."""
+    if a is None:
+        return b
+    return a if b is None else add(a, b)
+
+
+def _fit(t, out: Tensor):
+    """Broadcast a tangent to the shape of the value it belongs to."""
+    if t is None or t.data.shape == out.data.shape:
+        return t
+    return add(t, np.zeros(out.data.shape))
+
+
+def _nonzero(t):
+    """None for a constant all-zero tangent, so later rules can skip it."""
+    if t is None or (t.tape is None and not t.data.any()):
+        return None
+    return t
+
+
+def _t_scaled(out, ins, tans, w: Tensor) -> list:
+    """The rule of an elementwise op whose derivative is ``w``."""
+    return [None if da is None else mul(da, w) for da in tans[0]]
+
+
 # ---------------------------------------------------------------------------
-# Primitive ops: each hands _emit a module-level ``*_vjp`` factory and the
-# arrays its adjoints may read; the factory drops those no tracked input's
-# adjoint reads before it builds the closure.
+# Primitive ops: each hands _emit a module-level ``*_vjp`` factory, the
+# arrays its adjoints may read (the factory drops those no tracked input's
+# adjoint reads) and its tangent rule ``_t_*``, if it has one.
 # ---------------------------------------------------------------------------
 
 
@@ -323,9 +355,13 @@ def _add_vjp(p, ad, bd):
     return backward
 
 
+def _t_add(out, ins, tans, aux):
+    return [_fit(_plus(da, db), out) for da, db in zip(*tans)]
+
+
 def add(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
-    return _emit("add", a.data + b.data, (a, b), _add_vjp, (a.data, b.data))
+    return _emit("add", a.data + b.data, (a, b), _add_vjp, (a.data, b.data), _t_add)
 
 
 def _sub_vjp(p, ad, bd):
@@ -340,9 +376,14 @@ def _sub_vjp(p, ad, bd):
     return backward
 
 
+def _t_sub(out, ins, tans, aux):
+    return [_fit(da if db is None else neg(db) if da is None else sub(da, db), out)
+            for da, db in zip(*tans)]
+
+
 def sub(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
-    return _emit("sub", a.data - b.data, (a, b), _sub_vjp, (a.data, b.data))
+    return _emit("sub", a.data - b.data, (a, b), _sub_vjp, (a.data, b.data), _t_sub)
 
 
 def _mul_vjp(p, ad, bd):
@@ -362,9 +403,15 @@ def _mul_vjp(p, ad, bd):
     return backward
 
 
+def _t_mul(out, ins, tans, aux):
+    a, b = ins
+    return [_plus(None if da is None else mul(da, b), None if db is None else mul(a, db))
+            for da, db in zip(*tans)]
+
+
 def mul(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
-    return _emit("mul", a.data * b.data, (a, b), _mul_vjp, (a.data, b.data))
+    return _emit("mul", a.data * b.data, (a, b), _mul_vjp, (a.data, b.data), _t_mul)
 
 
 def _div_vjp(p, ad, bd):
@@ -381,18 +428,30 @@ def _div_vjp(p, ad, bd):
     return backward
 
 
+def _t_div(out, ins, tans, aux):
+    # d(a / b) = da / b + db * (-(a / b) / b)
+    a, b = ins
+    w = neg(div(out, b)) if any(db is not None for db in tans[1]) else None
+    return [_plus(None if da is None else div(da, b), None if db is None else mul(db, w))
+            for da, db in zip(*tans)]
+
+
 def div(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
-    return _emit("div", a.data / b.data, (a, b), _div_vjp, (a.data, b.data))
+    return _emit("div", a.data / b.data, (a, b), _div_vjp, (a.data, b.data), _t_div)
 
 
 def _neg_vjp(p):
     return lambda g, p: (-g,)
 
 
+def _t_neg(out, ins, tans, aux):
+    return [None if da is None else neg(da) for da in tans[0]]
+
+
 def neg(a) -> Tensor:
     a = tensor(a)
-    return _emit("neg", -a.data, (a,), _neg_vjp)
+    return _emit("neg", -a.data, (a,), _neg_vjp, (), _t_neg)
 
 
 def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -446,14 +505,6 @@ def matmul(a, b) -> Tensor:
 # Unary elementwise ops: ``(g * w,)`` or a variant, for the one array w
 # that the adjoint reads (the input or the output).
 
-def _sin_vjp(p, ad):
-    return lambda g, p: (g * np.cos(ad),)
-
-
-def _cos_vjp(p, ad):
-    return lambda g, p: (-g * np.sin(ad),)
-
-
 def _times_vjp(p, w):
     return lambda g, p: (g * w,)
 
@@ -462,24 +513,16 @@ def _neg_times_vjp(p, w):
     return lambda g, p: (-g * w,)
 
 
-def sin(a) -> Tensor:
-    a = tensor(a)
-    return _emit("sin", np.sin(a.data), (a,), _sin_vjp, (a.data,))
-
-
-def cos(a) -> Tensor:
-    a = tensor(a)
-    return _emit("cos", np.cos(a.data), (a,), _cos_vjp, (a.data,))
+def _t_cos(out, ins, tans, sin_out):
+    return _t_scaled(out, ins, tans, neg(sin_out))
 
 
 def sincos(a) -> tuple[Tensor, Tensor]:
-    """(sin(a), cos(a)) with one transcendental pass each; the backward of
-    either node, and inside :func:`jvp` the tangent of either, reuses the
-    other's forward value instead of recomputing it."""
+    """(sin(a), cos(a)), one transcendental pass each; either node's backward
+    and tangent reuse the other's value, so tangents are pushed after both."""
     global _JVP
     a = tensor(a)
-    sv = np.sin(a.data)
-    cv = np.cos(a.data)
+    sv, cv = np.sin(a.data), np.cos(a.data)
     tangents, _JVP = _JVP, None
     try:
         s = _emit("sin", sv, (a,), _times_vjp, (cv,))
@@ -487,10 +530,17 @@ def sincos(a) -> tuple[Tensor, Tensor]:
     finally:
         _JVP = tangents
     if tangents is not None:
-        # each tangent rule takes its sibling as the derivative factor
-        tangents.push("sin", s, (a,), c)
-        tangents.push("cos", c, (a,), s)
+        tangents.push("sin", s, (a,), _t_scaled, c)
+        tangents.push("cos", c, (a,), _t_cos, s)
     return s, c
+
+
+def sin(a) -> Tensor:
+    return sincos(a)[0]
+
+
+def cos(a) -> Tensor:
+    return sincos(a)[1]
 
 
 def _tanh_vjp(p, out):
@@ -532,9 +582,13 @@ def _square_vjp(p, ad):
     return lambda g, p: (g * (2.0 * ad),)
 
 
+def _t_square(out, ins, tans, aux):
+    return _t_scaled(out, ins, tans, mul(2.0, ins[0]))
+
+
 def square(a) -> Tensor:
     a = tensor(a)
-    return _emit("square", a.data * a.data, (a,), _square_vjp, (a.data,))
+    return _emit("square", a.data * a.data, (a,), _square_vjp, (a.data,), _t_square)
 
 
 def _abs_vjp(p, ad):
@@ -592,10 +646,16 @@ def _concat_vjp(p, ts, axis):
     return backward
 
 
+def _t_concat(out, ins, tans, axis):
+    return [None if all(t is None for t in ts) else
+            concat([np.zeros(x.shape) if t is None else t for x, t in zip(ins, ts)], axis=axis)
+            for ts in zip(*tans)]
+
+
 def concat(ts: Sequence, axis: int = -1) -> Tensor:
     ts = [tensor(t) for t in ts]
     out = np.concatenate([t.data for t in ts], axis=axis)
-    return _emit("concat", out, tuple(ts), _concat_vjp, (ts, axis), axis)
+    return _emit("concat", out, tuple(ts), _concat_vjp, (ts, axis), _t_concat, axis)
 
 
 def _stack_vjp(p, n, axis):
@@ -616,10 +676,14 @@ def _reshape_vjp(p, shape):
     return lambda g, p: (g.reshape(shape),)
 
 
+def _t_reshape(out, ins, tans, aux):
+    return [None if da is None else reshape(da, out.data.shape) for da in tans[0]]
+
+
 def reshape(a, shape) -> Tensor:
     a = tensor(a)
     out = a.data.reshape(tuple(shape))
-    return _emit("reshape", out, (a,), _reshape_vjp, (a.data.shape,))
+    return _emit("reshape", out, (a,), _reshape_vjp, (a.data.shape,), _t_reshape)
 
 
 def _transpose_vjp(p):
@@ -646,10 +710,14 @@ def _getitem_vjp(p, ad, key):
     return backward
 
 
+def _t_getitem(out, ins, tans, key):
+    return [None if da is None else _nonzero(getitem(da, key)) for da in tans[0]]
+
+
 def getitem(a, key) -> Tensor:
     """Basic indexing (ints, slices, tuples thereof); no advanced indexing."""
     a = tensor(a)
-    return _emit("getitem", a.data[key], (a,), _getitem_vjp, (a.data, key), key)
+    return _emit("getitem", a.data[key], (a,), _getitem_vjp, (a.data, key), _t_getitem, key)
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +726,6 @@ def getitem(a, key) -> Tensor:
 
 # layer activation -> the label of the last op of the chain the node replaces
 _LAYER_OPS = {"sine": "sin", "tanh": "tanh", "linear": "matmul"}
-
-
-def _no_tangents(name: str, inputs: tuple[Tensor, ...]) -> None:
-    """Fused primitives have no tangent rule: refuse a tangent-carrying input
-    inside :func:`jvp` instead of pushing the rule of their label."""
-    if _JVP is not None and any(id(t) in _JVP.of for t in inputs):
-        raise DiffkitError(f"jvp: op '{name}' has no tangent rule")
 
 
 def _dense_vjp(p, ad, wd, bd, act, omega0, saved):
@@ -711,7 +772,6 @@ def dense(a, w, b, act: str = "linear", omega0: float = 1.0) -> Tensor:
     if op is None:
         raise ValueError(f"unknown layer activation '{act}'")
     a, w, b = tensor(a), tensor(w), tensor(b)
-    _no_tangents("dense", (a, w, b))
     ad, wd, bd = a.data, w.data, b.data
     _check_matmul(ad, wd)
     z = _mm(ad, wd) + bd
@@ -722,7 +782,7 @@ def dense(a, w, b, act: str = "linear", omega0: float = 1.0) -> Tensor:
         out = saved = np.tanh(z)
     else:
         out, saved = z, None
-    return _emit(op, out, (a, w, b), _dense_vjp, (ad, wd, bd, act, omega0, saved))
+    return _emit(op, out, (a, w, b), _dense_vjp, (ad, wd, bd, act, omega0, saved), name="dense")
 
 
 def _chain_rows(dd: np.ndarray, scale) -> np.ndarray:
@@ -775,7 +835,6 @@ def chain(g, d, w, scale: float | None = None) -> Tensor:
     replaces.
     """
     g, d, w = tensor(g), tensor(d), tensor(w)
-    _no_tangents("chain", (g, d, w))
     gd, dd, wd = g.data, d.data, w.data
     if (dd.ndim != 2 or gd.ndim not in (2, 3) or gd.shape[-1] != dd.shape[1]
             or (gd.ndim == 3 and gd.shape[0] != dd.shape[0])):
@@ -783,7 +842,7 @@ def chain(g, d, w, scale: float | None = None) -> Tensor:
                          f"and {dd.shape}")
     _check_matmul(gd, wd.T)
     out = _mm(gd * _chain_rows(dd, scale), wd.T)
-    return _emit("matmul", out, (g, d, w), _chain_vjp, (gd, dd, wd, scale))
+    return _emit("matmul", out, (g, d, w), _chain_vjp, (gd, dd, wd, scale), name="chain")
 
 
 def _axpy_vjp(p, xd, c, kd):
@@ -802,8 +861,7 @@ def axpy(x, c: float, k) -> Tensor:
     """``x + c * k`` for a constant c as one node labelled ``add`` (an RK4
     stage input), rounded like the mul/add pair it replaces."""
     x, k = tensor(x), tensor(k)
-    _no_tangents("axpy", (x, k))
-    return _emit("add", x.data + c * k.data, (x, k), _axpy_vjp, (x.data, c, k.data))
+    return _emit("add", x.data + c * k.data, (x, k), _axpy_vjp, (x.data, c, k.data), name="axpy")
 
 
 def _rk4_vjp(p, c, s, *ins):
@@ -827,11 +885,10 @@ def rk4_combine(x, h: float, k1, k2, k3, k4) -> Tensor:
     """The RK4 update ``x + h/6 * (k1 + 2 k2 + 2 k3 + k4)`` as one node
     labelled ``add``, summed left to right like the chain it replaces."""
     ins = tuple(tensor(t) for t in (x, k1, k2, k3, k4))
-    _no_tangents("rk4_combine", ins)
     x, k1, k2, k3, k4 = (t.data for t in ins)
     c = h / 6.0
     s = k1 + 2.0 * k2 + 2.0 * k3 + k4
-    return _emit("add", x + c * s, ins, _rk4_vjp, (c, s, x, k1, k2, k3, k4))
+    return _emit("add", x + c * s, ins, _rk4_vjp, (c, s, x, k1, k2, k3, k4), name="rk4_combine")
 
 
 # ---------------------------------------------------------------------------
@@ -841,14 +898,11 @@ def rk4_combine(x, h: float, k1, k2, k3, k4) -> Tensor:
 _NORM_EPS = 1e-18  # keeps the norm differentiable at a zero residual
 
 
-def l2norm(a, axis: int = -1) -> Tensor:
-    """Euclidean norm along ``axis`` (epsilon-stabilized at zero)."""
+def l2norm(a, axis: int | tuple[int, ...] = -1) -> Tensor:
+    """Euclidean norm over ``axis``, one axis or several (``(-2, -1)`` gives
+    the Frobenius norm of each matrix of a stack); epsilon-stabilized at
+    zero."""
     return sqrt(sum_(square(a), axis=axis) + _NORM_EPS)
-
-
-def fronorm(a) -> Tensor:
-    """Frobenius norm over the last two axes."""
-    return sqrt(sum_(square(a), axis=(-2, -1)) + _NORM_EPS)
 
 
 def quadform(x, m) -> Tensor:
@@ -860,86 +914,6 @@ def quadform(x, m) -> Tensor:
 # ---------------------------------------------------------------------------
 # Forward (tangent) mode
 # ---------------------------------------------------------------------------
-
-
-def _plus(a, b):
-    """Sum of two tangents, either of which may be None (zero)."""
-    if a is None:
-        return b
-    return a if b is None else add(a, b)
-
-
-def _fit(t, out: Tensor):
-    """Broadcast a tangent to the shape of the value it belongs to."""
-    if t is None or t.data.shape == out.data.shape:
-        return t
-    return add(t, np.zeros(out.data.shape))
-
-
-def _nonzero(t):
-    """None for a constant all-zero tangent, so later rules can skip it."""
-    if t is None or (t.tape is None and not t.data.any()):
-        return None
-    return t
-
-
-def _t_add(out, ins, tans, aux):
-    return [_fit(_plus(da, db), out) for da, db in zip(*tans)]
-
-
-def _t_sub(out, ins, tans, aux):
-    return [
-        _fit(da if db is None else neg(db) if da is None else sub(da, db), out)
-        for da, db in zip(*tans)
-    ]
-
-
-def _t_mul(out, ins, tans, aux):
-    a, b = ins
-    return [
-        _plus(None if da is None else mul(da, b), None if db is None else mul(a, db))
-        for da, db in zip(*tans)
-    ]
-
-
-def _t_div(out, ins, tans, aux):
-    # d(a / b) = da / b + db * (-(a / b) / b)
-    a, b = ins
-    w = neg(div(out, b)) if any(db is not None for db in tans[1]) else None
-    return [
-        _plus(None if da is None else div(da, b), None if db is None else mul(db, w))
-        for da, db in zip(*tans)
-    ]
-
-
-def _scaled(w: Tensor, tans) -> list:
-    """Tangents of an elementwise op whose derivative is ``w``."""
-    return [None if da is None else mul(da, w) for da in tans[0]]
-
-
-_TANGENT_RULES = {
-    "add": _t_add,
-    "sub": _t_sub,
-    "mul": _t_mul,
-    "div": _t_div,
-    "neg": lambda out, ins, tans, aux: [None if da is None else neg(da) for da in tans[0]],
-    # aux is the sibling value when the node comes from sincos
-    "sin": lambda out, ins, tans, aux: _scaled(cos(ins[0]) if aux is None else aux, tans),
-    "cos": lambda out, ins, tans, aux: _scaled(neg(sin(ins[0]) if aux is None else aux), tans),
-    "square": lambda out, ins, tans, aux: _scaled(mul(2.0, ins[0]), tans),
-    "getitem": lambda out, ins, tans, aux: [
-        None if da is None else _nonzero(getitem(da, aux)) for da in tans[0]
-    ],
-    "reshape": lambda out, ins, tans, aux: [
-        None if da is None else reshape(da, out.data.shape) for da in tans[0]
-    ],
-    "concat": lambda out, ins, tans, aux: [
-        None if all(t is None for t in ts) else concat(
-            [np.zeros(x.data.shape) if t is None else t for x, t in zip(ins, ts)], axis=aux
-        )
-        for ts in zip(*tans)
-    ],
-}
 
 
 class _Tangents:
@@ -960,12 +934,11 @@ class _Tangents:
         if any(dt is not None for dt in tans):
             self.of[id(t)] = (t, tans)
 
-    def push(self, op: str, out: Tensor, inputs: tuple[Tensor, ...], aux) -> None:
+    def push(self, name: str, out: Tensor, inputs: tuple[Tensor, ...], rule, aux) -> None:
         if not any(id(t) in self.of for t in inputs):
             return
-        rule = _TANGENT_RULES.get(op)
         if rule is None:
-            raise DiffkitError(f"jvp: op '{op}' has no tangent rule")
+            raise DiffkitError(f"jvp: op '{name}' has no tangent rule")
         global _JVP
         _JVP = None  # the rule's own ops are plain (taped) primal arithmetic
         try:

@@ -78,6 +78,10 @@ class Obstacle:
     center: np.ndarray  # planar position
     radius: float
 
+    def __post_init__(self):
+        if self.center.shape != (2,) or not 0.0 < self.radius < np.inf:
+            raise ValueError(f"obstacles need a center [x, y] and a radius > 0, got {self}")
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -108,6 +112,12 @@ class SystemSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        d, m = self.d, self.m
+        for key, shape in (("P", (d, d)), ("R", (m, m)), ("Q", (d, d)), ("x_star", (d,)),
+                           ("u_star", (m,))):
+            value = getattr(self, key)
+            if value is not None and value.shape != shape:
+                raise ValueError(f"{key} must be {shape} for '{self.name}', got {value.shape}")
         # derive jac from f, again when replace() swaps f but not jac
         jac = self.jac
         if jac is None or (isinstance(jac, partial) and jac.func is jacobian
@@ -188,12 +198,21 @@ def _vec(cols) -> Tensor:
     return dk.concat([e if e.ndim == 2 else dk.reshape(e, (e.shape[0], 1)) for e in cols], axis=1)
 
 
+def _positive(p: dict, *keys: str) -> None:
+    """Reject tf or a parameter that f divides by unless finite and > 0."""
+    for key in keys:
+        value = np.asarray(p[key])
+        if value.dtype.kind not in "iuf" or not np.all((value > 0) & (value < np.inf)):
+            raise ValueError(f"{key} must be finite and > 0, got {p[key]!r}")
+
+
 # ---------------------------------------------------------------------------
 # Dubins car with varying speed
 # ---------------------------------------------------------------------------
 
 
 def _make_dubins(p: dict) -> SystemSpec:
+    _positive(p, "turn_radius")
     r = p["turn_radius"]
     v_max = p["v_max"]
 
@@ -229,6 +248,7 @@ def _make_dubins(p: dict) -> SystemSpec:
 
 
 def _make_cartpole(p: dict) -> SystemSpec:
+    _positive(p, "cart_mass", "pole_mass", "pole_half_length")
     mc, mp, lp, g = p["cart_mass"], p["pole_mass"], p["pole_half_length"], p["gravity"]
     mt = mc + mp
     k = mp * lp
@@ -326,6 +346,7 @@ def _make_acrobot(p: dict) -> SystemSpec:
 
 
 def _make_quadrotor(p: dict) -> SystemSpec:
+    _positive(p, "mass", "inertia")
     mass, g = p["mass"], p["gravity"]
     j1, j2, j3 = p["inertia"]
 
@@ -468,7 +489,8 @@ _COST_ARRAYS = ("P", "R", "Q", "x_star", "u_star")
 
 def make_system(name: str, overrides: dict | None = None) -> SystemSpec:
     """Build a registered system, optionally overriding physical parameters
-    (``tf`` among them), cost arrays and obstacles (``[[center, radius], ...]``)."""
+    (``tf`` among them), cost arrays and obstacles (``[[center, radius], ...]``);
+    a malformed override raises ValueError naming its key."""
     if name not in _MAKERS:
         raise KeyError(f"unknown system '{name}'; known: {', '.join(system_names())}")
     params = dict(_DEFAULT_PARAMS[name])
@@ -487,6 +509,7 @@ def make_system(name: str, overrides: dict | None = None) -> SystemSpec:
             fields[key] = np.asarray(value, dtype=np.float64)
         else:
             params[key] = value
+    _positive(params, "tf")
     params["tf"] = float(params["tf"])
     spec = _MAKERS[name](params)
     if fields.get("obstacles") and spec.position_slice is None:

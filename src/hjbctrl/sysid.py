@@ -46,8 +46,9 @@ class SysIdConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+        for name in ("batch", "n_test"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.n_train < self.batch:
             raise ValueError("dataset smaller than one batch")
         for name in ("lr", "lr_decay", "omega0", "jac_weight"):
@@ -96,7 +97,7 @@ def sysid_loss(
         return dk.mean_(dk.l2norm(netzoo.forward(net, z) - xdot, axis=-1))
     pred, jac = netzoo.forward_with_jacobian(net, z)
     loss = dk.mean_(dk.l2norm(pred - xdot, axis=-1))
-    return loss + jac_weight * dk.mean_(dk.fronorm(jac - jac_target))
+    return loss + jac_weight * dk.mean_(dk.l2norm(jac - jac_target, axis=(-2, -1)))
 
 
 def heldout_errors(net: netzoo.Mlp, data: Dataset) -> np.ndarray:

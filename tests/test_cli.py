@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from hjbctrl import cli, config, sysid
+from hjbctrl import cli, config, netzoo, sysid
 
 # tiny budgets: every command finishes in well under a second on dubins
 TINY = {
@@ -223,6 +223,35 @@ def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
     pytest.param("sysid", {"system": {"name": "cartpole",
                                       "overrides": {"obstacles": [[[0, 0], 0.5]]}}},
                  "system 'cartpole' has none", id="system-obstacles-without-position"),
+    pytest.param("sysid", {"system": {"name": "dubins", "overrides": {"R": [[1]]}}},
+                 "R must be (2, 2) for 'dubins', got (1, 1)", id="system-R-shape"),
+    pytest.param("sysid", {"system": {"name": "cartpole", "overrides": {"P": [1, 2, 3, 4]}}},
+                 "P must be (4, 4) for 'cartpole', got (4,)", id="system-P-shape"),
+    pytest.param("sysid", {"system": {"name": "dubins", "overrides": {"x_star": [0, 0]}}},
+                 "x_star must be (3,) for 'dubins', got (2,)", id="system-x-star-length"),
+    pytest.param("sysid", {"system": {"name": "dubins", "overrides": {"turn_radius": 0}}},
+                 "turn_radius must be finite and > 0, got 0", id="system-turn-radius-zero"),
+    pytest.param("sysid", {"system": {"name": "dubins", "overrides": {"turn_radius": "2"}}},
+                 "turn_radius must be finite and > 0, got '2'", id="system-turn-radius-string"),
+    pytest.param("sysid", {"system": {"name": "dubins", "overrides": {"tf": 0}}},
+                 "tf must be finite and > 0, got 0", id="system-tf-zero"),
+    pytest.param("sysid", {"system": {"name": "quadrotor", "overrides": {"mass": 0}}},
+                 "mass must be finite and > 0, got 0", id="system-quadrotor-mass-zero"),
+    pytest.param("sysid", {"system": {"name": "quadrotor",
+                                      "overrides": {"inertia": [0.01, 0, 0.02]}}},
+                 "inertia must be finite and > 0", id="system-quadrotor-inertia-zero"),
+    pytest.param("sysid", {"system": {"name": "cartpole",
+                                      "overrides": {"pole_half_length": 0}}},
+                 "pole_half_length must be finite and > 0", id="system-pole-half-length-zero"),
+    pytest.param("sysid", {"system": {"name": "dubins",
+                                      "overrides": {"obstacles": [[[0, 0, 0], 0.5]]}}},
+                 "obstacles need a center [x, y] and a radius > 0", id="system-obstacle-center"),
+    pytest.param("sysid", {"system": {"name": "dubins",
+                                      "overrides": {"obstacles": [[[0, 0], -1]]}}},
+                 "obstacles need a center [x, y] and a radius > 0",
+                 id="system-obstacle-radius-negative"),
+    pytest.param("sysid", {"sysid": {"n_test": 0}}, "n_test must be >= 1",
+                 id="sysid-n-test-zero"),
 ])
 def test_bad_config_section_is_a_usage_error(command, section, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -232,6 +261,14 @@ def test_bad_config_section_is_a_usage_error(command, section, message, tmp_path
     assert run(command, "--config", path, "--outdir", tmp_path / "out",
                *argv) == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+def test_controller_of_another_dimension_is_a_usage_error(tiny_config, tmp_path, capsys):
+    path = tmp_path / "controller.json"
+    netzoo.save(netzoo.controller_net(4, [-1.0], [1.0], hidden=(4,)), path)
+    assert run("eval", "--config", tiny_config, "--outdir", tmp_path / "out",
+               "--controller", path) == cli.EXIT_USAGE
+    assert "controller expects d=4, system 'dubins' has d=3" in capsys.readouterr().err
 
 
 def test_config_values_take_their_field_types():

@@ -245,7 +245,8 @@ def test_norm_helpers(rng):
     x0 = rng.normal(size=(4, 3))
     assert np.allclose(dk.l2norm(x0).data, np.linalg.norm(x0, axis=-1))
     m0 = rng.normal(size=(4, 2, 3))
-    assert np.allclose(dk.fronorm(m0).data, np.linalg.norm(m0.reshape(4, -1), axis=1))
+    assert np.allclose(dk.l2norm(m0, axis=(-2, -1)).data,
+                       np.linalg.norm(m0.reshape(4, -1), axis=1))
     p = np.array([[2.0, 0.5], [0.5, 1.0]])
     want = np.einsum("bi,ij,bj->b", x0[:, :2], p, x0[:, :2])
     assert np.allclose(dk.quadform(x0[:, :2], p).data, want)
@@ -399,15 +400,6 @@ def test_sincos_tangents_reuse_the_sibling_value(rng):
     # the heading's sincos pair and nothing more: the tangents of sin and
     # cos take each other's node instead of recomputing the trig
     assert (ops["sin"], ops["cos"], ops["neg"]) == (1, 1, 1)
-
-
-def test_sincos_tangents_are_bitwise_the_recomputed_ones(monkeypatch):
-    spec = dz.make_system("dubins")
-    got = dz.sample_dataset(spec, 20_000, seed=0)
-    # separate sin and cos nodes: each tangent rule recomputes the other value
-    monkeypatch.setattr(dk, "sincos", lambda a: (dk.sin(a), dk.cos(a)))
-    want = dz.sample_dataset(spec, 20_000, seed=0)
-    assert np.array_equal(got.jac, want.jac)
 
 
 def test_gradient_through_sincos_tangents_matches_fd(rng):
@@ -571,6 +563,17 @@ def test_fused_primitives_have_no_tangent_rule(rng):
     with pytest.raises(dk.DiffkitError, match="chain"):
         dk.jvp(lambda g: dk.chain(g, np.ones((4, 3)), np.ones((2, 3)), 2.0), (x0,),
                [(np.ones_like(x0),)])
+
+
+def test_an_op_refuses_a_tangent_unless_it_hands_over_a_rule(rng):
+    x0 = rng.normal(size=(2, 3))
+    with pytest.raises(dk.DiffkitError, match="rk4_combine"):
+        dk.jvp(lambda x: dk.rk4_combine(x, 0.1, x, x, x, x), (x0,), [(np.ones_like(x0),)])
+    # an op labelled "add" gets no rule from its label: d(x + 2 k) is not dx + dk
+    twice = lambda x, k: dk._emit("add", x.data + 2.0 * k.data, (x, k), dk._add_vjp,
+                                  (x.data, k.data))
+    with pytest.raises(dk.DiffkitError, match="'add' has no tangent rule"):
+        dk.jvp(twice, (x0, x0), [(np.ones_like(x0), np.ones_like(x0))])
 
 
 # op -> a function of three (3, 3) operands

@@ -363,3 +363,11 @@ def test_write_training_log(tmp_path):
     assert lines[0].startswith("# hjbctrl")
     assert lines[1].split(",") == hj.LOG_COLUMNS
     assert len(lines) == 2 + 2
+
+
+def test_non_finite_cost_weight_stops_training_naming_the_loss():
+    spec = replace(dz.make_system("dubins"), P=np.full((3, 3), np.inf))
+    cfg = hj.HjbConfig(epochs=2, batch=4, K=3, controller_hidden=(4,), value_hidden=(4,))
+    with pytest.raises(hj.TrainingDiverged, match="loss_cost became .* at epoch 0"), \
+            np.errstate(all="ignore"):
+        hj.train_controller(spec, cfg)

@@ -281,6 +281,50 @@ def test_checkpoint_shape_mismatch_errors(tmp_path):
         nz.load(path)
 
 
+# field -> a bad value for it (None deletes the field), and the error it raises
+@pytest.mark.parametrize("key, value, message", [
+    ("format_version", 99, "unsupported format_version 99"),
+    ("output_transform", {"kind": "sigmoid"}, "unknown output transform 'sigmoid'"),
+    ("activation", None, "missing field 'activation'"),
+    ("omega0", [1.0, 2.0], "corrupt checkpoint"),
+])
+def test_checkpoint_with_a_bad_field_errors(key, value, message, tmp_path):
+    path = tmp_path / "net.json"
+    nz.save(small_net(), path)
+    doc = json.loads(path.read_text())
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(nz.CheckpointError, match=message):
+        nz.load(path)
+
+
+def test_mlp_rejects_unknown_activation_and_unchained_layers():
+    layers = ((np.zeros((3, 8)), np.zeros(8)), (np.zeros((8, 2)), np.zeros(2)))
+    with pytest.raises(ValueError, match="unknown activation 'gelu'"):
+        nz.Mlp(layers=layers, activation="gelu")
+    unchained = ((np.zeros((3, 8)), np.zeros(8)), (np.zeros((7, 2)), np.zeros(2)))
+    with pytest.raises(ValueError, match="layer 1 expects fan_in 7, previous layer chains to 8"):
+        nz.Mlp(layers=unchained, activation="tanh")
+
+
+def test_with_params_rejects_the_wrong_count():
+    net = small_net()
+    with pytest.raises(ValueError, match="parameter count mismatch"):
+        net.with_params(net.params()[:-1])
+
+
+@pytest.mark.parametrize("box, message", [
+    (([-1.0], [1.0]), "box bounds must match the output dimension"),
+    (([-1.0, 1.0], [1.0, 1.0]), "box upper bounds must exceed lower bounds"),
+])
+def test_init_rejects_a_bad_output_box(box, message):
+    with pytest.raises(ValueError, match=message):
+        small_net(box=box)
+
+
 def test_checkpoint_survives_process_restart(tmp_path):
     net = nz.dynamics_net(3, 2, hidden=(16, 16), activation="sine", omega0=10.0, seed=0)
     path = tmp_path / "dyn.json"
