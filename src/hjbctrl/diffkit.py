@@ -10,7 +10,8 @@ differentiates through them:
 * :func:`jvp` runs a function in tangent (forward) mode: while it runs,
   every primitive also pushes one tangent per requested direction, built
   from primitives (Griewank & Walther, *Evaluating Derivatives*, ch. 3).
-  This is how the dynamics Jacobians of ``dynzoo`` are derived from f.
+  This is how ``dynzoo`` derives the dynamics Jacobians from f and the
+  u-gradients of the running cost and of the costate product v . f.
   Each primitive hands its own tangent rule (a module-level ``_t_*``
   function) to the op recorder; a primitive without one refuses a tangent.
 
@@ -272,8 +273,9 @@ def _emit(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], vjp,
     closure keeps only the arrays that the adjoints of tracked inputs read.
     ``tangent(out, inputs, tangents, aux)``, the op's module-level tangent
     rule, maps the inputs' tangents to the output's; ``aux`` is its static
-    argument (an index or an axis).  An op without a rule refuses a tangent,
-    naming itself ``name`` (default ``op``).
+    argument (an index, an axis, or a sum's axis and keepdims).  An op
+    without a rule refuses a tangent, naming itself ``name`` (default
+    ``op``).
     """
     t = Tensor(out)
     tape = _ACTIVE_TAPE
@@ -494,12 +496,18 @@ def _matmul_vjp(p, ad, bd):
     return backward
 
 
+def _t_matmul(out, ins, tans, aux):
+    a, b = ins
+    return [_plus(None if da is None else matmul(da, b), None if db is None else matmul(a, db))
+            for da, db in zip(*tans)]
+
+
 def matmul(a, b) -> Tensor:
     """``a @ b`` for a matrix b and a matrix or stack of matrices a."""
     a, b = tensor(a), tensor(b)
     ad, bd = a.data, b.data
     _check_matmul(ad, bd)
-    return _emit("matmul", _mm(ad, bd), (a, b), _matmul_vjp, (ad, bd))
+    return _emit("matmul", _mm(ad, bd), (a, b), _matmul_vjp, (ad, bd), _t_matmul)
 
 
 # Unary elementwise ops: ``(g * w,)`` or a variant, for the one array w
@@ -614,10 +622,16 @@ def _sum_vjp(p, shape, axis, keepdims, n=None):
     return backward
 
 
+def _t_sum(out, ins, tans, aux):
+    axis, keepdims = aux
+    return [None if da is None else sum_(da, axis=axis, keepdims=keepdims) for da in tans[0]]
+
+
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
-    return _emit("sum", out, (a,), _sum_vjp, (a.data.shape, axis, keepdims))
+    return _emit("sum", out, (a,), _sum_vjp, (a.data.shape, axis, keepdims), _t_sum,
+                 (axis, keepdims))
 
 
 def _mean_vjp(p, shape, axis, keepdims):
@@ -956,8 +970,9 @@ def jvp(fn: Callable, primals: Sequence, directions: Sequence[Sequence]):
     the output does not depend on that direction.  Tangents are built from
     primitives, so under an active tape they are recorded and can be
     differentiated in reverse.  Only the ops with a tangent rule (add, sub,
-    mul, div, neg, sin, cos, square, getitem, reshape, concat) may see a
-    tangent; any other raises :class:`DiffkitError`.  Calls do not nest.
+    mul, div, neg, matmul, sin, cos, square, sum, getitem, reshape, concat)
+    may see a tangent; any other raises :class:`DiffkitError`.  Calls do not
+    nest.
     """
     global _JVP
     if _JVP is not None:

@@ -3,9 +3,12 @@
 A system supplies only its dynamics f, written against the diffkit op set,
 so the same code evaluates eagerly on plain arrays (dataset generation,
 test-time rollouts) and participates in a tape during training with an
-analytic transition.  Its Jacobian [df/dx, df/du] is derived from f by
-forward-mode tangents (:func:`jacobian`) and stacked as one (B, d, d+m)
-array, the layout of a network's input-Jacobian over z = [x, u].
+analytic transition.  The running cost L and terminal cost G are defined
+once, on :class:`SystemSpec`, in the same op set.  No derivative is written
+by hand: forward-mode tangents derive the Jacobian [df/dx, df/du]
+(:func:`jacobian`), stacked as one (B, d, d+m) array, the layout of a
+network's input-Jacobian over z = [x, u], and the u-gradient of any batched
+scalar such as L or v . f (:func:`grad_u`).
 Everything works on batches: x is (B, d), u is (B, m).
 
 Registered systems: dubins, cartpole, acrobot, quadrotor, lq1d.
@@ -144,11 +147,6 @@ class SystemSpec:
             val = val + obstacle_penalty(x, self.obstacles)
         return val
 
-    def running_cost_grad_u(self, x, u) -> Tensor:
-        """d L / d u = 2 R (u - u*); obstacles do not depend on u."""
-        du = dk.tensor(u) - self.u_star
-        return dk.matmul(du, 2.0 * self.R)
-
     def terminal_cost(self, x) -> Tensor:
         """G(x) = (x - x*)' P (x - x*)."""
         dx = dk.tensor(x) - self.x_star
@@ -193,13 +191,24 @@ def jacobian(f: Callable, x, u) -> Tensor:
     return dk.transpose(dk.stack([np.zeros((b, d)) if t is None else t for t in tangents], axis=1))
 
 
+def grad_u(fn: Callable, x, u) -> tuple[Tensor, Tensor]:
+    """A batched scalar fn(x, u), (B,), and its u-gradient, (B, m), from one
+    forward-mode tangent per action coordinate (taped under an active tape)."""
+    u = dk.tensor(u)
+    b, m = u.shape
+    directions = [(None, np.broadcast_to(e, (b, m))) for e in np.eye(m)]
+    val, tangents = dk.jvp(fn, (x, u), directions)
+    return val, _vec([np.zeros((b, 1)) if t is None else t for t in tangents])
+
+
 def _vec(cols) -> Tensor:
     """Concatenate per-sample scalars, (B,) or (B, 1), into a (B, len(cols)) tensor."""
     return dk.concat([e if e.ndim == 2 else dk.reshape(e, (e.shape[0], 1)) for e in cols], axis=1)
 
 
 def _positive(p: dict, *keys: str) -> None:
-    """Reject tf or a parameter that f divides by unless finite and > 0."""
+    """Reject tf, an action bound or a parameter that f divides by unless
+    finite and > 0."""
     for key in keys:
         value = np.asarray(p[key])
         if value.dtype.kind not in "iuf" or not np.all((value > 0) & (value < np.inf)):
@@ -212,7 +221,7 @@ def _positive(p: dict, *keys: str) -> None:
 
 
 def _make_dubins(p: dict) -> SystemSpec:
-    _positive(p, "turn_radius")
+    _positive(p, "turn_radius", "v_max")
     r = p["turn_radius"]
     v_max = p["v_max"]
 
@@ -248,7 +257,7 @@ def _make_dubins(p: dict) -> SystemSpec:
 
 
 def _make_cartpole(p: dict) -> SystemSpec:
-    _positive(p, "cart_mass", "pole_mass", "pole_half_length")
+    _positive(p, "cart_mass", "pole_mass", "pole_half_length", "force_max")
     mc, mp, lp, g = p["cart_mass"], p["pole_mass"], p["pole_half_length"], p["gravity"]
     mt = mc + mp
     k = mp * lp
@@ -293,6 +302,7 @@ def _make_cartpole(p: dict) -> SystemSpec:
 
 
 def _make_acrobot(p: dict) -> SystemSpec:
+    _positive(p, "torque_max")
     m1, m2 = p["m1"], p["m2"]
     l1, lc1, lc2 = p["l1"], p["lc1"], p["lc2"]
     i1, i2, g = p["I1"], p["I2"], p["gravity"]
@@ -346,7 +356,7 @@ def _make_acrobot(p: dict) -> SystemSpec:
 
 
 def _make_quadrotor(p: dict) -> SystemSpec:
-    _positive(p, "mass", "inertia")
+    _positive(p, "mass", "inertia", "torque_max")
     mass, g = p["mass"], p["gravity"]
     j1, j2, j3 = p["inertia"]
 
@@ -412,6 +422,8 @@ def _make_quadrotor(p: dict) -> SystemSpec:
 
 
 def _make_lq1d(p: dict) -> SystemSpec:
+    _positive(p, "u_max")
+
     def f(x, u):
         return dk.tensor(u)[:, 0:1]
 
@@ -501,12 +513,17 @@ def make_system(name: str, overrides: dict | None = None) -> SystemSpec:
     fields = {}
     for key, value in overrides.items():
         if key == "obstacles":
-            fields[key] = tuple(
-                Obstacle(center=np.asarray(o[0], dtype=np.float64), radius=float(o[1]))
-                for o in value
-            )
+            try:
+                pairs = [(np.asarray(c, dtype=np.float64), float(r)) for c, r in value]
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"obstacles must be [[center, radius], ...], got {value!r}") from None
+            fields[key] = tuple(Obstacle(center=c, radius=r) for c, r in pairs)
         elif key in _COST_ARRAYS:
-            fields[key] = np.asarray(value, dtype=np.float64)
+            try:
+                fields[key] = np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValueError(f"{key} must be a numeric array, got {value!r}") from None
         else:
             params[key] = value
     _positive(params, "tf")

@@ -7,12 +7,15 @@ Four losses over differentiable rollouts:
   final   mean |V(x_f, t_f) - G(x_f)| (PDE boundary condition)
   hamil   mean ||d H / d u||_2 (stationarity of the Hamiltonian in u)
 
-with H = L(x, u) + grad_x V(x, t) . f(x, u).  The hamil loss trains the
-value net as well as the controller: the costate grad_x V in grad_u H is
-not detached.  Each epoch draws a fresh batch of starts from the system's
-``rho``.  One Adam instance updates the controller and value parameters
-jointly; the transition (analytic or a frozen learned checkpoint) is never
-updated here.
+with H = L(x, u) + grad_x V(x, t) . f(x, u).  All four read one evaluation
+of the Hamiltonian on the rollout's grid, and L is evaluated there once
+per grid point: the cost integral sums that L, and grad_u H derives dL/du
+from it in forward mode.  The hamil loss trains the value net as well as
+the controller: the costate grad_x V in grad_u H is not detached.  Each
+epoch draws a fresh batch of starts from the system's ``rho``.  One Adam
+instance updates the controller and value parameters jointly; the
+transition (analytic or a frozen learned checkpoint) is never updated
+here.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from . import diffkit as dk
 from . import netzoo, optim
 from .diffkit import Tensor
-from .dynzoo import SystemSpec
+from .dynzoo import SystemSpec, grad_u
 from .rollout import AnalyticTransition, LearnedTransition, TrajectoryBatch, rollout
 from .sysid import TrainingDiverged
 
@@ -69,6 +72,7 @@ class HamiltonianEval:
     """Batched Hamiltonian pieces at given (x, u, t) points."""
 
     H: Tensor  # (B,)
+    L: Tensor  # (B,) running cost
     V: Tensor  # (B,)
     dV_dt: Tensor  # (B,)
     grad_u_H: Tensor  # (B, m)
@@ -84,18 +88,18 @@ def hamiltonian(
 ) -> HamiltonianEval:
     """H = L(x, u) + grad_x V(x, t) . f(x, u), with its u-gradient.
 
-    grad_u H = dL/du + (df/du)^T grad_x V, computed as a vjp so learned
-    transitions never materialize their full Jacobian; the same call
-    returns f(x, u), so f is evaluated once per point.
+    grad_u H = dL/du + (df/du)^T grad_x V.  dL/du comes from forward-mode
+    tangents of L; the transition returns grad_x V . f with its u-gradient,
+    as a vjp so learned transitions never materialize their full Jacobian.
+    L and f are each evaluated once per point.
     """
     x, u = dk.tensor(x), dk.tensor(u)
     v_val, dvdt, grad_x = value(x, t)
-    f_val, f_vjp_u = transition.costate_vjp_u(x, u, grad_x)
-    ham = spec.running_cost(x, u) + dk.sum_(grad_x * f_val, axis=1)
-    grad_u = spec.running_cost_grad_u(x, u) + f_vjp_u
+    vf, vf_u = transition.costate_vjp_u(x, u, grad_x)
+    cost, cost_u = grad_u(spec.running_cost, x, u)
     if not np.all(np.isfinite(grad_x.data)):
         raise dk.NumericError("non-finite value-function gradient in hamiltonian")
-    return HamiltonianEval(H=ham, V=v_val, dV_dt=dvdt, grad_u_H=grad_u)
+    return HamiltonianEval(H=cost + vf, L=cost, V=v_val, dV_dt=dvdt, grad_u_H=cost_u + vf_u)
 
 
 # ---------------------------------------------------------------------------
@@ -103,19 +107,29 @@ def hamiltonian(
 # ---------------------------------------------------------------------------
 
 
-def loss_cost(traj: TrajectoryBatch, spec: SystemSpec) -> Tensor:
-    """Mean over the batch of the running-cost integral plus G(x_f)."""
-    return dk.mean_(traj.running_cost_integral + spec.terminal_cost(traj.states[-1]))
-
-
 def grid_hamiltonian(value, traj: TrajectoryBatch, transition,
                      spec: SystemSpec) -> HamiltonianEval:
     """The Hamiltonian at all K+1 grid points of every trajectory, flattened
-    into one batch; shared by the hjb and hamil losses."""
+    into one batch, step by step (row k * B + b is start b at step k);
+    shared by all four losses."""
     xs = dk.concat(traj.states, axis=0)
     us = dk.concat(list(traj.controls) + [traj.terminal_control], axis=0)
     ts = np.repeat(traj.times, traj.batch)
     return hamiltonian(value, transition, spec, xs, us, ts)
+
+
+def loss_cost(ev: HamiltonianEval, traj: TrajectoryBatch, spec: SystemSpec) -> Tensor:
+    """Mean over the batch of the running-cost integral plus G(x_f).
+
+    The control is held over each step (zero-order hold), so the integral
+    is the left-endpoint Riemann sum h * sum_k L(x_k, u_k) over the K steps:
+    the first K grid slices of ``ev.L``, each scaled by h, summed over the
+    step axis.
+    """
+    b, k = traj.batch, traj.steps
+    rates = dk.reshape(ev.L[:k * b], (k, b))
+    integral = dk.sum_((spec.tf / k) * rates, axis=0)
+    return dk.mean_(integral + spec.terminal_cost(traj.states[-1]))
 
 
 def loss_hjb(ev: HamiltonianEval) -> Tensor:
@@ -222,7 +236,7 @@ def train_controller(
             traj = rollout(spec, transition, ctrl, x0, K=cfg.K)
             ev = grid_hamiltonian(val, traj, transition, spec)
             parts = {
-                "loss_cost": loss_cost(traj, spec),
+                "loss_cost": loss_cost(ev, traj, spec),
                 "loss_hjb": loss_hjb(ev),
                 "loss_final": loss_final(ev, traj, spec),
                 "loss_hamil": loss_hamil(ev),

@@ -3,8 +3,8 @@
 The integrator is discretize-then-optimize: a rollout executed under an
 active tape produces exact gradients of the discrete trajectory with
 respect to controller (and transition) parameters.  Control is held
-constant across each step (zero-order hold), and the running cost is
-accumulated with a left-endpoint Riemann sum, consistent with the hold.
+constant across each step (zero-order hold).  A rollout only integrates:
+costs are evaluated on its grid afterwards (``hjbtrain``).
 
 Transition sources are interchangeable callables (x, u) -> xdot; analytic
 system dynamics and learned network dynamics run through identical code
@@ -27,7 +27,7 @@ import numpy as np
 from . import diffkit as dk
 from . import netzoo
 from .diffkit import NumericError, Tensor
-from .dynzoo import SystemSpec
+from .dynzoo import SystemSpec, grad_u
 
 
 # learned transitions register here so evaluation code can assert that it
@@ -47,18 +47,10 @@ class AnalyticTransition:
         return self.spec.f(x, u)
 
     def costate_vjp_u(self, x, u, v) -> tuple[Tensor, Tensor]:
-        """(f, v^T . df/du) for a batch of costate rows v: (B, d) -> (B, m),
-        from one forward-mode tangent of f per action coordinate."""
-        u = dk.tensor(u)
-        b, m = u.shape
-        directions = [(None, np.broadcast_to(e, (b, m))) for e in np.eye(m)]
-        f, tangents = dk.jvp(self.spec.f, (x, u), directions)
+        """(v . f, v^T . df/du) for a batch of costate rows v: (B,) and
+        (B, m), from one forward-mode tangent per action coordinate."""
         v = dk.tensor(v)
-        return f, dk.concat(
-            [np.zeros((b, 1)) if t is None else dk.sum_(v * t, axis=1, keepdims=True)
-             for t in tangents],
-            axis=1,
-        )
+        return grad_u(lambda x, u: dk.sum_(v * self.spec.f(x, u), axis=1), x, u)
 
 
 class LearnedTransition:
@@ -82,10 +74,11 @@ class LearnedTransition:
         return netzoo.forward(self.net, z)
 
     def costate_vjp_u(self, x, u, v) -> tuple[Tensor, Tensor]:
-        """(f_theta, v^T . df_theta/du) without materializing the network Jacobian."""
+        """(v . f_theta, v^T . df_theta/du) without materializing the network
+        Jacobian."""
         z = dk.concat([dk.tensor(x), dk.tensor(u)], axis=1)
         f, row = netzoo.vjp(self.net, z, v)
-        return f, row[:, self.d:]
+        return dk.sum_(dk.tensor(v) * f, axis=1), row[:, self.d:]
 
 
 def learned_nfe_total() -> int:
@@ -100,7 +93,6 @@ class TrajectoryBatch:
     times: np.ndarray  # (K+1,)
     states: list[Tensor]  # K+1 tensors of (B, d)
     controls: list[Tensor]  # K tensors of (B, m)
-    running_cost_integral: Tensor  # (B,)
     # feedback control evaluated at the final state; not integrated, but the
     # HJB residual grid includes the terminal point
     terminal_control: Tensor
@@ -168,11 +160,9 @@ def rollout(
 
     states = [x]
     controls: list[Tensor] = []
-    cost = dk.tensor(np.zeros(x.shape[0]))
     for k in range(K):
         u = controller(x)
         controls.append(u)
-        cost = cost + h * spec.running_cost(x, u)
         try:
             x = rk4_step(transition, x, u, h)
         except NumericError as e:
@@ -182,7 +172,6 @@ def rollout(
         times=times,
         states=states,
         controls=controls,
-        running_cost_integral=cost,
         terminal_control=controller(x),
     )
 

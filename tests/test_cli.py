@@ -250,6 +250,26 @@ def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
                                       "overrides": {"obstacles": [[[0, 0], -1]]}}},
                  "obstacles need a center [x, y] and a radius > 0",
                  id="system-obstacle-radius-negative"),
+    pytest.param("sysid", {"system": {"name": "dubins", "overrides": {"obstacles": 5}}},
+                 "obstacles must be [[center, radius], ...], got 5", id="system-obstacles-number"),
+    pytest.param("sysid", {"system": {"name": "dubins", "overrides": {"obstacles": [[[0, 0]]]}}},
+                 "obstacles must be [[center, radius], ...], got [[[0, 0]]]",
+                 id="system-obstacle-without-radius"),
+    pytest.param("sysid", {"system": {"name": "dubins", "overrides": {"R": [[1, 0], [0]]}}},
+                 "R must be a numeric array, got [[1, 0], [0]]", id="system-R-ragged"),
+    pytest.param("sysid", {"system": {"name": "dubins", "overrides": {"v_max": 0}}},
+                 "v_max must be finite and > 0, got 0", id="system-v-max-zero"),
+    pytest.param("sysid", {"system": {"name": "dubins", "overrides": {"v_max": "fast"}}},
+                 "v_max must be finite and > 0, got 'fast'", id="system-v-max-string"),
+    pytest.param("sysid", {"system": {"name": "cartpole", "overrides": {"force_max": -1}}},
+                 "force_max must be finite and > 0, got -1", id="system-force-max-negative"),
+    pytest.param("sysid", {"system": {"name": "acrobot", "overrides": {"torque_max": 0}}},
+                 "torque_max must be finite and > 0, got 0", id="system-acrobot-torque-max-zero"),
+    pytest.param("sysid", {"system": {"name": "quadrotor", "overrides": {"torque_max": -2}}},
+                 "torque_max must be finite and > 0, got -2",
+                 id="system-quadrotor-torque-max-negative"),
+    pytest.param("sysid", {"system": {"name": "lq1d", "overrides": {"u_max": 0}}},
+                 "u_max must be finite and > 0, got 0", id="system-lq1d-u-max-zero"),
     pytest.param("sysid", {"sysid": {"n_test": 0}}, "n_test must be >= 1",
                  id="sysid-n-test-zero"),
 ])

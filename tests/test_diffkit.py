@@ -300,6 +300,10 @@ TANGENT_CASES = {
     "getitem": lambda a, b: a[1:3, ::2] * b[::2],
     "reshape": lambda a, b: dk.reshape(a, (2, 6)) * dk.reshape(dk.concat([b, b]), (1, 6)),
     "concat": lambda a, b: dk.concat([a, dk.reshape(b, (1, 3)), a], axis=0),
+    # a matrix and a stack of matrices on the left
+    "matmul": lambda a, b: dk.matmul(a, dk.reshape(b, (3, 1)) * b)
+    + dk.reshape(dk.matmul(dk.reshape(a, (2, 2, 3)), dk.reshape(b * b, (3, 1))), (4, 1)),
+    "sum": lambda a, b: dk.sum_(a * b, axis=0) + dk.sum_(a, axis=1, keepdims=True) + dk.sum_(b),
 }
 
 

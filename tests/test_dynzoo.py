@@ -189,15 +189,6 @@ def test_costs_nonnegative_and_zero_at_goal(name):
     assert np.allclose(grad_g, 0.0, atol=1e-6)
 
 
-def test_running_cost_grad_u_matches_fd():
-    spec = dz.make_system("dubins")
-    x, u = interior_points(spec, 4, seed=2)
-    got = spec.running_cost_grad_u(x, u).data
-    for i in range(4):
-        ref = fd_grad(lambda v: float(spec.running_cost(x[i:i + 1], v[None, :]).data[0]), u[i])
-        assert rel_err(got[i], ref) < 1e-6
-
-
 # -- obstacles -------------------------------------------------------------------
 
 

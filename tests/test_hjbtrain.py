@@ -11,7 +11,7 @@ from hjbctrl import hjbtrain as hj
 from hjbctrl import netzoo as nz
 from hjbctrl import rollout as ro
 
-from conftest import rel_err
+from conftest import fd_grad, rel_err
 
 
 def zero_value(x, t):
@@ -46,6 +46,7 @@ def test_hamiltonian_vanishing_costate():
     ev = hj.hamiltonian(zero_value, tr, spec, x, u, 0.0)
     want_h = spec.running_cost(x, u).data
     assert np.allclose(ev.H.data, want_h)
+    assert np.array_equal(ev.L.data, want_h)
     want_gu = 2.0 * (u - spec.u_star) @ spec.R
     assert np.allclose(ev.grad_u_H.data, want_gu)
 
@@ -92,6 +93,48 @@ def test_hamiltonian_grad_u_matches_fd(rng):
     assert rel_err(ev.grad_u_H.data[0], fd) < 1e-4
 
 
+def test_hamiltonian_grad_u_matches_fd_for_nonsymmetric_R(rng):
+    # dL/du is (R + R^T)(u - u*); a hand-written 2R(u - u*) is wrong here
+    spec = dz.make_system("dubins", {"R": [[1.0, 0.5], [0.0, 1.0]]})
+    tr = ro.AnalyticTransition(spec)
+    value = hj.MlpValue(nz.value_net(3, hidden=(8, 8), seed=4), spec.tf)
+    x = rng.uniform(-1, 1, size=(1, 3))
+    u0 = np.array([[0.4, -0.3]])
+    ev = hj.hamiltonian(value, tr, spec, x, u0, [2.0])
+    fd = fd_grad(lambda v: hj.hamiltonian(value, tr, spec, x, v[None, :], [2.0]).H.data[0],
+                 u0[0])
+    assert rel_err(ev.grad_u_H.data[0], fd) < 1e-6
+
+
+def sine_net_f(net):
+    """A sine dynamics net's forward over [x, u] from primitives that carry
+    tangent rules (a network layer is one fused node, which has none)."""
+    def f(x, u):
+        a = dk.concat([dk.tensor(x), dk.tensor(u)], axis=1)
+        for w, b in net.layers[:-1]:
+            a = dk.sin(net.omega0 * (dk.matmul(a, w) + b))
+        w, b = net.layers[-1]
+        return dk.matmul(a, w) + b
+    return f
+
+
+def test_analytic_and_learned_costate_vjp_u_agree(rng):
+    # forward-mode tangents of f and the network's seeded reverse chain give
+    # the same (v . f, v^T df/du)
+    net = nz.dynamics_net(3, 2, hidden=(10, 10), omega0=4.0, seed=1)
+    spec = replace(dz.make_system("dubins"), f=sine_net_f(net))
+    x = rng.uniform(-1, 1, size=(5, 3))
+    u = rng.uniform([0.0, -1.0], [1.0, 1.0], size=(5, 2))
+    v = rng.normal(size=(5, 3))
+    assert np.max(np.abs(spec.f(x, u).data
+                         - nz.forward(net, np.concatenate([x, u], axis=1)).data)) < 1e-12
+    vf_a, row_a = ro.AnalyticTransition(spec).costate_vjp_u(x, u, v)
+    vf_l, row_l = ro.LearnedTransition(net, 3, 2).costate_vjp_u(x, u, v)
+    assert vf_a.shape == vf_l.shape == (5,) and row_a.shape == row_l.shape == (5, 2)
+    assert np.max(np.abs(vf_a.data - vf_l.data)) <= 1e-12
+    assert np.max(np.abs(row_a.data - row_l.data)) <= 1e-12
+
+
 def test_grad_u_by_vjp_equals_grad_of_scalar_h(rng):
     # internal consistency of the two differentiation routes
     spec = dz.make_system("dubins")
@@ -125,17 +168,19 @@ def make_traj(spec, ctrl, x0, K=20, transition=None):
 def test_loss_cost_zero_when_pinned_at_goal():
     spec = dz.make_system("dubins")
     ctrl = lambda x: dk.tensor(np.zeros((x.shape[0], 2)))
-    traj, _ = make_traj(spec, ctrl, np.tile(spec.x_star, (3, 1)))
-    assert hj.loss_cost(traj, spec).item() < 1e-12
+    traj, tr = make_traj(spec, ctrl, np.tile(spec.x_star, (3, 1)))
+    ev = hj.grid_hamiltonian(zero_value, traj, tr, spec)
+    assert hj.loss_cost(ev, traj, spec).item() < 1e-12
 
 
 def test_loss_cost_terminal_only():
     spec = replace(dz.make_system("dubins"), R=np.zeros((2, 2)))
     ctrl = lambda x: dk.tensor(np.tile([0.5, 0.1], (x.shape[0], 1)))
     x0 = np.array([[0.1, 0.2, 0.0], [-1.0, 0.5, 0.4]])
-    traj, _ = make_traj(spec, ctrl, x0)
+    traj, tr = make_traj(spec, ctrl, x0)
+    ev = hj.grid_hamiltonian(zero_value, traj, tr, spec)
     want = spec.terminal_cost(traj.states[-1]).data.mean()
-    assert abs(hj.loss_cost(traj, spec).item() - want) < 1e-12
+    assert abs(hj.loss_cost(ev, traj, spec).item() - want) < 1e-12
 
 
 def test_loss_hjb_zero_for_constant_value_and_zero_cost():
@@ -188,7 +233,6 @@ def test_loss_hjb_analytic_lq_solution_residual():
     p_f = 1.0 / (1.0 + tf - times[-1])
     traj = ro.TrajectoryBatch(
         times=times, states=states, controls=controls,
-        running_cost_integral=dk.tensor(np.zeros(b)),
         terminal_control=dk.tensor(-p_f * states[-1].data),
     )
     resid = hj.loss_hjb(hj.grid_hamiltonian(analytic_value, traj, tr, spec)).item()
@@ -340,6 +384,23 @@ def test_nfe_log_matches_4_k_epochs():
                        controller_hidden=(8,), value_hidden=(8,))
     _, _, log = hj.train_controller(spec, cfg)
     assert log[-1]["nfe_cumulative"] == 4 * 9 * 7
+
+
+def test_running_cost_is_evaluated_once_per_epoch(monkeypatch):
+    # one call on the stacked grid serves the cost integral and the Hamiltonian
+    calls = []
+    running_cost = dz.SystemSpec.running_cost
+
+    def counted(self, x, u):
+        calls.append(x.shape)
+        return running_cost(self, x, u)
+
+    monkeypatch.setattr(dz.SystemSpec, "running_cost", counted)
+    spec = dz.make_system("dubins")
+    cfg = hj.HjbConfig(epochs=2, batch=3, K=50, seed=0,
+                       controller_hidden=(4,), value_hidden=(4,))
+    hj.train_controller(spec, cfg)
+    assert calls == [(3 * 51, 3)] * 2
 
 
 def test_rho_defaults_and_sampling():

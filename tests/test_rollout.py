@@ -8,6 +8,7 @@ import pytest
 from hjbctrl import cli
 from hjbctrl import diffkit as dk
 from hjbctrl import dynzoo as dz
+from hjbctrl import hjbtrain as hj
 from hjbctrl import netzoo as nz
 from hjbctrl import rollout as ro
 
@@ -152,13 +153,33 @@ def test_rk4_convergence_order_on_dubins():
 # -- rollout --------------------------------------------------------------------
 
 
+def zero_value(x, t):
+    b, d = x.shape
+    return dk.tensor(np.zeros(b)), dk.tensor(np.zeros(b)), dk.tensor(np.zeros((b, d)))
+
+
+def checked_loss_cost(spec, traj) -> float:
+    """``hjbtrain.loss_cost`` of a trajectory, checked against the mean of
+    h * sum_k L(x_k, u_k) + G(x_K) summed step by step from its states and
+    controls."""
+    ev = hj.grid_hamiltonian(zero_value, traj, ro.AnalyticTransition(spec), spec)
+    got = hj.loss_cost(ev, traj, spec).item()
+    h = spec.tf / traj.steps
+    integral = sum(h * spec.running_cost(x.data, u.data).data
+                   for x, u in zip(traj.states, traj.controls))
+    want = np.mean(integral + spec.terminal_cost(traj.states[-1].data).data)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    return got
+
+
 def test_zero_controller_constant_trajectory_zero_cost():
     spec = dz.make_system("dubins")
     tr = ro.AnalyticTransition(spec)
     x0 = np.array([[1.0, 2.0, 0.5], [-1.0, 0.0, -0.3]])
     traj = ro.rollout(spec, tr, zero_controller(2), x0, K=20)
     assert np.allclose(traj.states_array, x0[:, None, :])
-    assert np.allclose(traj.running_cost_integral.data, 0.0)
+    # no running cost: what remains is G(x0)
+    assert abs(checked_loss_cost(spec, traj) - spec.terminal_cost(x0).data.mean()) < 1e-12
 
 
 def test_initial_states_preserved_and_grid_uniform():
@@ -181,7 +202,7 @@ def test_single_step_rollout_equals_rk4_plus_quadrature():
     want = ro.rk4_step(tr, dk.tensor(x0), dk.tensor(np.array([u])), h).data
     assert np.allclose(traj.states[-1].data, want)
     l0 = spec.running_cost(x0, np.array([u])).data
-    assert np.allclose(traj.running_cost_integral.data, h * l0)
+    assert np.allclose(checked_loss_cost(spec, traj), h * l0 + spec.terminal_cost(want).data)
 
 
 def test_rollout_rejects_wrong_dim():
@@ -324,6 +345,7 @@ def test_export_reintegrates_to_cost_integral(tmp_path):
     rates = [float(r["running_cost"]) for r in rows if r["running_cost"] != ""]
     assert len(rates) == 40
     h = spec.tf / 40
-    assert abs(sum(rates) * h - traj.running_cost_integral.data[0]) < 1e-8
+    g = spec.terminal_cost(traj.states[-1].data).data[0]
+    assert abs(sum(rates) * h + g - checked_loss_cost(spec, traj)) < 1e-8
     man = json.loads((tmp_path / "rollout_manifest.json").read_text())
     assert man["nfe"] == traj.nfe and man["system"] == "dubins"
