@@ -110,8 +110,10 @@ def _write_trajectories(traj: TrajectoryBatch, spec: SystemSpec, outdir: Path, p
     times = traj.times.tolist()
     xs = traj.states_array.tolist()
     us = traj.controls_array.tolist()
-    rates = np.stack([spec.running_cost(x.data, u.data).data
-                      for x, u in zip(traj.states, traj.controls)], axis=1).tolist()
+    # one call on the K steps' states and controls, stacked step-major
+    rates = spec.running_cost(np.concatenate([s.data for s in traj.states[:-1]]),
+                              np.concatenate([c.data for c in traj.controls])).data
+    rates = rates.reshape(traj.steps, traj.batch).T.tolist()
     columns = (["t"] + [f"x_{i}" for i in range(spec.d)] + [f"u_{i}" for i in range(spec.m)]
                + ["running_cost"])
     paths = []

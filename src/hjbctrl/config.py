@@ -34,6 +34,7 @@ import numpy as np
 
 from .dynzoo import Box, Gaussian, SystemSpec, make_system, system_names
 from .hjbtrain import HjbConfig
+from .rollout import METRICS
 from .sysid import SysIdConfig
 
 
@@ -45,7 +46,7 @@ class ConfigError(Exception):
 class EvalConfig:
     starts: int = 1000
     threshold: float = 0.15
-    metric: str = "position"  # "position" or "state"
+    metric: str = "position"  # one of rollout.METRICS
     seed: int = 0
 
     def __post_init__(self):
@@ -53,6 +54,8 @@ class EvalConfig:
             raise ValueError("starts must be >= 1")
         if not (math.isfinite(self.threshold) and self.threshold >= 0):
             raise ValueError("threshold must be finite and >= 0")
+        if self.metric not in METRICS:
+            raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
 
 
 DEFAULTS: dict = {

@@ -11,7 +11,11 @@ network's input-Jacobian over z = [x, u], and the u-gradient of any batched
 scalar such as L or v . f (:func:`grad_u`).
 Everything works on batches: x is (B, d), u is (B, m).
 
-Registered systems: dubins, cartpole, acrobot, quadrotor, lq1d.
+Registered systems: dubins, cartpole, acrobot, quadrotor, lq1d.  A system's
+physical parameters are the keywords of its maker, ``_make_<name>``, with
+their defaults; :func:`make_system` checks every value, default or override,
+in one place: each is finite and > 0, except ``gravity``, which may have
+any sign.
 Conventions:
   cartpole  x = [p, p_dot, phi, phi_dot], phi = 0 upright, phi = pi hanging
   acrobot   x = [q1, q2, q1_dot, q2_dot], q1 = 0 hanging, q1 = pi upright,
@@ -21,6 +25,7 @@ Conventions:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -206,13 +211,22 @@ def _vec(cols) -> Tensor:
     return dk.concat([e if e.ndim == 2 else dk.reshape(e, (e.shape[0], 1)) for e in cols], axis=1)
 
 
-def _positive(p: dict, *keys: str) -> None:
-    """Reject tf, an action bound or a parameter that f divides by unless
-    finite and > 0."""
-    for key in keys:
-        value = np.asarray(p[key])
-        if value.dtype.kind not in "iuf" or not np.all((value > 0) & (value < np.inf)):
-            raise ValueError(f"{key} must be finite and > 0, got {p[key]!r}")
+def _parameter(key: str, value, default):
+    """A physical parameter as a float, or as a tuple of floats of the
+    default's length; ValueError naming ``key`` unless every number is
+    finite and, except for gravity, > 0."""
+    bound = "finite" if key == "gravity" else "finite and > 0"
+    shape = np.shape(default)
+    try:
+        arr = np.asarray(value)
+        ok = (arr.dtype.kind in "iuf" and arr.shape == shape and np.all(np.isfinite(arr))
+              and (key == "gravity" or np.all(arr > 0)))
+    except ValueError:  # a ragged list
+        ok = False
+    if not ok:
+        size = f" and a list of {shape[0]} numbers" if shape else ""
+        raise ValueError(f"{key} must be {bound}{size}, got {value!r}")
+    return tuple(arr.astype(float).tolist()) if shape else float(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +234,14 @@ def _positive(p: dict, *keys: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _make_dubins(p: dict) -> SystemSpec:
-    _positive(p, "turn_radius", "v_max")
-    r = p["turn_radius"]
-    v_max = p["v_max"]
-
+def _make_dubins(turn_radius=1.0, v_max=1.0, tf=6.0) -> SystemSpec:
     def f(x, u):
         x, u = dk.tensor(x), dk.tensor(u)
         psi = x[:, 2:3]
         v = u[:, 0:1]
         alpha = u[:, 1:2]
         s, c = dk.sincos(psi)
-        return dk.concat([v * c, v * s, alpha * v * (1.0 / r)], axis=1)
+        return dk.concat([v * c, v * s, alpha * v * (1.0 / turn_radius)], axis=1)
 
     return SystemSpec(
         name="dubins",
@@ -245,9 +255,8 @@ def _make_dubins(p: dict) -> SystemSpec:
         P=np.eye(3),
         R=0.01 * np.eye(2),
         rho=Box(np.array([-3.5, -3.0, -np.pi]), np.array([-2.5, 3.0, np.pi])),
-        tf=p["tf"],
+        tf=tf,
         position_slice=slice(0, 2),
-        params=p,
     )
 
 
@@ -256,9 +265,9 @@ def _make_dubins(p: dict) -> SystemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _make_cartpole(p: dict) -> SystemSpec:
-    _positive(p, "cart_mass", "pole_mass", "pole_half_length", "force_max")
-    mc, mp, lp, g = p["cart_mass"], p["pole_mass"], p["pole_half_length"], p["gravity"]
+def _make_cartpole(cart_mass=1.0, pole_mass=0.1, pole_half_length=0.5, gravity=9.8,
+                   force_max=10.0, tf=3.0) -> SystemSpec:
+    mc, mp, lp, g = cart_mass, pole_mass, pole_half_length, gravity
     mt = mc + mp
     k = mp * lp
 
@@ -282,7 +291,7 @@ def _make_cartpole(p: dict) -> SystemSpec:
             np.array([-3.0, -6.0, -1.5 * np.pi, -10.0]),
             np.array([3.0, 6.0, 1.5 * np.pi, 10.0]),
         ),
-        action_box=Box(np.array([-p["force_max"]]), np.array([p["force_max"]])),
+        action_box=Box(np.array([-force_max]), np.array([force_max])),
         f=f,
         x_star=np.zeros(4),
         u_star=np.zeros(1),
@@ -291,8 +300,7 @@ def _make_cartpole(p: dict) -> SystemSpec:
         # hanging, within 0.1 of rest in every coordinate
         rho=Box(np.array([-0.1, -0.1, np.pi - 0.1, -0.1]),
                 np.array([0.1, 0.1, np.pi + 0.1, 0.1])),
-        tf=p["tf"],
-        params=p,
+        tf=tf,
     )
 
 
@@ -301,16 +309,13 @@ def _make_cartpole(p: dict) -> SystemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _make_acrobot(p: dict) -> SystemSpec:
-    _positive(p, "torque_max")
-    m1, m2 = p["m1"], p["m2"]
-    l1, lc1, lc2 = p["l1"], p["lc1"], p["lc2"]
-    i1, i2, g = p["I1"], p["I2"], p["gravity"]
+def _make_acrobot(m1=1.0, m2=1.0, l1=1.0, lc1=0.5, lc2=0.5, I1=1.0, I2=1.0, gravity=9.8,
+                  torque_max=4.0, tf=5.0) -> SystemSpec:
     a = m2 * l1 * lc2
-    c1_const = m1 * lc1**2 + m2 * (l1**2 + lc2**2) + i1 + i2
-    c2_const = m2 * lc2**2 + i2
-    g1 = (m1 * lc1 + m2 * l1) * g
-    g2 = m2 * lc2 * g
+    c1_const = m1 * lc1**2 + m2 * (l1**2 + lc2**2) + I1 + I2
+    c2_const = m2 * lc2**2 + I2
+    g1 = (m1 * lc1 + m2 * l1) * gravity
+    g2 = m2 * lc2 * gravity
 
     def f(x, u):
         x, u = dk.tensor(x), dk.tensor(u)
@@ -338,15 +343,14 @@ def _make_acrobot(p: dict) -> SystemSpec:
             np.array([-1.5 * np.pi, -1.5 * np.pi, -12.0, -12.0]),
             np.array([1.5 * np.pi, 1.5 * np.pi, 12.0, 12.0]),
         ),
-        action_box=Box(np.array([-p["torque_max"]]), np.array([p["torque_max"]])),
+        action_box=Box(np.array([-torque_max]), np.array([torque_max])),
         f=f,
         x_star=np.array([np.pi, 0.0, 0.0, 0.0]),
         u_star=np.zeros(1),
         P=np.eye(4),
         R=0.01 * np.eye(1),
         rho=Box(np.full(4, -0.1), np.full(4, 0.1)),
-        tf=p["tf"],
-        params=p,
+        tf=tf,
     )
 
 
@@ -355,10 +359,10 @@ def _make_acrobot(p: dict) -> SystemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _make_quadrotor(p: dict) -> SystemSpec:
-    _positive(p, "mass", "inertia", "torque_max")
-    mass, g = p["mass"], p["gravity"]
-    j1, j2, j3 = p["inertia"]
+def _make_quadrotor(mass=1.0, inertia=(0.01, 0.01, 0.02), gravity=9.81, torque_max=1.0,
+                    tf=4.0) -> SystemSpec:
+    g = gravity
+    j1, j2, j3 = inertia
 
     def f(x, u):
         x, u = dk.tensor(x), dk.tensor(u)
@@ -393,15 +397,15 @@ def _make_quadrotor(p: dict) -> SystemSpec:
     lo = np.array([-5.0] * 3 + [-np.pi / 3, -np.pi / 3, -np.pi] + [-5.0] * 3 + [-5.0] * 3)
     hi = np.array([5.0] * 3 + [np.pi / 3, np.pi / 3, np.pi] + [5.0] * 3 + [5.0] * 3)
     x_star = np.zeros(12)
-    x_star[:3] = p["goal_position"]
+    x_star[:3] = 3.0
     return SystemSpec(
         name="quadrotor",
         d=12,
         m=4,
         state_box=Box(lo, hi),
         action_box=Box(
-            np.array([0.0, -p["torque_max"], -p["torque_max"], -p["torque_max"]]),
-            np.array([t_max, p["torque_max"], p["torque_max"], p["torque_max"]]),
+            np.array([0.0, -torque_max, -torque_max, -torque_max]),
+            np.array([t_max, torque_max, torque_max, torque_max]),
         ),
         f=f,
         x_star=x_star,
@@ -410,9 +414,8 @@ def _make_quadrotor(p: dict) -> SystemSpec:
         R=0.01 * np.eye(4),
         # positions ~ N(0, I); attitude and rates start at rest
         rho=Gaussian(np.zeros(12), np.array([1.0] * 3 + [0.0] * 9)),
-        tf=p["tf"],
+        tf=tf,
         position_slice=slice(0, 3),
-        params=p,
     )
 
 
@@ -421,9 +424,7 @@ def _make_quadrotor(p: dict) -> SystemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _make_lq1d(p: dict) -> SystemSpec:
-    _positive(p, "u_max")
-
+def _make_lq1d(u_max=3.0, tf=5.0) -> SystemSpec:
     def f(x, u):
         return dk.tensor(u)[:, 0:1]
 
@@ -432,7 +433,7 @@ def _make_lq1d(p: dict) -> SystemSpec:
         d=1,
         m=1,
         state_box=Box(np.array([-2.0]), np.array([2.0])),
-        action_box=Box(np.array([-p["u_max"]]), np.array([p["u_max"]])),
+        action_box=Box(np.array([-u_max]), np.array([u_max])),
         f=f,
         x_star=np.zeros(1),
         u_star=np.zeros(1),
@@ -440,47 +441,13 @@ def _make_lq1d(p: dict) -> SystemSpec:
         R=np.eye(1),
         rho=Box(np.array([-1.0]), np.array([1.0])),
         Q=np.eye(1),
-        tf=p["tf"],
-        params=p,
+        tf=tf,
     )
 
 
 # ---------------------------------------------------------------------------
 # Registry and datasets
 # ---------------------------------------------------------------------------
-
-_DEFAULT_PARAMS: dict[str, dict] = {
-    "dubins": {"v_max": 1.0, "turn_radius": 1.0, "tf": 6.0},
-    "cartpole": {
-        "cart_mass": 1.0,
-        "pole_mass": 0.1,
-        "pole_half_length": 0.5,
-        "gravity": 9.8,
-        "force_max": 10.0,
-        "tf": 3.0,
-    },
-    "acrobot": {
-        "m1": 1.0,
-        "m2": 1.0,
-        "l1": 1.0,
-        "lc1": 0.5,
-        "lc2": 0.5,
-        "I1": 1.0,
-        "I2": 1.0,
-        "gravity": 9.8,
-        "torque_max": 4.0,
-        "tf": 5.0,
-    },
-    "quadrotor": {
-        "mass": 1.0,
-        "inertia": (0.01, 0.01, 0.02),
-        "gravity": 9.81,
-        "torque_max": 1.0,
-        "goal_position": (3.0, 3.0, 3.0),
-        "tf": 4.0,
-    },
-    "lq1d": {"u_max": 3.0, "tf": 5.0},
-}
 
 _MAKERS = {
     "dubins": _make_dubins,
@@ -500,16 +467,25 @@ _COST_ARRAYS = ("P", "R", "Q", "x_star", "u_star")
 
 
 def make_system(name: str, overrides: dict | None = None) -> SystemSpec:
-    """Build a registered system, optionally overriding physical parameters
-    (``tf`` among them), cost arrays and obstacles (``[[center, radius], ...]``);
-    a malformed override raises ValueError naming its key."""
+    """Build a registered system, optionally overriding its physical
+    parameters, cost arrays and obstacles (``[[center, radius], ...]``).
+
+    The physical parameters (``tf`` among them) are the keywords of the
+    system's maker, and their defaults are the maker's defaults; every value,
+    default or override, must be finite and > 0, except ``gravity``, which
+    needs only be finite.  ``spec.params`` holds the values used.  A
+    malformed override raises ValueError naming its key.
+    """
     if name not in _MAKERS:
         raise KeyError(f"unknown system '{name}'; known: {', '.join(system_names())}")
-    params = dict(_DEFAULT_PARAMS[name])
+    maker = _MAKERS[name]
+    defaults = {key: p.default for key, p in inspect.signature(maker).parameters.items()}
     overrides = overrides or {}
-    unknown = set(overrides) - set(params) - {"obstacles", *_COST_ARRAYS}
+    unknown = set(overrides) - set(defaults) - {"obstacles", *_COST_ARRAYS}
     if unknown:
         raise KeyError(f"unknown parameter(s) for {name}: {sorted(unknown)}")
+    params = {key: _parameter(key, overrides.get(key, default), default)
+              for key, default in defaults.items()}
     fields = {}
     for key, value in overrides.items():
         if key == "obstacles":
@@ -524,15 +500,11 @@ def make_system(name: str, overrides: dict | None = None) -> SystemSpec:
                 fields[key] = np.asarray(value, dtype=np.float64)
             except (TypeError, ValueError):
                 raise ValueError(f"{key} must be a numeric array, got {value!r}") from None
-        else:
-            params[key] = value
-    _positive(params, "tf")
-    params["tf"] = float(params["tf"])
-    spec = _MAKERS[name](params)
+    spec = maker(**params)
     if fields.get("obstacles") and spec.position_slice is None:
         # obstacle_penalty reads x[:, 0:2] as a planar position
         raise ValueError(f"obstacles need a planar position; system '{name}' has none")
-    return replace(spec, **fields)
+    return replace(spec, params=params, **fields)
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,10 @@ class EvalReport:
     compute_time_per_traj_s: float
 
 
+# what a start's success is measured on: the distance of its final position
+# (or, for "state", of its final state) to the goal
+METRICS = ("position", "state")
+
 # memory one chunk of evaluation starts may hold at once; a start holds its
 # K+1 states and K controls about three times over: as the rollout's step
 # tensors, stacked, and in the metrics' temporaries
@@ -255,8 +259,8 @@ def evaluate(
     per-start metrics before the next one runs.  Memory does not grow with
     ``n_starts``, and the report equals the one-batch report.
     """
-    if metric not in ("position", "state"):
-        raise ValueError(f"eval metric must be 'position' or 'state', got {metric!r}")
+    if metric not in METRICS:
+        raise ValueError(f"eval metric must be one of {METRICS}, got {metric!r}")
     if metric == "position" and spec.position_slice is None:
         raise ValueError(f"system '{spec.name}' has no position subspace")
     nfe_learned_before = learned_nfe_total()

@@ -272,6 +272,22 @@ def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
                  "u_max must be finite and > 0, got 0", id="system-lq1d-u-max-zero"),
     pytest.param("sysid", {"sysid": {"n_test": 0}}, "n_test must be >= 1",
                  id="sysid-n-test-zero"),
+    pytest.param("sysid", {"system": {"name": "acrobot", "overrides": {"I1": "x"}}},
+                 "I1 must be finite and > 0, got 'x'", id="system-acrobot-I1-string"),
+    pytest.param("sysid", {"system": {"name": "acrobot", "overrides": {"m1": -1}}},
+                 "m1 must be finite and > 0, got -1", id="system-acrobot-m1-negative"),
+    pytest.param("sysid", {"system": {"name": "cartpole", "overrides": {"gravity": "g"}}},
+                 "gravity must be finite, got 'g'", id="system-cartpole-gravity-string"),
+    pytest.param("sysid", {"system": {"name": "quadrotor",
+                                      "overrides": {"inertia": [0.01, 0.02]}}},
+                 "inertia must be finite and > 0 and a list of 3 numbers, got [0.01, 0.02]",
+                 id="system-quadrotor-inertia-length"),
+    pytest.param("sysid", {"system": {"name": "quadrotor",
+                                      "overrides": {"goal_position": [1, 2, 3]}}},
+                 "unknown parameter(s) for quadrotor: ['goal_position']",
+                 id="system-quadrotor-goal-position-unknown"),
+    pytest.param("eval", {"eval": {"metric": "foo"}},
+                 "metric must be one of ('position', 'state'), got 'foo'", id="eval-metric-unknown"),
 ])
 def test_bad_config_section_is_a_usage_error(command, section, message, tmp_path, capsys):
     path = tmp_path / "bad.json"

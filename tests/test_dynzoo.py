@@ -288,6 +288,16 @@ def test_parameter_overrides_apply():
     assert [o.radius for o in spec.obstacles] == [0.5, 1.0]
     assert spec.obstacles[1].center.dtype == np.float64
     assert np.array_equal(spec.obstacles[1].center, [1.0, 1.0])
+    # gravity alone may be <= 0; at rest and unforced, a negated g negates f
+    spec = dz.make_system("cartpole", {"gravity": -9.8})
+    assert spec.params["gravity"] == -9.8
+    x, u = np.array([[0.0, 0.0, 0.3, 0.0]]), np.zeros((1, 1))
+    assert np.allclose(spec.f(x, u).data, -dz.make_system("cartpole").f(x, u).data)
+    # the quadrotor's goal position is the position part of x_star
+    x_star = [1.0, 2.0, 0.5] + [0.0] * 9
+    spec = dz.make_system("quadrotor", {"x_star": x_star})
+    assert np.array_equal(spec.x_star[spec.position_slice], [1.0, 2.0, 0.5])
+    assert np.array_equal(dz.make_system("quadrotor").x_star[:3], [3.0, 3.0, 3.0])
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)

@@ -349,3 +349,30 @@ def test_export_reintegrates_to_cost_integral(tmp_path):
     assert abs(sum(rates) * h + g - checked_loss_cost(spec, traj)) < 1e-8
     man = json.loads((tmp_path / "rollout_manifest.json").read_text())
     assert man["nfe"] == traj.nfe and man["system"] == "dubins"
+
+
+def test_export_fills_running_cost_with_one_call(tmp_path, monkeypatch):
+    # one call on the K steps stacked gives each row the rate of its own step
+    spec = dz.make_system("dubins", {"obstacles": [[[-1.0, 0.0], 0.5]]})
+    controller = nz.controller_net(spec.d, spec.action_box.lo, spec.action_box.hi,
+                                   hidden=(8,), seed=0)
+    x0 = np.array([[-2.0, 0.5, 0.0], [-1.5, 0.0, 0.3], [-3.0, -1.0, -0.2]])
+    traj = ro.rollout(spec, ro.AnalyticTransition(spec), controller, x0, K=20)
+    per_step = [spec.running_cost(x.data, u.data).data
+                for x, u in zip(traj.states, traj.controls)]
+    calls = []
+    running_cost = dz.SystemSpec.running_cost
+
+    def counted(self, x, u):
+        calls.append(np.shape(x))
+        return running_cost(self, x, u)
+
+    monkeypatch.setattr(dz.SystemSpec, "running_cost", counted)
+    paths = cli._write_trajectories(traj, spec, tmp_path, "traj", "header", {})
+    assert calls == [(20 * 3, 3)]
+    for b, path in enumerate(paths):
+        with open(path) as fh:
+            assert fh.readline().startswith("#")
+            rows = list(csv.DictReader(fh))
+        assert [float(r["running_cost"]) for r in rows[:-1]] == [r[b] for r in per_step]
+        assert rows[-1]["running_cost"] == ""
