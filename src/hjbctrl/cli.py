@@ -6,8 +6,10 @@ output file format.  Every command writes into an output directory
 ./runs/<command>).  Every CSV comes from :func:`_write_csv`: a
 ``# header`` comment with the seed and a hash of the effective config, so
 identical (seed, config) pairs reproduce identical outputs, then the
-column row, then the rows, with floats as ``repr`` and None as an empty
-cell.  A report's columns are its dataclass fields.
+column row, then the rows, with each float as the shortest text that reads
+back to it in its own precision (``repr`` of a float64, and of a float32
+the text that rounds to it in float32) and None as an empty cell.  A
+report's columns are its dataclass fields.
 
 A flag that sets a config value declares it as ``dest="section.key"``
 (``--epochs`` of ``train`` is ``hjb.epochs``), and :func:`_setup` turns
@@ -33,7 +35,8 @@ import numpy as np
 from . import __version__, config as cfgmod, hjbtrain, netzoo, sysid
 from .diffkit import NumericError
 from .dynzoo import SystemSpec, system_names
-from .rollout import AnalyticTransition, TrajectoryBatch, evaluate, rollout
+from .rollout import (AnalyticTransition, TrajectoryBatch, evaluate, evaluate_with_trajectories,
+                      rollout)
 from .sysid import TrainingDiverged
 
 EXIT_OK = 0
@@ -83,6 +86,8 @@ def _load_controller(path, spec: SystemSpec) -> netzoo.Mlp:
 def _cell(value):
     if value is None:
         return ""
+    if isinstance(value, np.floating):
+        return str(value)  # shortest round-trip text in the value's own dtype
     return repr(value) if isinstance(value, float) else value
 
 
@@ -107,13 +112,14 @@ def _write_trajectories(traj: TrajectoryBatch, spec: SystemSpec, outdir: Path, p
     L(x_k, u_k); its left Riemann sum over the first K rows times h
     reproduces the integral).  The terminal row carries no control.
     """
+    # rows keep numpy scalars, so each value is written in its own precision
     times = traj.times.tolist()
-    xs = traj.states_array.tolist()
-    us = traj.controls_array.tolist()
+    xs = traj.states_array
+    us = traj.controls_array
     # one call on the K steps' states and controls, stacked step-major
     rates = spec.running_cost(np.concatenate([s.data for s in traj.states[:-1]]),
                               np.concatenate([c.data for c in traj.controls])).data
-    rates = rates.reshape(traj.steps, traj.batch).T.tolist()
+    rates = rates.reshape(traj.steps, traj.batch).T
     columns = (["t"] + [f"x_{i}" for i in range(spec.d)] + [f"u_{i}" for i in range(spec.m)]
                + ["running_cost"])
     paths = []
@@ -174,21 +180,22 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg, spec, outdir = _setup(args, "eval")
     hcfg = cfgmod.hjb_config(cfg)
-    ecfg = cfgmod.eval_config(cfg)
+    ecfg = cfgmod.eval_config(cfg, spec)
     header = _header(cfg, ecfg.seed)
 
-    if not 0 <= args.export_trajectories <= ecfg.starts:
+    n_export = args.export_trajectories
+    if not 0 <= n_export <= ecfg.starts:
         raise ValueError(f"--export-trajectories must be between 0 and the {ecfg.starts} "
-                         f"evaluation starts, got {args.export_trajectories}")
+                         f"evaluation starts, got {n_export}")
     controller = _load_controller(args.controller, spec)
-    report = evaluate(spec, controller, n_starts=ecfg.starts, seed=ecfg.seed, K=hcfg.K,
-                      threshold=ecfg.threshold, metric=ecfg.metric)
+    run = (spec, controller, ecfg.starts, ecfg.seed, hcfg.K, ecfg.threshold, ecfg.metric)
+    if n_export:
+        # the first scored trajectories, not a second rollout of their starts
+        report, traj = evaluate_with_trajectories(*run, keep=n_export)
+    else:
+        report, traj = evaluate(*run), None
     _write_report(outdir / "eval_report.csv", header, report)
-
-    if args.export_trajectories > 0:
-        rng = np.random.default_rng(ecfg.seed)
-        x0 = spec.rho.sample(rng, args.export_trajectories)
-        traj = rollout(spec, AnalyticTransition(spec), controller, x0, K=hcfg.K)
+    if traj is not None:
         _write_trajectories(traj, spec, outdir, "eval_traj", header,
                             {"seed": ecfg.seed, "config_hash": cfgmod.config_hash(cfg)})
     print(f"[eval] {spec.name} starts={report.n_starts} "

@@ -13,7 +13,8 @@ A config document has up to five sections::
 
 Precedence: package defaults < preset < user config file < CLI flags
 (each flag overrides one ``section.key``).  The ``sysid``, ``hjb`` and
-``eval`` sections are parsed by one helper that rejects unknown keys.
+``eval`` sections are parsed by one helper that rejects unknown keys, and
+the eval metric is checked against the system it would score.
 :func:`system_spec` builds the system and, when the ``rho`` section is
 set, replaces the system's start distribution with it.  The effective
 merged config is echoed next to every command's outputs and can be re-fed
@@ -34,7 +35,7 @@ import numpy as np
 
 from .dynzoo import Box, Gaussian, SystemSpec, make_system, system_names
 from .hjbtrain import HjbConfig
-from .rollout import METRICS
+from .rollout import METRICS, check_metric
 from .sysid import SysIdConfig
 
 
@@ -172,8 +173,14 @@ def hjb_config(cfg: dict) -> HjbConfig:
     return _section(cfg, "hjb", HjbConfig)
 
 
-def eval_config(cfg: dict) -> EvalConfig:
-    return _section(cfg, "eval", EvalConfig)
+def eval_config(cfg: dict, spec: SystemSpec) -> EvalConfig:
+    """The ``eval`` section, checked against the system it scores."""
+    ecfg = _section(cfg, "eval", EvalConfig)
+    try:
+        check_metric(spec, ecfg.metric)
+    except ValueError as e:
+        raise ConfigError(f"bad eval config: {e}") from None
+    return ecfg
 
 
 def _rho(section: dict) -> Box | Gaussian:

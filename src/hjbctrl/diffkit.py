@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float tensors with reverse-mode automatic differentiation.
 
 The kernel is deliberately small: an explicit ``Tape`` records every
 primitive operation in execution order, and :func:`grad` replays the tape
@@ -15,6 +15,20 @@ differentiates through them:
   Each primitive hands its own tangent rule (a module-level ``_t_*``
   function) to the op recorder; a primitive without one refuses a tangent.
 
+Dtype rule: the precision follows the data.  A tensor keeps the dtype of
+the float array it wraps, and an op computes in the narrowest dtype among
+its operands: a constant operand (a Python number, a float64 array such as
+a cost matrix, ``np.zeros``, a jvp seed or zero tangent, ``tensor(0.0)``)
+is cast to the dtype of a float32 operand, so a float32 computation stays
+float32 and every value, adjoint and tangent it records is float32, while
+float64 operands alone give float64 results and float64 adjoints.
+:data:`COMPUTE` is the dtype that the training and evaluation entry points
+(``sysid.train_sysid``, ``hjbtrain.train_controller``, ``rollout.evaluate``)
+cast their weights and inputs to; their optimizer keeps float64 master
+weights and moments, so parameters and checkpoints stay float64
+(mixed-precision training, Micikevicius et al. 2018, "Mixed Precision
+Training").
+
 Tensors are immutable values.  Ops executed while a tape is active record
 themselves; ops on plain constants evaluate eagerly and record nothing,
 so the same numerical code serves both training and fast evaluation.  A
@@ -22,9 +36,9 @@ node's backward computes adjoints only for the inputs that are on the tape
 (frozen network weights and constant factors cost nothing in reverse).
 
 Every op lifts its operands with :func:`tensor`, which returns a tensor
-unchanged and wraps anything else as a float64 constant without checking
-it; :meth:`Tape.leaf` is where inputs are checked, and it rejects
-non-finite data.  :func:`sin` and :func:`cos` are the two halves of
+unchanged and wraps anything else as a constant without checking it;
+:meth:`Tape.leaf` is where inputs are checked, and it rejects non-finite
+data.  :func:`sin` and :func:`cos` are the two halves of
 :func:`sincos`, the one trig primitive.  :func:`matmul`, and the product
 inside :func:`dense`, takes a matrix (m, k) or a stack of matrices
 (B, m, k) on the left and a matrix (k, n) on the right; any other layout
@@ -123,6 +137,10 @@ _keep_freed_memory()
 # Tape and tensors
 # ---------------------------------------------------------------------------
 
+# the dtype the training and evaluation entry points compute in; their
+# float64 callers' data and the optimizer's master weights stay float64
+COMPUTE = np.float32
+
 _ACTIVE_TAPE: "Tape | None" = None
 _JVP: "_Tangents | None" = None  # set only while jvp() runs
 
@@ -170,8 +188,9 @@ class Tape:
         return len(self.nodes)
 
     def leaf(self, data) -> "Tensor":
-        """Record an input tensor that gradients can be taken with respect to;
-        non-finite entries are rejected."""
+        """Record an input tensor that gradients can be taken with respect to,
+        in the dtype of ``data`` (see :func:`tensor`); non-finite entries are
+        rejected."""
         arr = tensor(data).data
         if not np.all(np.isfinite(arr)):
             raise NumericError("tape leaf rejected non-finite entries")
@@ -180,7 +199,12 @@ class Tape:
 
 
 class Tensor:
-    """Immutable dense float64 array, optionally tracked on a tape."""
+    """Immutable dense float array, optionally tracked on a tape.
+
+    Its dtype is that of the array it wraps: float64 for Python numbers and
+    lists, float32 for float32 data.  An op on tensors of two dtypes
+    computes in the narrower one (see the module docstring).
+    """
 
     __slots__ = ("data", "tape", "idx")
 
@@ -256,11 +280,36 @@ def _scalar_err(t: Tensor):
 
 
 def tensor(data) -> Tensor:
-    """Lift an operand: a tensor is returned unchanged, anything else is
-    wrapped as a constant float64 tensor."""
+    """Lift an operand: a tensor is returned unchanged, a float array (or
+    numpy float) is wrapped in its own dtype, and anything else (a Python
+    number, a list, an integer array) is wrapped as a float64 constant."""
     if isinstance(data, Tensor):
         return data
-    return Tensor(np.asarray(data, dtype=np.float64))
+    arr = np.asarray(data)
+    if arr.dtype.kind != "f":
+        arr = arr.astype(np.float64)
+    return Tensor(arr)
+
+
+def _same(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two operand arrays in one dtype, the narrower of theirs: a float64
+    constant (0-d ones included, which NumPy 2 would let upcast the result)
+    is cast to a float32 operand's dtype, never the reverse."""
+    dx, dy = x.dtype, y.dtype
+    if dx is dy:
+        return x, y
+    if dx.itemsize < dy.itemsize:
+        return x, y.astype(dx)
+    return x.astype(dy), y
+
+
+def _same_all(arrays: list) -> list:
+    """:func:`_same` for any number of operand arrays."""
+    dt = arrays[0].dtype
+    for a in arrays:
+        if a.dtype.itemsize < dt.itemsize:
+            dt = a.dtype
+    return [a if a.dtype is dt else a.astype(dt) for a in arrays]
 
 
 def _emit(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], vjp,
@@ -323,7 +372,7 @@ def _fit(t, out: Tensor):
     """Broadcast a tangent to the shape of the value it belongs to."""
     if t is None or t.data.shape == out.data.shape:
         return t
-    return add(t, np.zeros(out.data.shape))
+    return add(t, np.zeros(out.data.shape, out.data.dtype))
 
 
 def _nonzero(t):
@@ -363,7 +412,8 @@ def _t_add(out, ins, tans, aux):
 
 def add(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
-    return _emit("add", a.data + b.data, (a, b), _add_vjp, (a.data, b.data), _t_add)
+    ad, bd = _same(a.data, b.data)
+    return _emit("add", ad + bd, (a, b), _add_vjp, (ad, bd), _t_add)
 
 
 def _sub_vjp(p, ad, bd):
@@ -385,7 +435,8 @@ def _t_sub(out, ins, tans, aux):
 
 def sub(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
-    return _emit("sub", a.data - b.data, (a, b), _sub_vjp, (a.data, b.data), _t_sub)
+    ad, bd = _same(a.data, b.data)
+    return _emit("sub", ad - bd, (a, b), _sub_vjp, (ad, bd), _t_sub)
 
 
 def _mul_vjp(p, ad, bd):
@@ -413,7 +464,8 @@ def _t_mul(out, ins, tans, aux):
 
 def mul(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
-    return _emit("mul", a.data * b.data, (a, b), _mul_vjp, (a.data, b.data), _t_mul)
+    ad, bd = _same(a.data, b.data)
+    return _emit("mul", ad * bd, (a, b), _mul_vjp, (ad, bd), _t_mul)
 
 
 def _div_vjp(p, ad, bd):
@@ -440,7 +492,8 @@ def _t_div(out, ins, tans, aux):
 
 def div(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
-    return _emit("div", a.data / b.data, (a, b), _div_vjp, (a.data, b.data), _t_div)
+    ad, bd = _same(a.data, b.data)
+    return _emit("div", ad / bd, (a, b), _div_vjp, (ad, bd), _t_div)
 
 
 def _neg_vjp(p):
@@ -505,7 +558,7 @@ def _t_matmul(out, ins, tans, aux):
 def matmul(a, b) -> Tensor:
     """``a @ b`` for a matrix b and a matrix or stack of matrices a."""
     a, b = tensor(a), tensor(b)
-    ad, bd = a.data, b.data
+    ad, bd = _same(a.data, b.data)
     _check_matmul(ad, bd)
     return _emit("matmul", _mm(ad, bd), (a, b), _matmul_vjp, (ad, bd), _t_matmul)
 
@@ -662,13 +715,14 @@ def _concat_vjp(p, ts, axis):
 
 def _t_concat(out, ins, tans, axis):
     return [None if all(t is None for t in ts) else
-            concat([np.zeros(x.shape) if t is None else t for x, t in zip(ins, ts)], axis=axis)
+            concat([np.zeros(x.shape, x.data.dtype) if t is None else t
+                    for x, t in zip(ins, ts)], axis=axis)
             for ts in zip(*tans)]
 
 
 def concat(ts: Sequence, axis: int = -1) -> Tensor:
     ts = [tensor(t) for t in ts]
-    out = np.concatenate([t.data for t in ts], axis=axis)
+    out = np.concatenate(_same_all([t.data for t in ts]), axis=axis)
     return _emit("concat", out, tuple(ts), _concat_vjp, (ts, axis), _t_concat, axis)
 
 
@@ -682,7 +736,7 @@ def _stack_vjp(p, n, axis):
 
 def stack(ts: Sequence, axis: int = 0) -> Tensor:
     ts = [tensor(t) for t in ts]
-    out = np.stack([t.data for t in ts], axis=axis)
+    out = np.stack(_same_all([t.data for t in ts]), axis=axis)
     return _emit("stack", out, tuple(ts), _stack_vjp, (len(ts), axis))
 
 
@@ -713,11 +767,11 @@ def transpose(a) -> Tensor:
 def _getitem_vjp(p, ad, key):
     # the zero-filled adjoint takes the input's memory layout, which only
     # a non-C-contiguous input needs to be kept for
-    shape = ad.shape
+    shape, dtype = ad.shape, ad.dtype
     like = None if ad.flags.c_contiguous else ad
 
     def backward(g, p):
-        full = np.zeros(shape) if like is None else np.zeros_like(like)
+        full = np.zeros(shape, dtype) if like is None else np.zeros_like(like)
         full[key] = g
         return (full,)
 
@@ -786,7 +840,7 @@ def dense(a, w, b, act: str = "linear", omega0: float = 1.0) -> Tensor:
     if op is None:
         raise ValueError(f"unknown layer activation '{act}'")
     a, w, b = tensor(a), tensor(w), tensor(b)
-    ad, wd, bd = a.data, w.data, b.data
+    ad, wd, bd = _same_all([a.data, w.data, b.data])
     _check_matmul(ad, wd)
     z = _mm(ad, wd) + bd
     if act == "sine":
@@ -849,7 +903,7 @@ def chain(g, d, w, scale: float | None = None) -> Tensor:
     replaces.
     """
     g, d, w = tensor(g), tensor(d), tensor(w)
-    gd, dd, wd = g.data, d.data, w.data
+    gd, dd, wd = _same_all([g.data, d.data, w.data])
     if (dd.ndim != 2 or gd.ndim not in (2, 3) or gd.shape[-1] != dd.shape[1]
             or (gd.ndim == 3 and gd.shape[0] != dd.shape[0])):
         raise ShapeError(f"chain needs g (r, h) or (B, r, h) and d (B, h), got {gd.shape} "
@@ -875,7 +929,8 @@ def axpy(x, c: float, k) -> Tensor:
     """``x + c * k`` for a constant c as one node labelled ``add`` (an RK4
     stage input), rounded like the mul/add pair it replaces."""
     x, k = tensor(x), tensor(k)
-    return _emit("add", x.data + c * k.data, (x, k), _axpy_vjp, (x.data, c, k.data), name="axpy")
+    xd, kd = _same(x.data, k.data)
+    return _emit("add", xd + c * kd, (x, k), _axpy_vjp, (xd, c, kd), name="axpy")
 
 
 def _rk4_vjp(p, c, s, *ins):
@@ -899,7 +954,7 @@ def rk4_combine(x, h: float, k1, k2, k3, k4) -> Tensor:
     """The RK4 update ``x + h/6 * (k1 + 2 k2 + 2 k3 + k4)`` as one node
     labelled ``add``, summed left to right like the chain it replaces."""
     ins = tuple(tensor(t) for t in (x, k1, k2, k3, k4))
-    x, k1, k2, k3, k4 = (t.data for t in ins)
+    x, k1, k2, k3, k4 = _same_all([t.data for t in ins])
     c = h / 6.0
     s = k1 + 2.0 * k2 + 2.0 * k3 + k4
     return _emit("add", x + c * s, ins, _rk4_vjp, (c, s, x, k1, k2, k3, k4), name="rk4_combine")
@@ -965,14 +1020,14 @@ def jvp(fn: Callable, primals: Sequence, directions: Sequence[Sequence]):
     """``fn(*primals)`` and its directional derivatives along each direction.
 
     ``directions`` holds one sequence per direction with one entry per
-    primal: an array of that primal's shape, or None for zero.  Returns
-    ``(fn(*primals), tangents)`` with one tangent per direction, None where
-    the output does not depend on that direction.  Tangents are built from
-    primitives, so under an active tape they are recorded and can be
-    differentiated in reverse.  Only the ops with a tangent rule (add, sub,
-    mul, div, neg, matmul, sin, cos, square, sum, getitem, reshape, concat)
-    may see a tangent; any other raises :class:`DiffkitError`.  Calls do not
-    nest.
+    primal: an array of that primal's shape, cast to the primal's dtype, or
+    None for zero.  Returns ``(fn(*primals), tangents)`` with one tangent per
+    direction, None where the output does not depend on that direction.
+    Tangents are built from primitives, so under an active tape they are
+    recorded and can be differentiated in reverse.  Only the ops with a
+    tangent rule (add, sub, mul, div, neg, matmul, sin, cos, square, sum,
+    getitem, reshape, concat) may see a tangent; any other raises
+    :class:`DiffkitError`.  Calls do not nest.
     """
     global _JVP
     if _JVP is not None:
@@ -990,6 +1045,8 @@ def jvp(fn: Callable, primals: Sequence, directions: Sequence[Sequence]):
                         f"jvp direction of shape {dp.data.shape} for a primal of shape "
                         f"{p.data.shape}"
                     )
+                if dp.data.dtype is not p.data.dtype:
+                    dp = Tensor(dp.data.astype(p.data.dtype))
             seeds.append(_nonzero(dp))
         state.set(p, seeds)
     _JVP = state

@@ -15,7 +15,7 @@ Registered systems: dubins, cartpole, acrobot, quadrotor, lq1d.  A system's
 physical parameters are the keywords of its maker, ``_make_<name>``, with
 their defaults; :func:`make_system` checks every value, default or override,
 in one place: each is finite and > 0, except ``gravity``, which may have
-any sign.
+any sign (the quadrotor's maker needs it > 0).
 Conventions:
   cartpole  x = [p, p_dot, phi, phi_dot], phi = 0 upright, phi = pi hanging
   acrobot   x = [q1, q2, q1_dot, q2_dot], q1 = 0 hanging, q1 = pi upright,
@@ -189,11 +189,12 @@ def jacobian(f: Callable, x, u) -> Tensor:
     x, u = dk.tensor(x), dk.tensor(u)
     b, d = x.shape
     m = u.shape[1]
-    eye = np.eye(d + m)
+    eye = np.eye(d + m, dtype=x.data.dtype)
     directions = [(np.broadcast_to(e[:d], (b, d)), np.broadcast_to(e[d:], (b, m))) for e in eye]
     _, tangents = dk.jvp(f, (x, u), directions)
+    zero = np.zeros((b, d), x.data.dtype)
     # (B, d+m, d) then a transposed view: stacking on the last axis copies slowly
-    return dk.transpose(dk.stack([np.zeros((b, d)) if t is None else t for t in tangents], axis=1))
+    return dk.transpose(dk.stack([zero if t is None else t for t in tangents], axis=1))
 
 
 def grad_u(fn: Callable, x, u) -> tuple[Tensor, Tensor]:
@@ -201,9 +202,9 @@ def grad_u(fn: Callable, x, u) -> tuple[Tensor, Tensor]:
     forward-mode tangent per action coordinate (taped under an active tape)."""
     u = dk.tensor(u)
     b, m = u.shape
-    directions = [(None, np.broadcast_to(e, (b, m))) for e in np.eye(m)]
+    directions = [(None, np.broadcast_to(e, (b, m))) for e in np.eye(m, dtype=u.data.dtype)]
     val, tangents = dk.jvp(fn, (x, u), directions)
-    return val, _vec([np.zeros((b, 1)) if t is None else t for t in tangents])
+    return val, _vec([np.zeros((b, 1), u.data.dtype) if t is None else t for t in tangents])
 
 
 def _vec(cols) -> Tensor:
@@ -361,6 +362,9 @@ def _make_acrobot(m1=1.0, m2=1.0, l1=1.0, lc1=0.5, lc2=0.5, I1=1.0, I2=1.0, grav
 
 def _make_quadrotor(mass=1.0, inertia=(0.01, 0.01, 0.02), gravity=9.81, torque_max=1.0,
                     tf=4.0) -> SystemSpec:
+    if gravity <= 0:
+        raise ValueError(f"gravity must be > 0 for quadrotor, whose thrust bound is "
+                         f"2 * mass * gravity, got {gravity!r}")
     g = gravity
     j1, j2, j3 = inertia
 
@@ -518,6 +522,9 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.x.shape[0]
+
+    def astype(self, dtype) -> "Dataset":
+        return Dataset(*(a.astype(dtype) for a in (self.x, self.u, self.xdot, self.jac)))
 
 
 def sample_dataset(spec: SystemSpec, n: int, seed: int) -> Dataset:

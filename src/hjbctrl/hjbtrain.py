@@ -32,7 +32,7 @@ from . import netzoo, optim
 from .diffkit import Tensor
 from .dynzoo import SystemSpec, grad_u
 from .rollout import AnalyticTransition, LearnedTransition, TrajectoryBatch, rollout
-from .sysid import TrainingDiverged
+from .sysid import TrainingDiverged, master_leaves
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +188,13 @@ class HjbConfig:
                 raise ValueError(f"{name} widths must be >= 1")
 
 
-def build_transition(spec: SystemSpec, source: str):
-    """'analytic' or a path to a dynamics-net checkpoint."""
+def build_transition(spec: SystemSpec, source: str, dtype):
+    """'analytic' or a path to a dynamics-net checkpoint, whose weights
+    are cast to ``dtype``."""
     if source == "analytic":
         return AnalyticTransition(spec)
     net, _meta = netzoo.load(source)
-    return LearnedTransition(net, spec.d, spec.m)
+    return LearnedTransition(net.astype(dtype), spec.d, spec.m)
 
 
 def train_controller(
@@ -208,8 +209,13 @@ def train_controller(
     loss, and take one optimizer step.  Returns the trained controller and
     value networks plus the per-epoch log (one dict per epoch with the four
     loss components, lr, cumulative NFE and wall time).
+
+    Each step computes in ``diffkit.COMPUTE``: the starts, the learned
+    transition's weights and the step's parameter leaves are cast to it,
+    while Adam updates float64 master weights, which are what is returned.
     """
-    transition = build_transition(spec, cfg.transition)
+    dtype = dk.COMPUTE
+    transition = build_transition(spec, cfg.transition, dtype)
     controller = netzoo.controller_net(
         spec.d, spec.action_box.lo, spec.action_box.hi,
         hidden=cfg.controller_hidden, seed=cfg.seed,
@@ -225,13 +231,15 @@ def train_controller(
 
     log: list[dict] = []
     t_start = time.perf_counter()
+    # the output box is cast once; the weights are replaced by leaves each step
+    controller_c = controller.astype(dtype)
     for epoch in range(cfg.epochs):
-        x0 = spec.rho.sample(rng, cfg.batch)
+        x0 = spec.rho.sample(rng, cfg.batch).astype(dtype)
         lr = schedule(epoch)
         tape = dk.Tape()
         with tape:
-            ctrl = controller.with_params([tape.leaf(p) for p in c_params])
-            vnet = value.with_params([tape.leaf(p) for p in v_params])
+            ctrl = controller_c.with_params(master_leaves(tape, c_params, epoch))
+            vnet = value.with_params(master_leaves(tape, v_params, epoch))
             val = MlpValue(vnet, spec.tf)
             traj = rollout(spec, transition, ctrl, x0, K=cfg.K)
             ev = grid_hamiltonian(val, traj, transition, spec)

@@ -110,6 +110,15 @@ class Mlp:
         layers = tuple((params[2 * i], params[2 * i + 1]) for i in range(len(self.layers)))
         return replace(self, layers=layers)
 
+    def astype(self, dtype) -> "Mlp":
+        """The same network with its weight arrays and output box in
+        ``dtype``, so that it computes in that dtype."""
+        box = self.output_transform
+        if box is not None:
+            box = TanhBox(lo=box.lo.astype(dtype), hi=box.hi.astype(dtype))
+        return replace(self, layers=tuple((np.asarray(w, dtype), np.asarray(b, dtype))
+                                          for w, b in self.layers), output_transform=box)
+
     def __call__(self, x) -> Tensor:
         return forward(self, x)
 
@@ -218,7 +227,7 @@ def _hidden_layer(net: Mlp, a: Tensor, w: Tensor, b: Tensor,
     h = dk.relu(z)
     if want_deriv:
         # a.e. constant step function, so it enters the tape as a constant
-        return h, (dk.tensor((z.data > 0.0).astype(np.float64)), None)
+        return h, (dk.tensor((z.data > 0.0).astype(z.data.dtype)), None)
     return h, None
 
 

@@ -8,7 +8,12 @@ import numpy as np
 
 
 class Adam:
-    """Standard Adam with bias correction; ``step`` returns new parameter arrays."""
+    """Standard Adam with bias correction; ``step`` returns new parameter arrays.
+
+    The moments take the parameters' dtype, and each gradient is cast to it
+    first, so float32 gradients of float64 master weights update float64
+    moments (a squared float32 gradient would overflow above ~1.8e19).
+    """
 
     def __init__(self, sizes_like: Sequence[np.ndarray], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -27,6 +32,7 @@ class Adam:
         c2 = 1.0 - b2**self.t
         out = []
         for i, (p, g) in enumerate(zip(params, grads)):
+            g = g.astype(p.dtype, copy=False)
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
             mhat = self.m[i] / c1

@@ -11,8 +11,10 @@ system dynamics and learned network dynamics run through identical code
 paths.  Each transition counts its own calls, so budgets are auditable.
 
 Evaluation (:func:`evaluate`) scores a controller from starts drawn from
-the system's ``rho``, always under the analytic dynamics; a registry of
-learned transitions lets it assert that no network dynamics were touched.
+the system's ``rho``, always under the analytic dynamics and in
+``diffkit.COMPUTE``; a registry of learned transitions lets it assert that
+no network dynamics were touched.  :func:`evaluate_with_trajectories` also
+hands back the first scored trajectories, for export.
 """
 
 from __future__ import annotations
@@ -216,14 +218,22 @@ METRICS = ("position", "state")
 _EVAL_CHUNK_BYTES = 16 << 20
 
 
-def _start_metrics(spec: SystemSpec, controller: netzoo.Mlp, x0: np.ndarray, K: int,
-                   metric: str) -> tuple:
+def check_metric(spec: SystemSpec, metric: str) -> None:
+    """ValueError naming the metric and the system unless ``metric`` can
+    score a start of ``spec``."""
+    if metric not in METRICS:
+        raise ValueError(f"eval metric must be one of {METRICS}, got {metric!r}")
+    if metric == "position" and spec.position_slice is None:
+        raise ValueError(f"eval metric 'position' needs a position subspace, and system "
+                         f"'{spec.name}' has none; use metric 'state'")
+
+
+def _start_metrics(spec: SystemSpec, traj: TrajectoryBatch, metric: str) -> tuple:
     """Per-start terminal error, control magnitude, path length (None
     without a position subspace), final distance and obstacle violations of
-    one closed-loop rollout under the analytic f."""
-    traj = rollout(spec, AnalyticTransition(spec), controller, x0, K=K)
+    one closed-loop rollout."""
     xs = traj.states_array  # (B, K+1, d)
-    h = spec.tf / K
+    h = spec.tf / traj.steps
 
     te = np.linalg.norm(xs[:, -1, :] - spec.x_star, axis=1)
     cm = np.linalg.norm(traj.controls_array, axis=2).sum(axis=1) * h
@@ -242,7 +252,22 @@ def _start_metrics(spec: SystemSpec, controller: netzoo.Mlp, x0: np.ndarray, K: 
     return te, cm, ln, final_dist, violations
 
 
-def evaluate(
+def _first(trajs: list[TrajectoryBatch], n: int) -> TrajectoryBatch:
+    """The first n trajectories of consecutive batches, copied into one
+    batch that holds no other rows."""
+
+    def rows(seqs) -> list[Tensor]:
+        return [Tensor(np.concatenate([t.data[:n] for t in ts])[:n]) for ts in zip(*seqs)]
+
+    return TrajectoryBatch(
+        times=trajs[0].times,
+        states=rows([t.states for t in trajs]),
+        controls=rows([t.controls for t in trajs]),
+        terminal_control=rows([[t.terminal_control] for t in trajs])[0],
+    )
+
+
+def evaluate_with_trajectories(
     spec: SystemSpec,
     controller: netzoo.Mlp,
     n_starts: int,
@@ -250,26 +275,36 @@ def evaluate(
     K: int,
     threshold: float,
     metric: str = "position",
-) -> EvalReport:
+    keep: int = 0,
+) -> tuple[EvalReport, TrajectoryBatch | None]:
     """Roll out the controller from starts sampled from ``spec.rho`` under
-    the analytic f.
+    the analytic f; the report and the first ``keep`` of the scored
+    trajectories (None for keep=0).
 
-    The starts are drawn at once and rolled out in near-equal chunks, as
-    few as keep each within ``_EVAL_CHUNK_BYTES``; each chunk is reduced to
-    per-start metrics before the next one runs.  Memory does not grow with
-    ``n_starts``, and the report equals the one-batch report.
+    The controller's weights and the starts are cast to
+    ``diffkit.COMPUTE``, so the rollout computes in it.  The starts are
+    drawn at once and rolled out in near-equal chunks, as few as keep each
+    within ``_EVAL_CHUNK_BYTES``; each chunk is reduced to per-start metrics
+    (and its share of the kept trajectories) before the next one runs.
+    Memory does not grow with ``n_starts``, and the report equals the
+    one-batch report.
     """
-    if metric not in METRICS:
-        raise ValueError(f"eval metric must be one of {METRICS}, got {metric!r}")
-    if metric == "position" and spec.position_slice is None:
-        raise ValueError(f"system '{spec.name}' has no position subspace")
+    check_metric(spec, metric)
+    if not 0 <= keep <= n_starts:
+        raise ValueError(f"can keep 0 to {n_starts} trajectories, not {keep}")
     nfe_learned_before = learned_nfe_total()
     t_start = time.perf_counter()
-    x0 = spec.rho.sample(np.random.default_rng(seed), n_starts)
+    controller = controller.astype(dk.COMPUTE)
+    x0 = spec.rho.sample(np.random.default_rng(seed), n_starts).astype(dk.COMPUTE)
     start_bytes = 3 * x0.itemsize * (K + 1) * (spec.d + spec.m)
     n_chunks = -(-n_starts * start_bytes // _EVAL_CHUNK_BYTES)
-    chunks = [_start_metrics(spec, controller, part, K, metric)
-              for part in np.array_split(x0, n_chunks)]
+    chunks, kept = [], []
+    for part in np.array_split(x0, n_chunks):
+        traj = rollout(spec, AnalyticTransition(spec), controller, part, K=K)
+        chunks.append(_start_metrics(spec, traj, metric))
+        need = keep - sum(t.batch for t in kept)
+        if need > 0:
+            kept.append(_first([traj], need))
     te, cm, ln, final_dist, violations = zip(*chunks)
     te, cm, final_dist = (np.concatenate(v) for v in (te, cm, final_dist))
     ln = None if ln[0] is None else np.concatenate(ln)
@@ -279,7 +314,7 @@ def evaluate(
     ftheta_nfe = learned_nfe_total() - nfe_learned_before
     assert ftheta_nfe == 0, "evaluation must never touch learned dynamics"
 
-    return EvalReport(
+    report = EvalReport(
         system=spec.name,
         n_starts=n_starts,
         seed=seed,
@@ -296,3 +331,17 @@ def evaluate(
         ftheta_nfe=ftheta_nfe,
         compute_time_per_traj_s=elapsed / n_starts,
     )
+    return report, _first(kept, keep) if kept else None
+
+
+def evaluate(
+    spec: SystemSpec,
+    controller: netzoo.Mlp,
+    n_starts: int,
+    seed: int,
+    K: int,
+    threshold: float,
+    metric: str = "position",
+) -> EvalReport:
+    """The report of :func:`evaluate_with_trajectories`, keeping none."""
+    return evaluate_with_trajectories(spec, controller, n_starts, seed, K, threshold, metric)[0]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diffkit as dk
 from . import netzoo, optim
-from .diffkit import Tensor
+from .diffkit import NumericError, Tape, Tensor
 from .dynzoo import Dataset, SystemSpec, sample_dataset
 
 TEST_SEED_OFFSET = 90001  # held-out draws never share a stream with training
@@ -114,6 +114,16 @@ def heldout_jac_errors(net: netzoo.Mlp, data: Dataset) -> np.ndarray:
     return np.linalg.norm((jac - data.jac).reshape(len(data), -1), axis=1)
 
 
+def master_leaves(tape: Tape, params, epoch: int) -> list[Tensor]:
+    """Tape leaves holding ``diffkit.COMPUTE`` copies of the float64 master
+    weights; a weight that has no finite copy there means training diverged."""
+    try:
+        return [tape.leaf(p.astype(dk.COMPUTE)) for p in params]
+    except NumericError:
+        raise TrainingDiverged(f"a parameter is not finite in {np.dtype(dk.COMPUTE)} at "
+                               f"epoch {epoch}") from None
+
+
 def _report(spec: SystemSpec, cfg: SysIdConfig, errors: np.ndarray) -> SysIdReport:
     q25, q75 = np.percentile(errors, [25, 75])
     return SysIdReport(
@@ -138,12 +148,18 @@ def train_sysid(
 ) -> tuple[netzoo.Mlp, SysIdReport, list[float]]:
     """Adam on the Sobolev loss; deterministic per seed.
 
-    Returns the trained network, the held-out report (fresh uniform samples
-    drawn with a fixed seed offset) and the per-epoch loss history.
+    The loss, its gradient and the held-out errors are computed in
+    ``diffkit.COMPUTE``: the batches, the held-out set and each step's weight
+    leaves are cast to it, while Adam updates float64 master weights.
+    Returns the trained network (float64), the held-out report (fresh
+    uniform samples drawn with a fixed seed offset) and the per-epoch loss
+    history.
     """
     if train_data is None:
         train_data = sample_dataset(spec, cfg.n_train, seed=cfg.seed)
     test_data = sample_dataset(spec, cfg.n_test, seed=cfg.seed + TEST_SEED_OFFSET)
+    dtype = dk.COMPUTE
+    train_data, test_data = train_data.astype(dtype), test_data.astype(dtype)
 
     net = netzoo.dynamics_net(
         spec.d, spec.m, hidden=cfg.hidden, activation=cfg.activation,
@@ -166,7 +182,7 @@ def train_sysid(
 
         tape = dk.Tape()
         with tape:
-            leaves = [tape.leaf(p) for p in params]
+            leaves = master_leaves(tape, params, epoch)
             loss = sysid_loss(
                 net.with_params(leaves), train_data.x[idx], train_data.u[idx],
                 train_data.xdot[idx],
@@ -183,5 +199,5 @@ def train_sysid(
             print(f"[sysid] epoch {epoch + 1:5d}/{cfg.epochs}  loss={value:.6f}")
 
     net = net.with_params(params)
-    report = _report(spec, cfg, heldout_errors(net, test_data))
+    report = _report(spec, cfg, heldout_errors(net.astype(dtype), test_data))
     return net, report, losses

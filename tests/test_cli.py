@@ -1,11 +1,12 @@
 import csv
 import json
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from hjbctrl import cli, config, netzoo, sysid
+from hjbctrl import cli, config, netzoo, rollout, sysid
 
 # tiny budgets: every command finishes in well under a second on dubins
 TINY = {
@@ -288,6 +289,13 @@ def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
                  id="system-quadrotor-goal-position-unknown"),
     pytest.param("eval", {"eval": {"metric": "foo"}},
                  "metric must be one of ('position', 'state'), got 'foo'", id="eval-metric-unknown"),
+    pytest.param("eval", {"system": {"name": "cartpole"}},
+                 "eval metric 'position' needs a position subspace, and system 'cartpole' has none",
+                 id="eval-metric-position-on-cartpole"),
+    pytest.param("sysid", {"system": {"name": "quadrotor", "overrides": {"gravity": 0}}},
+                 "gravity must be > 0 for quadrotor", id="system-quadrotor-gravity-zero"),
+    pytest.param("sysid", {"system": {"name": "quadrotor", "overrides": {"gravity": -9.81}}},
+                 "gravity must be > 0 for quadrotor", id="system-quadrotor-gravity-negative"),
 ])
 def test_bad_config_section_is_a_usage_error(command, section, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -297,6 +305,55 @@ def test_bad_config_section_is_a_usage_error(command, section, message, tmp_path
     assert run(command, "--config", path, "--outdir", tmp_path / "out",
                *argv) == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
+
+
+def test_metric_without_position_fails_before_the_controller_is_read(tmp_path, capsys):
+    # the default metric is "position"; cartpole has no position subspace
+    assert run("eval", "--system", "cartpole", "--outdir", tmp_path,
+               "--controller", tmp_path / "missing.json") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "metric 'position'" in err and "'cartpole'" in err
+    assert "checkpoint not found" not in err
+
+
+@pytest.mark.parametrize("chunk_bytes, export", [(16 << 20, 3), (1500, 6)],
+                         ids=["one-chunk", "three-chunks"])
+def test_export_writes_the_scored_trajectories(chunk_bytes, export, tiny_config, tmp_path,
+                                               monkeypatch):
+    # 12 starts, K=5: 1500 bytes a chunk splits them 4/4/4, so 6 span two chunks
+    monkeypatch.setattr(rollout, "_EVAL_CHUNK_BYTES", chunk_bytes)
+    calls, trajs = [], []
+    system_spec, roll = config.system_spec, rollout.rollout
+
+    def counted_spec(cfg):
+        spec = system_spec(cfg)
+        return replace(spec, f=lambda x, u: calls.append(1) or spec.f(x, u))
+
+    def recorded(*args, **kwargs):
+        trajs.append(roll(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(config, "system_spec", counted_spec)
+    # a second rollout of the exported starts, by either module, would be recorded too
+    monkeypatch.setattr(rollout, "rollout", recorded)
+    monkeypatch.setattr(cli, "rollout", recorded)
+    path = tmp_path / "controller.json"
+    netzoo.save(netzoo.controller_net(3, [0.0, -1.0], [1.0, 1.0], hidden=(8,)), path)
+    assert run("eval", "--config", tiny_config, "--outdir", tmp_path, "--controller", path,
+               "--export-trajectories", export) == cli.EXIT_OK
+    # one rollout of every start, four evaluations of f per RK4 step
+    chunks = len(trajs)
+    assert chunks == (1 if chunk_bytes > 1500 else 3)
+    assert len(calls) == 4 * TINY["hjb"]["K"] * chunks
+    scored = np.concatenate([t.states_array for t in trajs])[:export]
+    assert scored.dtype == np.float32
+    for b in range(export):
+        with open(tmp_path / f"eval_traj_{b:04d}.csv") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        states = [[np.float32(r[f"x_{i}"]) for i in range(3)] for r in rows]
+        assert np.array_equal(np.array(states, dtype=np.float32), scored[b])
+    assert not (tmp_path / f"eval_traj_{export:04d}.csv").exists()
 
 
 def test_controller_of_another_dimension_is_a_usage_error(tiny_config, tmp_path, capsys):

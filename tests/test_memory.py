@@ -3,8 +3,10 @@
 The peaks count every array numpy allocates (numpy reports its buffers to
 tracemalloc).  Each bound is the value measured on Python 3.11 with numpy
 2.4 plus a 10% margin; earlier peaks of the same run are given next to it.
-A bound that fails means a change keeps more of a step alive than before,
-not that the margin needs widening.
+The runs compute in float32 (``diffkit.COMPUTE``), and the same runs in
+float64 measure more than each bound, so a float64 array that leaks into
+the float32 path fails them.  A bound that fails means a change keeps more
+of a step alive than before, not that the margin needs widening.
 """
 
 import tracemalloc
@@ -29,34 +31,38 @@ def traced_peak_mb(fn) -> float:
 
 
 def test_learned_hjb_step_peak(tmp_path):
-    # measured 12.0 MB (14.8 MB before the Jacobian chain kept one node per
-    # layer, 23.5 MB when every node kept its inputs)
+    # measured 6.45 MB (11.9 MB in float64, 14.8 MB before the Jacobian
+    # chain kept one node per layer, 23.5 MB when every node kept its inputs)
     spec = dz.make_system("dubins")
     path = tmp_path / "ftheta.json"
     nz.save(nz.dynamics_net(spec.d, spec.m, omega0=8.0, seed=0), path)
     cfg = hj.HjbConfig(epochs=1, batch=32, K=20, transition=str(path))
-    assert traced_peak_mb(lambda: hj.train_controller(spec, cfg)) < 13.2
+    assert traced_peak_mb(lambda: hj.train_controller(spec, cfg)) < 7.1
 
 
 def test_analytic_hjb_step_peak():
-    # measured 6.64 MB (6.90 MB before the Jacobian chain kept one node per layer)
+    # measured 3.86 MB (6.64 MB in float64, 6.90 MB before the Jacobian chain
+    # kept one node per layer)
     spec = dz.make_system("dubins")
     cfg = hj.HjbConfig(epochs=1, batch=32, K=20)
-    assert traced_peak_mb(lambda: hj.train_controller(spec, cfg)) < 7.3
+    assert traced_peak_mb(lambda: hj.train_controller(spec, cfg)) < 4.25
 
 
 def test_evaluation_peak_does_not_grow_with_starts():
-    # measured 14.6 MB at 20k starts (108.5 MB when they were one batch)
+    # measured 14.1 MB at 20k starts (108.5 MB when they were one batch); a
+    # chunk holds as many bytes in float64, but float64 arrays in a chunk
+    # sized for float32 starts measured 23.0 MB
     spec = dz.make_system("dubins")
     controller = nz.controller_net(spec.d, spec.action_box.lo, spec.action_box.hi,
                                    hidden=(16,), seed=0)
     peak = traced_peak_mb(lambda: ro.evaluate(spec, controller, n_starts=20_000, seed=0,
                                               K=50, threshold=0.15))
-    assert peak < 16.1
+    assert peak < 15.5
 
 
 def test_sobolev_sysid_peak():
-    # measured 4.53 MB (5.60 MB when every node kept its inputs)
+    # measured 1.78 MB (3.25 MB in float64, 5.60 MB when every node kept
+    # its inputs)
     spec = dz.make_system("dubins")
     cfg = si.SysIdConfig(n_train=1024, n_test=64, epochs=3, batch=256, seed=0)
-    assert traced_peak_mb(lambda: si.train_sysid(spec, cfg)) < 5.0
+    assert traced_peak_mb(lambda: si.train_sysid(spec, cfg)) < 1.96

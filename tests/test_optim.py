@@ -54,3 +54,13 @@ def test_exponential_schedule_hits_final():
 def test_exponential_schedule_degenerate():
     s = optim.exponential_to(0.01, 1e-4, total_steps=1)
     assert s(0) == 0.01
+
+
+def test_adam_moments_of_float32_gradients_stay_in_the_parameters_dtype():
+    # the square of a float32 gradient above ~1.8e19 overflows float32
+    p = [np.array([1.0, -2.0])]
+    g = np.array([3e20, -0.5])
+    out32 = optim.Adam(p).step(p, [g.astype(np.float32)], lr=0.1)
+    out64 = optim.Adam(p).step(p, [g.astype(np.float32).astype(np.float64)], lr=0.1)
+    assert out32[0].dtype == np.float64
+    assert np.array_equal(out32[0], out64[0])
