@@ -216,6 +216,8 @@ def cmd_rollout(args) -> int:
         raise ValueError(f"--x0 must be {spec.d} comma-separated numbers, got {args.x0!r}")
     if x0.shape[0] != spec.d:
         raise ValueError(f"--x0 needs {spec.d} values for '{spec.name}', got {x0.shape[0]}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"--x0 must be finite, got {args.x0!r}")
 
     controller = _load_controller(args.controller, spec)
     traj = rollout(spec, AnalyticTransition(spec), controller, x0[None, :], K=hcfg.K)

@@ -194,6 +194,8 @@ def _rho(section: dict) -> Box | Gaussian:
                             np.asarray(section["std"], dtype=np.float64))
     except KeyError as e:
         raise ConfigError(f"rho section missing field {e}")
+    except ValueError as e:
+        raise ConfigError(f"bad rho section: {e}") from None
     raise ConfigError(f"rho kind must be 'box' or 'gaussian', got {kind!r}")
 
 

@@ -40,10 +40,14 @@ unchanged and wraps anything else as a constant without checking it;
 :meth:`Tape.leaf` is where inputs are checked, and it rejects non-finite
 data.  :func:`sin` and :func:`cos` are the two halves of
 :func:`sincos`, the one trig primitive.  :func:`matmul`, and the product
-inside :func:`dense`, takes a matrix (m, k) or a stack of matrices
-(B, m, k) on the left and a matrix (k, n) on the right; any other layout
-raises :class:`ShapeError`.  :func:`grad` adds the contributions to each
-adjoint left to right in the order they arrive, whatever their size.
+inside :func:`dense` and :func:`mlp`, takes a matrix (m, k) or a stack of
+matrices (B, m, k) on the left and a matrix (k, n) on the right; any other
+layout raises :class:`ShapeError`.  :func:`grad` adds the contributions to
+each adjoint left to right in the order they arrive, whatever their size.
+It checks each adjoint once for non-finite entries, where it is consumed:
+an adjoint that a backward hands on unchanged, or as a view, was checked
+at its consumer already.  :class:`NumericError` names the first node whose
+adjoint is not finite, by tally label and, for a fused node, primitive.
 
 Retention rule: a node keeps an array only while an adjoint reads it.
 When a node is recorded, it decides from which of its inputs are tracked
@@ -51,30 +55,35 @@ what its backward will read, and keeps only that; of everything else it
 keeps shapes.  A product keeps a factor only if the other factor is
 tracked, so a product with a constant keeps only the constant; a
 :func:`dense` layer with frozen weights keeps neither its input nor, if
-linear, its output, except that a sine layer whose input is narrower than
-its output keeps that input (and its weights) instead of omega0 z and
-rebuilds omega0 z in backward with the forward's ops; sums, means,
-reshapes, slices and concats keep shapes only.  An untaped call records
-nothing and builds no closure.  :func:`grad` drops each node as soon as
-its backward has run, so the step's arrays are freed while the adjoints
-grow.  Because a step frees and reallocates the same arrays, importing the
-module also sets malloc to keep freed memory in the process
-(:func:`_keep_freed_memory`).
+linear, its output.  An :func:`mlp` node keeps, for the layers whose
+adjoints are collected, a layer's input only when that weight is tracked,
+omega0 z of each sine layer (or, for a sine layer whose input is narrower
+than its output, that input, its weights and bias, to rebuild omega0 z in
+backward with the forward's ops), each tanh output, each relu mask and the
+output box's tanh.  Sums, means, reshapes, slices and concats keep shapes
+only.  An untaped call records nothing and builds no closure, and an
+untaped :func:`mlp` keeps no array of a layer once the next one is
+computed.  :func:`grad` drops each node as soon as its backward has run,
+so the step's arrays are freed while the adjoints grow.  Because a step
+frees and reallocates the same arrays, importing the module also sets
+malloc to keep freed memory in the process (:func:`_keep_freed_memory`).
 
-Four fused primitives record a hot composite as one node with a
-hand-written adjoint, treated as one elemental (Griewank & Walther,
-*Evaluating Derivatives*): :func:`dense`, a network layer
+Five fused primitives record a hot composite as one node with an adjoint
+composed of the chain's own adjoint arithmetic, treated as one elemental
+(Griewank & Walther, *Evaluating Derivatives*): :func:`mlp`, a whole
+network evaluation; :func:`dense`, a tanh or linear layer
 ``act(a @ w + b)``; :func:`chain`, one layer ``(g * d) @ w^T`` of a
 network's seeded reverse Jacobian chain, which keeps g, d and w but never
 their product; :func:`axpy`, an RK4 stage input ``x + c k``; and
 :func:`rk4_combine`, the RK4 update.  Each rounds exactly like the chain
 of primitives it replaces, so results are bitwise those of the chain.
-Their nodes carry the label of an existing op (``sin``, ``tanh`` or
-``matmul`` for a layer, after its activation; ``matmul`` for a chain
-layer; ``add`` for the RK4 nodes), so a tally of the tape over the fixed
-list of op names, such as the benchmark's traced op table, still accounts
-for every node; a fused layer's backward time lands in its activation's
-row.  They have no tangent rule, and refuse a tangent under their own name.
+Their nodes carry the label of an existing op (``matmul`` for a network
+and a chain layer; ``tanh`` or ``matmul`` for a layer, after its
+activation; ``add`` for the RK4 nodes), so a tally of the tape over the
+fixed list of op names, such as the benchmark's traced op table, still
+accounts for every node; a fused node's backward time lands in its
+label's row.  They have no tangent rule, and refuse a tangent under their
+own name.
 """
 
 from __future__ import annotations
@@ -146,20 +155,24 @@ _JVP: "_Tangents | None" = None  # set only while jvp() runs
 
 
 class _Node:
-    """One recorded operation: kind, parent indices and a vjp closure.
+    """One recorded operation: its tally label ``op``, the ``name`` of the
+    primitive that recorded it (``op`` itself but for a fused primitive),
+    parent indices and a vjp closure.
 
     ``parents[i]`` is -1 for an input that is not on the tape.  The closure
     is called as ``backward(g, parents)`` and returns one adjoint per input,
     None for each untracked one: it never computes what nobody collects,
-    and it holds only the arrays that the other adjoints read.
+    and it holds only the arrays that the other adjoints read.  Each adjoint
+    is a new array or a view of ``g``.
     """
 
-    __slots__ = ("op", "parents", "backward")
+    __slots__ = ("op", "parents", "backward", "name")
 
-    def __init__(self, op: str, parents: tuple[int, ...], backward):
+    def __init__(self, op: str, parents: tuple[int, ...], backward, name: str | None = None):
         self.op = op
         self.parents = parents
         self.backward = backward
+        self.name = name or op
 
 
 class Tape:
@@ -342,7 +355,7 @@ def _emit(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], vjp,
             t.tape = tape
             t.idx = len(nodes)
             parents = tuple(parents)
-            nodes.append(_Node(op, parents, vjp(parents, *args)))
+            nodes.append(_Node(op, parents, vjp(parents, *args), name))
     if _JVP is not None:
         _JVP.push(name or op, t, inputs, tangent, aux)
     return t
@@ -793,48 +806,50 @@ def getitem(a, key) -> Tensor:
 # ---------------------------------------------------------------------------
 
 # layer activation -> the label of the last op of the chain the node replaces
-_LAYER_OPS = {"sine": "sin", "tanh": "tanh", "linear": "matmul"}
+_LAYER_OPS = {"tanh": "tanh", "linear": "matmul"}
 
 
-def _dense_vjp(p, ad, wd, bd, act, omega0, saved):
-    """``saved`` is what the activation's derivative reads: omega0 z for a
-    sine layer, the output for a tanh layer, nothing for a linear one.  A
-    sine layer whose input is narrower than its output keeps the input
-    instead, and backward rebuilds omega0 z with the forward's ops."""
+def _act_adjoint(g: np.ndarray, act: str, saved, omega0: float = 1.0) -> np.ndarray:
+    """The adjoint of a layer's pre-activation z from that of its output,
+    rounded like the activation's own node: ``saved`` is omega0 z for
+    "sine" (sin(omega0 z)), the output for "tanh" and the mask z > 0 for
+    "relu"; a "linear" layer passes g on."""
+    if act == "sine":
+        return (g * np.cos(saved)) * omega0
+    if act == "tanh":
+        return g * (1.0 - saved * saved)
+    if act == "relu":
+        return g * saved
+    return g
+
+
+def _affine_adjoints(g: np.ndarray, p, ad, wd, sb) -> tuple:
+    """The adjoints of a, w and b in ``a @ w + b`` (b of shape ``sb``) from
+    the adjoint g of the sum, for the entries of the mask ``p`` that are
+    >= 0, and None for the others."""
+    return (
+        _mm(g, wd.T) if p[0] >= 0 else None,
+        _mm_grad_b(g, ad) if p[1] >= 0 else None,
+        _unbroadcast(g, sb) if p[2] >= 0 else None,
+    )
+
+
+def _dense_vjp(p, ad, wd, bd, act, saved):
+    """``saved`` is the output of a tanh layer, None for a linear one."""
     sb = bd.shape
-    if act == "sine" and ad.shape[-1] < wd.shape[-1]:
-        saved = None
-    else:
-        bd = None
-        if p[1] < 0:
-            ad = None
-        if p[0] < 0:
-            wd = None
-
-    def backward(g, p):
-        if act == "sine":
-            if saved is None:
-                g = (g * np.cos(omega0 * (_mm(ad, wd) + bd))) * omega0
-            else:
-                g = (g * np.cos(saved)) * omega0
-        elif act == "tanh":
-            g = g * (1.0 - saved * saved)
-        return (
-            _mm(g, wd.T) if p[0] >= 0 else None,
-            _mm_grad_b(g, ad) if p[1] >= 0 else None,
-            _unbroadcast(g, sb) if p[2] >= 0 else None,
-        )
-
-    return backward
+    if p[1] < 0:
+        ad = None
+    if p[0] < 0:
+        wd = None
+    return lambda g, p: _affine_adjoints(_act_adjoint(g, act, saved), p, ad, wd, sb)
 
 
-def dense(a, w, b, act: str = "linear", omega0: float = 1.0) -> Tensor:
+def dense(a, w, b, act: str = "linear") -> Tensor:
     """One network layer ``act(a @ w + b)`` as one node labelled by its
-    last op: ``sin`` for act="sine" (``sin(omega0 * z)``), ``tanh``, or
-    ``matmul`` for act="linear".
+    last op: ``tanh`` for act="tanh", ``matmul`` for act="linear".
 
-    Forward and adjoint round exactly like the matmul/add/mul/activation
-    chain they replace, so results are bitwise those of the chain.
+    Forward and adjoint round exactly like the matmul/add/activation chain
+    they replace, so results are bitwise those of the chain.
     """
     op = _LAYER_OPS.get(act)
     if op is None:
@@ -843,14 +858,126 @@ def dense(a, w, b, act: str = "linear", omega0: float = 1.0) -> Tensor:
     ad, wd, bd = _same_all([a.data, w.data, b.data])
     _check_matmul(ad, wd)
     z = _mm(ad, wd) + bd
-    if act == "sine":
-        saved = omega0 * z
-        out = np.sin(saved)
-    elif act == "tanh":
-        out = saved = np.tanh(z)
-    else:
-        out, saved = z, None
-    return _emit(op, out, (a, w, b), _dense_vjp, (ad, wd, bd, act, omega0, saved), name="dense")
+    saved = np.tanh(z, out=z) if act == "tanh" else None
+    return _emit(op, z, (a, w, b), _dense_vjp, (ad, wd, bd, act, saved), name="dense")
+
+
+def _mlp_vjp(p, layers, skip, omega0, box):
+    """``layers`` holds (a, w, b, act, saved) per layer as the forward
+    computed them, ``box`` (hi - lo, tanh(y)) or None.
+
+    A layer is live if its input, weight or bias adjoint is collected;
+    the live layers are the top ones.  A live layer keeps its input only
+    for a tracked weight, its weight only for a collected input adjoint,
+    and ``saved``, except that a sine layer whose input is narrower than
+    its output keeps the input, weight and bias instead of omega0 z and
+    rebuilds omega0 z with the forward's ops.
+    """
+    n = len(layers)
+    x_tracked = p[-1] >= 0
+    # per live layer (mask, act, a, w, b, b's shape, saved), None below them
+    steps = [None] * n
+    need_in = x_tracked
+    for i, (ad, wd, bd, act, saved) in enumerate(layers):
+        mask = (0 if need_in else -1, p[2 * i], p[2 * i + 1])
+        if max(mask) < 0:
+            continue
+        narrow = act == "sine" and ad.shape[-1] < wd.shape[-1]
+        steps[i] = (mask, act, ad if mask[1] >= 0 or narrow else None,
+                    wd if need_in or narrow else None, bd if narrow else None, bd.shape,
+                    None if narrow else saved)
+        need_in = True
+    x_width = layers[0][0].shape[-1]
+    n_x = len(p) - 2 * n
+
+    def backward(g, p):
+        if box is not None:
+            hl, t = box
+            g = ((g * 0.5) * hl) * (1.0 - t * t)
+        adjoints = [None] * (2 * n)
+        xs = []  # x's adjoints in the order the layer chain delivers them
+        for i in range(n - 1, -1, -1):
+            if steps[i] is None:
+                break
+            mask, act, ad, wd, bd, sb, saved = steps[i]
+            if saved is None and act == "sine":
+                saved = omega0 * (_mm(ad, wd) + bd)
+            g, adjoints[2 * i], adjoints[2 * i + 1] = _affine_adjoints(
+                _act_adjoint(g, act, saved, omega0), mask, ad, wd, sb)
+            if g is not None and skip and 0 < i < n - 1:
+                width = g.shape[-1] - x_width
+                if x_tracked:
+                    xs.append(g[:, width:])
+                g = g[:, :width]
+        if x_tracked:
+            xs.append(g)
+        return (*adjoints, *(xs or [None] * n_x))
+
+    return backward
+
+
+_MLP_ACTS = ("sine", "tanh", "relu")
+
+
+def mlp(x, layers: Sequence, act: str, omega0: float = 1.0, skip: bool = False,
+        box: tuple | None = None) -> Tensor:
+    """One evaluation of a multilayer perceptron on a (B, n) input x as one
+    node labelled ``matmul``.
+
+    ``layers`` holds (w, b) per layer.  Hidden layers apply ``act``:
+    "sine" (sin(omega0 z)), "tanh" or "relu"; the last layer is linear.
+    With ``skip``, x is concatenated onto the input of every hidden layer
+    but the first.  ``box`` = (lo, hi) squashes the output y into the box
+    as ``lo + (hi - lo) * (tanh(y) + 1) * 0.5``.  The node computes in the
+    narrowest dtype among x and the weights.  When the weights share one
+    dtype, value and adjoints round exactly like the
+    dense/relu/sincos/concat/box chain the node replaces.  x is an input
+    once per layer that reads it, so its adjoints arrive in the chain's
+    order.  An untaped call keeps nothing per layer.
+    """
+    if act not in _MLP_ACTS:
+        raise ValueError(f"unknown layer activation '{act}'")
+    x = tensor(x)
+    params = [tensor(t) for layer in layers for t in layer]
+    xd, *pd = _same_all([x.data] + [t.data for t in params])
+    if xd.ndim != 2:
+        raise ShapeError(f"mlp needs a (B, n) input, got shape {xd.shape}")
+    tape = _ACTIVE_TAPE
+    kept = [] if tape is not None and any(t.tape is tape for t in [x, *params]) else None
+    last = len(layers) - 1
+    a = xd
+    for i in range(last + 1):
+        if skip and 0 < i < last:
+            a = np.concatenate([a, xd], axis=-1)
+        ad, wd, bd = a, pd[2 * i], pd[2 * i + 1]
+        _check_matmul(ad, wd)
+        a = _mm(ad, wd)
+        a += bd
+        layer_act = act if i < last else "linear"
+        saved = None
+        if layer_act == "sine":
+            a *= omega0
+            saved = a
+            # untaped, omega0 z is not kept, and sin overwrites it
+            a = np.sin(a) if kept is not None else np.sin(a, out=a)
+        elif layer_act == "tanh":
+            a = saved = np.tanh(a, out=a)
+        elif layer_act == "relu":
+            if kept is not None:
+                saved = a > 0.0
+            a = np.maximum(a, 0.0, out=a)
+        if kept is not None:
+            kept.append((ad, wd, bd, layer_act, saved))
+    boxed = None
+    if box is not None:
+        lo, hi = box
+        t = np.tanh(a)
+        hl, tp1 = _same(hi - lo, t + 1.0)
+        lo, m = _same(lo, hl * tp1 * 0.5)
+        a = lo + m
+        boxed = (hl, t)
+    xs = (x,) * (1 + (max(last - 1, 0) if skip else 0))
+    return _emit("matmul", a, (*params, *xs), _mlp_vjp, (kept, skip, omega0, boxed), name="mlp")
 
 
 def _chain_rows(dd: np.ndarray, scale) -> np.ndarray:
@@ -1089,6 +1216,8 @@ def grad(expr: Tensor, wrt: Iterable[Tensor]) -> Mapping[Tensor, Tensor]:
     # mutated; a leaf's stays there to be read out
     pending: list = [None] * (expr.idx + 1)
     pending[expr.idx] = np.ones_like(expr.data)
+    # checked[i]: pending[i] is the adjoint checked at a consumer, or a view of it
+    checked = [False] * (expr.idx + 1)
     try:
         del nodes[expr.idx + 1:]
         for i in range(expr.idx, -1, -1):
@@ -1097,16 +1226,27 @@ def grad(expr: Tensor, wrt: Iterable[Tensor]) -> Mapping[Tensor, Tensor]:
             a = pending[i]
             if a is None:
                 continue
-            if not math.isfinite(a.sum()) and not np.all(np.isfinite(a)):
-                raise NumericError(f"non-finite adjoint at node {i} (op '{node.op}')")
+            # a sum of squares is finite for finite data unless it overflows,
+            # which the exact test then clears
+            if not (checked[i] or math.isfinite(np.vdot(a, a)) or np.all(np.isfinite(a))):
+                where = f"op '{node.op}'"
+                if node.name != node.op:
+                    where += f" of primitive '{node.name}'"
+                raise NumericError(f"non-finite adjoint at node {i} ({where})")
             if node.backward is None:
                 continue
             pending[i] = None
+            owner = a if a.base is None else a.base
             parents = node.parents
             for p, g in zip(parents, node.backward(a, parents)):
                 if g is not None:
                     acc = pending[p]
-                    pending[p] = g if acc is None else acc + g
+                    if acc is None:
+                        pending[p] = g
+                        checked[p] = g is a or g.base is owner
+                    else:
+                        pending[p] = acc + g
+                        checked[p] = False
     finally:
         nodes.clear()
 

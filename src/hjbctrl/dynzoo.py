@@ -40,6 +40,13 @@ class DynamicsError(Exception):
     """Checked-mode violation (input outside its box)."""
 
 
+def _check_finite(kind: str, **fields: np.ndarray) -> None:
+    """ValueError naming the first field with a non-finite entry."""
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{kind} {name} must be finite, got {value.tolist()}")
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box with per-coordinate [lo, hi]."""
@@ -48,6 +55,7 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
+        _check_finite("box", lo=self.lo, hi=self.hi)
         if self.lo.shape != self.hi.shape or np.any(self.hi <= self.lo):
             raise ValueError("box needs elementwise lo < hi")
 
@@ -70,6 +78,7 @@ class Gaussian:
     std: np.ndarray
 
     def __post_init__(self):
+        _check_finite("gaussian", mean=self.mean, std=self.std)
         if self.mean.shape != self.std.shape or np.any(self.std < 0):
             raise ValueError("gaussian needs mean and std of one shape, std >= 0")
 

@@ -11,13 +11,16 @@
 are arrays or taped leaves: training records its parameters as leaves,
 builds ``net.with_params(leaves)`` and evaluates that net, so everything
 it computes is differentiable with respect to those leaves.
-Every layer is one ``diffkit.dense`` node (matmul, bias and activation
-fused); only a sine layer whose derivative is needed keeps a separate
-``sincos`` node.  Input derivatives come from one reverse chain seeded with
-a matrix S that returns S . dy/dx, exact (layer-wise chain rule): the
-identity seed gives the Jacobian and a row seed v gives the vjp.  The chain
-records one ``diffkit.chain`` node per hidden layer; a sine layer hands it
-its cos node and omega0, so omega0 cos is never stored.
+A plain evaluation (``forward``) is one ``diffkit.mlp`` node.  The
+per-layer path serves the derivatives that are themselves taped
+(``forward_with_jacobian``, ``vjp``): every layer is one ``diffkit.dense``
+node (matmul, bias and tanh or identity fused), a sine layer adds a
+``sincos`` node and a relu layer a ``relu`` node.  Input derivatives come
+from one reverse chain seeded with a matrix S that returns S . dy/dx,
+exact (layer-wise chain rule): the identity seed gives the Jacobian and a
+row seed v gives the vjp.  The chain records one ``diffkit.chain`` node per
+hidden layer; a sine layer hands it its cos node and omega0, so omega0 cos
+is never stored.
 """
 
 from __future__ import annotations
@@ -203,42 +206,39 @@ def value_net(d: int, hidden=(64, 64, 64), seed: int = 0) -> Mlp:
 # ---------------------------------------------------------------------------
 
 
-def _hidden_layer(net: Mlp, a: Tensor, w: Tensor, b: Tensor,
-                  want_deriv: bool) -> tuple[Tensor, tuple | None]:
-    """One hidden layer's activation and (optionally) its derivative with
-    respect to the pre-activation z = a @ w + b, as a pair (d, scale) for
+def _check_input(net: Mlp, x: Tensor) -> None:
+    if x.ndim != 2 or x.shape[1] != net.in_dim:
+        raise dk.ShapeError(f"input shape {x.shape} is not (B, {net.in_dim})")
+
+
+def _hidden_layer(net: Mlp, a: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, tuple]:
+    """One hidden layer's activation and its derivative with respect to the
+    pre-activation z = a @ w + b, as a pair (d, scale) for
     ``diffkit.chain``: the derivative is scale * d, or d if scale is None.
 
-    Without the derivative, sine and tanh layers are one fused node.  The
-    derivative of a tanh layer comes from that node's output; a sine layer
-    that needs one is a fused linear node followed by sincos(omega0 z), and
-    its derivative is the cos node scaled by omega0.
+    The derivative of a tanh layer comes from its fused node's output; a
+    sine layer is a fused linear node followed by sincos(omega0 z), and its
+    derivative is the cos node scaled by omega0.
     """
     act = net.activation
     if act == "tanh":
         t = dk.dense(a, w, b, "tanh")
-        return t, (1.0 - t * t, None) if want_deriv else None
-    if act == "sine" and not want_deriv:
-        return dk.dense(a, w, b, "sine", net.omega0), None
+        return t, (1.0 - t * t, None)
     z = dk.dense(a, w, b)
     if act == "sine":
         s, c = dk.sincos(net.omega0 * z)
         return s, (c, net.omega0)
-    h = dk.relu(z)
-    if want_deriv:
-        # a.e. constant step function, so it enters the tape as a constant
-        return h, (dk.tensor((z.data > 0.0).astype(z.data.dtype)), None)
-    return h, None
+    # a.e. constant step function, so it enters the tape as a constant
+    return dk.relu(z), (dk.tensor((z.data > 0.0).astype(z.data.dtype)), None)
 
 
-def _forward_core(net: Mlp, x, seed=None) -> tuple[Tensor, Tensor | None]:
-    """Output y (B, out_dim) and, given a seed S of shape (r, out_dim) or
+def _forward_core(net: Mlp, x, seed) -> tuple[Tensor, Tensor]:
+    """Output y (B, out_dim) and, for a seed S of shape (r, out_dim) or
     (B, r, out_dim), S . dy/dx of shape (B, r, in_dim), accumulated from the
     output side: r is never larger than the hidden width, so GEMMs are cheap.
     """
     x = dk.tensor(x)
-    if x.ndim != 2 or x.shape[1] != net.in_dim:
-        raise dk.ShapeError(f"input shape {x.shape} is not (B, {net.in_dim})")
+    _check_input(net, x)
     ws, bs = zip(*net.layers)
     batch = x.shape[0]
 
@@ -247,19 +247,16 @@ def _forward_core(net: Mlp, x, seed=None) -> tuple[Tensor, Tensor | None]:
     for i in range(len(ws) - 1):
         if net.skip_connections and i > 0:
             a = dk.concat([a, x], axis=-1)
-        a, d = _hidden_layer(net, a, ws[i], bs[i], seed is not None)
+        a, d = _hidden_layer(net, a, ws[i], bs[i])
         derivs.append(d)
     y = dk.dense(a, ws[-1], bs[-1])
 
     box = net.output_transform
     if box is not None:
         t = dk.tanh(y)
-        if seed is not None:
-            box_deriv = (box.hi - box.lo) * 0.5 * (1.0 - t * t)
-            seed = seed * dk.reshape(box_deriv, (batch, 1, net.out_dim))
+        box_deriv = (box.hi - box.lo) * 0.5 * (1.0 - t * t)
+        seed = seed * dk.reshape(box_deriv, (batch, 1, net.out_dim))
         y = box.lo + (box.hi - box.lo) * (t + 1.0) * 0.5
-    if seed is None:
-        return y, None
 
     g = dk.matmul(seed, dk.transpose(ws[-1]))
     jac = None
@@ -278,9 +275,12 @@ def _forward_core(net: Mlp, x, seed=None) -> tuple[Tensor, Tensor | None]:
 
 
 def forward(net: Mlp, x) -> Tensor:
-    """Evaluate the network on a (B, in_dim) batch."""
-    y, _ = _forward_core(net, x)
-    return y
+    """Evaluate the network on a (B, in_dim) batch, as one tape node."""
+    x = dk.tensor(x)
+    _check_input(net, x)
+    box = net.output_transform
+    return dk.mlp(x, net.layers, net.activation, net.omega0, net.skip_connections,
+                  None if box is None else (box.lo, box.hi))
 
 
 def forward_with_jacobian(net: Mlp, x) -> tuple[Tensor, Tensor]:

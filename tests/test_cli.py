@@ -296,6 +296,20 @@ def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
                  "gravity must be > 0 for quadrotor", id="system-quadrotor-gravity-zero"),
     pytest.param("sysid", {"system": {"name": "quadrotor", "overrides": {"gravity": -9.81}}},
                  "gravity must be > 0 for quadrotor", id="system-quadrotor-gravity-negative"),
+    pytest.param("train", {"rho": {"kind": "box", "lo": [-float("inf"), 0, 0],
+                                   "hi": [1, 1, 1]}},
+                 "bad rho section: box lo must be finite, got [-inf, 0.0, 0.0]",
+                 id="rho-box-lo-infinite"),
+    pytest.param("eval", {"rho": {"kind": "box", "lo": [0, 0, 0],
+                                  "hi": [1, float("nan"), 1]}},
+                 "bad rho section: box hi must be finite", id="rho-box-hi-nan"),
+    pytest.param("train", {"rho": {"kind": "gaussian", "mean": [float("nan"), 0, 0],
+                                   "std": [0, 0, 0]}},
+                 "bad rho section: gaussian mean must be finite, got [nan, 0.0, 0.0]",
+                 id="rho-gaussian-mean-nan"),
+    pytest.param("train", {"rho": {"kind": "gaussian", "mean": [0, 0, 0],
+                                   "std": [0, float("inf"), 0]}},
+                 "bad rho section: gaussian std must be finite", id="rho-gaussian-std-infinite"),
 ])
 def test_bad_config_section_is_a_usage_error(command, section, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -410,6 +424,14 @@ def test_rho_section_sets_the_start_distribution(tiny_config, tmp_path):
                train_dir / "controller_dubins.json", "--export-trajectories", 1) == cli.EXIT_OK
     first_state = (eval_dir / "eval_traj_0000.csv").read_text().splitlines()[2].split(",")[1:4]
     assert [float(v) for v in first_state] == [-3.0, 0.5, 0.1]
+
+
+@pytest.mark.parametrize("x0", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+def test_non_finite_x0_is_a_usage_error(x0, tiny_config, tmp_path, capsys):
+    # rejected before the controller is read
+    assert run("rollout", "--config", tiny_config, "--outdir", tmp_path,
+               "--controller", tmp_path / "missing.json", "--x0", x0) == cli.EXIT_USAGE
+    assert f"--x0 must be finite, got '{x0}'" in capsys.readouterr().err
 
 
 def test_non_finite_rollout_exits_3(tiny_config, tmp_path, capsys):

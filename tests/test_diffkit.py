@@ -424,13 +424,11 @@ def test_gradient_through_sincos_tangents_matches_fd(rng):
 # -- fused primitives ------------------------------------------------------------
 
 
-def layer_chain(act, omega0):
+def layer_chain(act):
     """act(a @ w + b) as the chain of primitives that dk.dense fuses."""
 
     def run(a, w, b):
         z = dk.matmul(a, w) + b
-        if act == "sine":
-            return dk.sin(omega0 * z)
         return dk.tanh(z) if act == "tanh" else z
 
     return run
@@ -449,19 +447,18 @@ def value_grads_ops(fn, arrays, proj):
     return y.data, [g[leaf].data for leaf in leaves], ops
 
 
-LAYER_LABELS = {"sine": "sin", "tanh": "tanh", "linear": "matmul"}
+LAYER_LABELS = {"tanh": "tanh", "linear": "matmul"}
 
 
 @pytest.mark.parametrize("act", sorted(LAYER_LABELS))
 def test_dense_is_bitwise_the_chain_it_fuses(act, rng):
-    # a narrower input than output (a sine layer keeps the input) and a wider one
+    # a narrower input than output and a wider one
     for fan_in, fan_out in ((4, 5), (5, 4)):
         arrays = (rng.normal(size=(6, fan_in)), rng.normal(size=(fan_in, fan_out)),
                   rng.normal(size=(fan_out,)))
         proj = rng.normal(size=(6, fan_out))
-        y, grads, ops = value_grads_ops(lambda a, w, b: dk.dense(a, w, b, act, 3.0), arrays,
-                                        proj)
-        y_ref, grads_ref, _ = value_grads_ops(layer_chain(act, 3.0), arrays, proj)
+        y, grads, ops = value_grads_ops(lambda a, w, b: dk.dense(a, w, b, act), arrays, proj)
+        y_ref, grads_ref, _ = value_grads_ops(layer_chain(act), arrays, proj)
         assert ops == [LAYER_LABELS[act]]
         assert np.array_equal(y, y_ref)
         for g, g_ref in zip(grads, grads_ref):
@@ -472,11 +469,11 @@ def test_dense_is_bitwise_the_chain_it_fuses(act, rng):
 def test_dense_gradients_match_central_differences(act, rng):
     arrays = (rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=(2,)))
     proj = rng.normal(size=(3, 2))
-    _, grads, _ = value_grads_ops(lambda a, w, b: dk.dense(a, w, b, act, 1.5), arrays, proj)
+    _, grads, _ = value_grads_ops(lambda a, w, b: dk.dense(a, w, b, act), arrays, proj)
     for i, g in enumerate(grads):
         def at(v, i=i):
             args = [v if j == i else x for j, x in enumerate(arrays)]
-            return float((dk.dense(*args, act, 1.5).data * proj).sum())
+            return float((dk.dense(*args, act).data * proj).sum())
         assert rel_err(g, fd_grad(at, arrays[i], h=1e-6)) < 1e-7
 
 
@@ -541,6 +538,113 @@ def test_chain_gradients_match_central_differences(g_shape, scale, rng):
         assert rel_err(g, fd_grad(at, arrays[i], h=1e-6)) < 1e-7
 
 
+def mlp_chain(x, layers, act, omega0=1.0, skip=False, box=None):
+    """The network as the chain of primitives that dk.mlp fuses."""
+    a, last = x, len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        if skip and 0 < i < last:
+            a = dk.concat([a, x], axis=-1)
+        z = dk.matmul(a, w) + b
+        if i == last:
+            a = z
+        elif act == "sine":
+            a = dk.sin(omega0 * z)
+        else:
+            a = dk.tanh(z) if act == "tanh" else dk.relu(z)
+    if box is not None:
+        lo, hi = box
+        a = lo + (hi - lo) * (dk.tanh(a) + 1.0) * 0.5
+    return a
+
+
+def mlp_arrays(rng, in_dim, skip, dtype, hidden=(8, 6, 5), out_dim=2):
+    """x and the (w, b) layers of a network with the given hidden widths."""
+    layers, prev = [], in_dim
+    for j, h in enumerate(hidden):
+        layers.append((rng.normal(size=(prev, h)), rng.normal(size=(h,))))
+        prev = h + (in_dim if skip and j + 1 < len(hidden) else 0)
+    layers.append((rng.normal(size=(prev, out_dim)), rng.normal(size=(out_dim,))))
+    cast = lambda a: (0.5 * a).astype(dtype)
+    x = rng.uniform(-1.0, 1.0, size=(7, in_dim)).astype(dtype)
+    return x, [(cast(w), cast(b)) for w, b in layers]
+
+
+# which inputs are leaves: x and every weight, x alone (frozen weights), or
+# the output layer's weights alone (the layers below it are not live)
+TRACKED = {"all": lambda i, n: True, "frozen": lambda i, n: i == 0,
+           "top": lambda i, n: i >= n - 2}
+
+
+def mlp_value_grads(fn, x0, layers0, tracked, box):
+    """fn's value and the adjoints of sum(fn * proj) + sum(x * c) for the
+    tracked ones of x, w0, b0, w1, ...; x also feeds a later node, so its
+    adjoint sums the node's contributions onto another one."""
+    flat = [x0] + [t for layer in layers0 for t in layer]
+    rng = np.random.default_rng(0)
+    proj, c = rng.normal(size=(x0.shape[0], 2)), rng.normal(size=x0.shape)
+    tape = dk.Tape()
+    with tape:
+        ins = [tape.leaf(a) if TRACKED[tracked](i, len(flat)) else a for i, a in enumerate(flat)]
+        x, layers = ins[0], list(zip(ins[1::2], ins[2::2]))
+        y = fn(x, layers, box)
+        out = dk.sum_(y * proj) + dk.sum_(dk.tensor(x) * c)
+    leaves = [t for t in ins if isinstance(t, dk.Tensor)]
+    g = dk.grad(out, leaves)
+    return y.data, [g[leaf].data for leaf in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tracked", sorted(TRACKED))
+@pytest.mark.parametrize("boxed", [False, True], ids=["no-box", "box"])
+@pytest.mark.parametrize("skip", [False, True], ids=["no-skip", "skip"])
+@pytest.mark.parametrize("act", ["sine", "tanh", "relu"])
+def test_mlp_is_bitwise_the_layer_chain(act, skip, boxed, tracked, dtype, rng):
+    # a first layer narrower than its output (a sine layer rebuilds omega0 z
+    # from the input) and a wider one
+    for in_dim in (3, 10):
+        x0, layers0 = mlp_arrays(rng, in_dim, skip, dtype)
+        box = (np.array([-1.0, 0.0]), np.array([1.0, 2.0])) if boxed else None
+        y, grads = mlp_value_grads(lambda x, ls, bx: dk.mlp(x, ls, act, 3.0, skip, bx),
+                                   x0, layers0, tracked, box)
+        y_ref, grads_ref = mlp_value_grads(
+            lambda x, ls, bx: mlp_chain(x, ls, act, 3.0, skip, bx), x0, layers0, tracked, box)
+        assert y.dtype == np.dtype(dtype)
+        assert np.array_equal(y, y_ref)
+        for g, g_ref in zip(grads, grads_ref, strict=True):
+            assert g.dtype == g_ref.dtype and np.array_equal(g, g_ref)
+
+
+@pytest.mark.parametrize("act", ["sine", "tanh", "relu"])
+def test_mlp_gradients_match_central_differences(act, rng):
+    x0, layers0 = mlp_arrays(rng, 3, True, np.float64, hidden=(5, 4))
+    box = (np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
+    proj = rng.normal(size=(7, 2))
+    flat = [x0] + [t for layer in layers0 for t in layer]
+
+    def value(args):
+        return dk.mlp(args[0], list(zip(args[1::2], args[2::2])), act, 1.5, True, box)
+
+    tape = dk.Tape()
+    with tape:
+        leaves = [tape.leaf(a) for a in flat]
+        out = dk.sum_(value(leaves) * proj)
+    grads = dk.grad(out, leaves)
+    for i, leaf in enumerate(leaves):
+        def at(v, i=i):
+            return float((value([v if j == i else a for j, a in enumerate(flat)]).data
+                          * proj).sum())
+        assert rel_err(grads[leaf].data, fd_grad(at, flat[i], h=1e-6)) < 1e-6
+
+
+def test_mlp_rejects_a_mismatched_input_and_an_unknown_activation():
+    layers = [(np.ones((3, 4)), np.ones(4)), (np.ones((4, 1)), np.ones(1))]
+    for shape in [(2, 5), (3,), (2, 2, 3)]:
+        with pytest.raises(dk.ShapeError):
+            dk.mlp(np.ones(shape), layers, "tanh")
+    with pytest.raises(ValueError, match="gelu"):
+        dk.mlp(np.ones((2, 3)), layers, "gelu")
+
+
 def test_chain_rejects_bad_shapes():
     with pytest.raises(dk.ShapeError):
         dk.chain(np.ones((6, 1, 4)), np.ones((5, 4)), np.ones((2, 4)))  # batch 6 vs 5
@@ -551,8 +655,10 @@ def test_chain_rejects_bad_shapes():
 
 
 def test_dense_rejects_unknown_activation_and_bad_shapes():
-    with pytest.raises(ValueError, match="relu"):
-        dk.dense(np.ones((2, 3)), np.ones((3, 1)), np.ones(1), "relu")
+    # a network's sine and relu layers are parts of its mlp node
+    for act in ("relu", "sine"):
+        with pytest.raises(ValueError, match=act):
+            dk.dense(np.ones((2, 3)), np.ones((3, 1)), np.ones(1), act)
     with pytest.raises(dk.ShapeError):
         dk.dense(np.ones((2, 3)), np.ones((4, 1)), np.ones(1))
 
@@ -567,6 +673,9 @@ def test_fused_primitives_have_no_tangent_rule(rng):
     with pytest.raises(dk.DiffkitError, match="chain"):
         dk.jvp(lambda g: dk.chain(g, np.ones((4, 3)), np.ones((2, 3)), 2.0), (x0,),
                [(np.ones_like(x0),)])
+    with pytest.raises(dk.DiffkitError, match="'mlp' has no tangent rule"):
+        dk.jvp(lambda a: dk.mlp(a, [(np.ones((3, 4)), np.ones(4)), (np.ones((4, 1)), np.ones(1))],
+                                "sine", 2.0), (x0,), [(np.ones_like(x0),)])
 
 
 def test_an_op_refuses_a_tangent_unless_it_hands_over_a_rule(rng):
@@ -587,8 +696,14 @@ SKIP_CASES = {
     "mul": lambda a, b, c: dk.mul(a, b),
     "div": lambda a, b, c: dk.div(a, b),
     "matmul": lambda a, b, c: dk.matmul(a, dk.transpose(b)),
-    "dense": lambda a, b, c: dk.dense(a, dk.transpose(b), c[0], "sine", 2.0),
-    "dense_narrow_input": lambda a, b, c: dk.dense(a[:, :2], b[:2], c[0], "sine", 2.0),
+    "dense": lambda a, b, c: dk.dense(a, dk.transpose(b), c[0], "tanh"),
+    "dense_narrow_input": lambda a, b, c: dk.dense(a[:, :2], b[:2], c[0], "tanh"),
+    "mlp": lambda a, b, c: dk.mlp(a, [(b, c[0]), (c, c[1])], "sine", 2.0),
+    "mlp_narrow_input": lambda a, b, c: dk.mlp(a[:, :2], [(b[:2], c[0]), (c, c[1])], "sine",
+                                               2.0),
+    "mlp_skip_box": lambda a, b, c: dk.mlp(
+        a, [(b, c[0]), (dk.concat([c, b], axis=0), c[1]), (c, c[2])], "tanh", skip=True,
+        box=(np.zeros(3), np.ones(3))),
     "chain": lambda a, b, c: dk.chain(a, b, c, 2.0),
     "axpy": lambda a, b, c: dk.axpy(a, 0.25, b),
     "rk4_combine": lambda a, b, c: dk.rk4_combine(a, 0.1, b, a, b, a),
@@ -616,15 +731,11 @@ def test_backward_returns_none_for_each_untracked_operand(name, tracked, rng):
 
 
 def test_non_finite_adjoint_at_a_fused_node_names_it(rng):
+    # a non-finite adjoint that a fused node computes is caught where it
+    # arrives (test_a_non_finite_adjoint_names_the_fused_primitive: one that
+    # arrives at a fused node)
     a0, w0, b0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=(2,))
     tape = dk.Tape()
-    with tape, np.errstate(invalid="ignore", over="ignore"):
-        a = tape.leaf(a0)
-        y = dk.dense(a, w0, b0, "sine", 2.0)
-        out = dk.sum_(y * dk.tensor(np.full((3, 2), np.inf)))
-    with pytest.raises(dk.NumericError, match=rf"node {y.idx} \(op 'sin'\)"):
-        dk.grad(out, [a])
-    # a non-finite adjoint that the fused node computes is caught where it arrives
     with tape:
         a = tape.leaf(1e-3 * a0)
         out = dk.sum_(dk.dense(a, np.full((4, 2), 1e300), b0) * 1e9)
@@ -632,6 +743,47 @@ def test_non_finite_adjoint_at_a_fused_node_names_it(rng):
     with np.errstate(over="ignore"):
         with pytest.raises(dk.NumericError, match=rf"node {a.idx} \(op 'leaf'\)"):
             dk.grad(out, [a])
+
+
+# fused primitive -> its tally label and a call of it on a (3, 3) leaf
+FUSED = {
+    "mlp": ("matmul", lambda a: dk.mlp(a, [(np.ones((3, 4)), np.ones(4)),
+                                           (np.ones((4, 3)), np.ones(3))], "sine", 2.0)),
+    "dense": ("tanh", lambda a: dk.dense(a, np.ones((3, 3)), np.ones(3), "tanh")),
+    "chain": ("matmul", lambda a: dk.chain(a, np.ones((3, 3)), np.ones((3, 3)), 2.0)),
+    "axpy": ("add", lambda a: dk.axpy(a, 0.5, a)),
+    "rk4_combine": ("add", lambda a: dk.rk4_combine(a, 0.1, a, a, a, a)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_a_non_finite_adjoint_names_the_fused_primitive(name, rng):
+    label, fn = FUSED[name]
+    tape = dk.Tape()
+    with tape, np.errstate(invalid="ignore", over="ignore"):
+        a = tape.leaf(rng.normal(size=(3, 3)))
+        y = fn(a)
+        out = dk.sum_(y * dk.tensor(np.full(y.shape, np.inf)))
+    with pytest.raises(dk.NumericError, match=rf"node {y.idx} \(op '{label}' of primitive "
+                                              rf"'{name}'\)$"):
+        dk.grad(out, [a])
+
+
+def test_grad_checks_an_adjoint_once_not_again_in_its_views(monkeypatch, rng):
+    checked = []
+    vdot = np.vdot
+    monkeypatch.setattr(np, "vdot", lambda a, b: checked.append(a.shape) or vdot(a, b))
+    tape = dk.Tape()
+    with tape:
+        x = tape.leaf(rng.normal(size=(3, 4)))
+        y = x * 2.0
+        r = dk.reshape(y, (12,)) + 0.0  # reshape and add hand their adjoint on as it is
+        parts = dk.concat([r, r], axis=0)  # r's adjoint sums two views of this one
+        out = dk.sum_(parts * 3.0)
+    dk.grad(out, [x])
+    # out, parts * 3, parts and r's sum of two views, then x after the mul;
+    # the add's and the reshape's adjoints are r's (a view of it) and not checked
+    assert checked == [(), (24,), (24,), (12,), (3, 4)]
 
 
 def test_grad_sums_adjoints_in_arrival_order(rng):
@@ -662,7 +814,7 @@ def test_grad_sums_adjoints_in_arrival_order(rng):
 # -- retention: a node keeps an array only while an adjoint reads it ------------
 
 
-@pytest.mark.parametrize("act", ["sine", "tanh", "linear"])
+@pytest.mark.parametrize("act", ["tanh", "linear"])
 def test_dense_keeps_its_input_only_for_a_tracked_weight(act, rng):
     a0, w0, b0 = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=(3,))
     for weights_tracked in (False, True):
@@ -672,13 +824,51 @@ def test_dense_keeps_its_input_only_for_a_tracked_weight(act, rng):
             w = tape.leaf(w0) if weights_tracked else w0
             a = x + 1.0  # a node that keeps shapes only
             input_ref = weakref.ref(a.data)
-            y = dk.dense(a, w, b0, act, 2.0)
+            y = dk.dense(a, w, b0, act)
             del a
             out = dk.sum_(y)
         # with frozen weights no adjoint reads an input wider than the output
         assert (input_ref() is not None) == weights_tracked
         dk.grad(out, [x])
         assert input_ref() is None
+
+
+def test_an_mlp_with_frozen_weights_keeps_no_layer_input(rng):
+    # (500, 64) sine layers; the first one is narrower than its output, so
+    # it keeps its input, which exists already, instead of omega0 z
+    _, layers = mlp_arrays(rng, 3, False, np.float64, hidden=(64, 64, 64), out_dim=1)
+    x0 = rng.uniform(-1.0, 1.0, size=(500, 3))
+    flat = [t for pair in layers for t in pair]
+    layer = 500 * 64 * 8
+
+    def net(x, *params):
+        return dk.mlp(x, list(zip(params[::2], params[1::2])), "sine", 2.0)
+
+    # omega0 z of the two deeper layers
+    assert 2 * layer <= kept_bytes(lambda x: net(x, *flat), (x0,)) < 2.1 * layer
+    # and the inputs of the two deeper layers and of the output layer
+    assert kept_bytes(net, (x0, *flat)) >= 5 * layer
+
+
+def test_an_untaped_mlp_never_calls_its_vjp_factory(monkeypatch, rng):
+    masks = []
+    real = dk._mlp_vjp
+
+    def spy(parents, *args):
+        masks.append(parents)
+        return real(parents, *args)
+
+    monkeypatch.setattr(dk, "_mlp_vjp", spy)
+    x0, layers = mlp_arrays(rng, 3, True, np.float32)
+    dk.mlp(x0, layers, "sine", 2.0, skip=True)
+    tape = dk.Tape()
+    with tape:
+        dk.mlp(x0, layers, "sine", 2.0, skip=True)  # a tape is active, but no input is on it
+        x = tape.leaf(x0)
+        y = dk.mlp(x, layers, "sine", 2.0, skip=True)
+    # x is an input once per layer that reads it: the first and two skips
+    assert masks == [(-1,) * 8 + (x.idx,) * 3]
+    assert len(tape) == 2 and tape.nodes[y.idx].op == "matmul"
 
 
 def kept_bytes(fn, arrays) -> int:
@@ -709,7 +899,9 @@ def test_chain_never_keeps_the_product_of_g_and_d(scale, rng):
 
 @pytest.mark.parametrize("weights_tracked", [False, True])
 def test_a_sine_layer_keeps_its_narrower_input_not_omega0_z(weights_tracked, rng):
+    # the first layer of a network node; its output layer is frozen
     a0, w0, b0 = rng.normal(size=(500, 3)), rng.normal(size=(3, 64)), rng.normal(size=(64,))
+    out_layer = (rng.normal(size=(64, 1)), rng.normal(size=(1,)))
     tape = dk.Tape()
     with tape:
         x = tape.leaf(a0)
@@ -719,7 +911,7 @@ def test_a_sine_layer_keeps_its_narrower_input_not_omega0_z(weights_tracked, rng
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            y = dk.dense(a, w, b0, "sine", 2.0)
+            y = dk.mlp(a, [(w, b0), out_layer], "sine", 2.0)
             del a, y
             kept = tracemalloc.get_traced_memory()[0] - base
         finally:
@@ -793,11 +985,11 @@ def test_an_untaped_call_builds_no_backward(monkeypatch, rng):
 
     monkeypatch.setattr(dk, "_dense_vjp", spy)
     a0, w0, b0 = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=(3,))
-    dk.dense(a0, w0, b0, "sine", 2.0)
+    dk.dense(a0, w0, b0, "tanh")
     tape = dk.Tape()
     with tape:
-        dk.dense(a0, w0, b0, "sine", 2.0)  # a tape is active, but no input is on it
+        dk.dense(a0, w0, b0, "tanh")  # a tape is active, but no input is on it
         a = tape.leaf(a0)
-        y = dk.dense(a, w0, b0, "sine", 2.0)
+        y = dk.dense(a, w0, b0, "tanh")
     assert masks == [(a.idx, -1, -1)]
-    assert len(tape) == 2 and tape.nodes[y.idx].op == "sin"
+    assert len(tape) == 2 and tape.nodes[y.idx].op == "tanh"

@@ -9,8 +9,13 @@ the float32 path fails them.  A bound that fails means a change keeps more
 of a step alive than before, not that the margin needs widening.
 """
 
+import gc
 import tracemalloc
 
+import numpy as np
+import pytest
+
+from hjbctrl import diffkit as dk
 from hjbctrl import dynzoo as dz
 from hjbctrl import hjbtrain as hj
 from hjbctrl import netzoo as nz
@@ -66,3 +71,60 @@ def test_sobolev_sysid_peak():
     spec = dz.make_system("dubins")
     cfg = si.SysIdConfig(n_train=1024, n_test=64, epochs=3, batch=256, seed=0)
     assert traced_peak_mb(lambda: si.train_sysid(spec, cfg)) < 1.96
+
+
+def test_untaped_heldout_forward_peak():
+    # the held-out errors of the benchmark's sysid net on 10,000 rows:
+    # measured 4.92 MB as one network node, 9.77 MB as one node per layer
+    spec = dz.make_system("dubins")
+    net = nz.dynamics_net(spec.d, spec.m, omega0=8.0, seed=0).astype(np.float32)
+    data = dz.sample_dataset(spec, 10_000, seed=1).astype(np.float32)
+    z = np.concatenate([data.x, data.u], axis=1)
+    assert traced_peak_mb(lambda: nz.forward(net, z)) < 10.7
+
+
+def cyclic_garbage(fn) -> int:
+    """Objects that only the cyclic collector would free after ``fn``."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def record_step_without_backward(spec, transition) -> None:
+    """Record one HJB step's rollout, Hamiltonian and loss on a tape, and
+    drop the tape before any backward pass empties it."""
+    ctrl = nz.controller_net(spec.d, spec.action_box.lo, spec.action_box.hi, hidden=(16,))
+    value = nz.value_net(spec.d, hidden=(16, 16), seed=1)
+    x0 = spec.rho.sample(np.random.default_rng(0), 16)
+    tape = dk.Tape()
+    with tape:
+        ctrl = ctrl.with_params([tape.leaf(p) for p in ctrl.params()])
+        value = hj.MlpValue(value.with_params([tape.leaf(p) for p in value.params()]), spec.tf)
+        traj = ro.rollout(spec, transition, ctrl, x0, K=10)
+        hj.loss_hjb(hj.grid_hamiltonian(value, traj, transition, spec))
+
+
+@pytest.mark.parametrize("learned", [False, True], ids=["analytic", "learned"])
+def test_training_and_evaluation_leave_no_cyclic_garbage(learned, tmp_path):
+    # a step is freed by reference counting alone, also when it is dropped
+    # before its backward pass: a backward closure that kept a tensor
+    # (tensor -> tape -> node -> closure) would keep the whole step alive
+    # until a full collection
+    spec = dz.make_system("dubins")
+    transition = "analytic"
+    if learned:
+        transition = str(tmp_path / "ftheta.json")
+        nz.save(nz.dynamics_net(spec.d, spec.m, hidden=(16, 16), omega0=8.0, seed=0),
+                transition)
+    cfg = hj.HjbConfig(epochs=2, batch=16, K=10, transition=transition)
+    assert cyclic_garbage(lambda: hj.train_controller(spec, cfg)) == 0
+    f = hj.build_transition(spec, transition, np.float64)
+    assert cyclic_garbage(lambda: record_step_without_backward(spec, f)) == 0
+    controller = nz.controller_net(spec.d, spec.action_box.lo, spec.action_box.hi,
+                                   hidden=(16,), seed=0)
+    assert cyclic_garbage(lambda: ro.evaluate(spec, controller, n_starts=200, seed=0, K=10,
+                                              threshold=0.15)) == 0

@@ -199,13 +199,40 @@ def test_the_reverse_chain_records_one_node_per_layer(rng):
         tape = dk.Tape()
         with tape:
             fn(net.with_params([tape.leaf(p) for p in net.params()]), tape.leaf(x))
-        return Counter(node.op for node in tape.nodes)
+        return Counter(node.op for node in tape.nodes if node.op != "leaf")
 
     x = rng.uniform(-1, 1, size=(5, 3))
-    extra = ops(nz.forward_with_jacobian) - ops(nz.forward)
-    # per hidden layer 1 - t * t and one chain node; the output layer's
-    # transpose and matmul start the chain
-    assert extra == Counter({"mul": 2, "sub": 2, "matmul": 3, "transpose": 1})
+    # a plain evaluation is one network node
+    assert ops(nz.forward) == Counter({"matmul": 1})
+    # per hidden layer a fused tanh layer, 1 - t * t and one chain node; the
+    # output layer, and the transpose and matmul that start the chain
+    assert ops(nz.forward_with_jacobian) == Counter(
+        {"tanh": 2, "mul": 2, "sub": 2, "matmul": 1 + 1 + 2, "transpose": 1})
+
+
+def value_and_grads(fn, net, x, proj):
+    """fn's value and the adjoints of sum(fn * proj) for x and every weight."""
+    tape = dk.Tape()
+    with tape:
+        leaves = [tape.leaf(p) for p in [x] + net.params()]
+        y = fn(net.with_params(leaves[1:]), leaves[0])
+        out = dk.sum_(y * proj)
+    g = dk.grad(out, leaves)
+    return [y.data] + [g[leaf].data for leaf in leaves]
+
+
+@pytest.mark.parametrize("box", [None, ([-1.0, 0.0], [1.0, 2.0])], ids=["no-box", "box"])
+@pytest.mark.parametrize("skip", [False, True])
+@pytest.mark.parametrize("activation", ["sine", "tanh", "relu"])
+def test_forward_is_bitwise_the_per_layer_path(activation, skip, box, rng):
+    # the per-layer path is the value half of forward_with_jacobian
+    net = small_net(activation, skip=skip, box=box, seed=5).astype(np.float32)
+    x = rng.uniform(-1, 1, size=(9, 3)).astype(np.float32)
+    proj = rng.normal(size=(9, 2))
+    got = value_and_grads(nz.forward, net, x, proj)
+    want = value_and_grads(lambda n, v: nz.forward_with_jacobian(n, v)[0], net, x, proj)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype == np.float32 and np.array_equal(g, w)
 
 
 def test_vjp_dim_mismatch():
