@@ -74,7 +74,11 @@ def _header(cfg: dict, seed) -> str:
 def _load_controller(path, spec: SystemSpec) -> netzoo.Mlp:
     net, _ = netzoo.load(path)
     if net.in_dim != spec.d:
-        raise ValueError(f"controller expects d={net.in_dim}, system '{spec.name}' has d={spec.d}")
+        raise ValueError(f"{path}: controller expects d={net.in_dim}, system '{spec.name}' "
+                         f"has d={spec.d}")
+    if net.out_dim != spec.m:
+        raise ValueError(f"{path}: controller outputs m={net.out_dim}, system '{spec.name}' "
+                         f"has m={spec.m}")
     return net
 
 

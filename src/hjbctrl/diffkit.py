@@ -39,11 +39,12 @@ Every op lifts its operands with :func:`tensor`, which returns a tensor
 unchanged and wraps anything else as a constant without checking it;
 :meth:`Tape.leaf` is where inputs are checked, and it rejects non-finite
 data.  :func:`sin` and :func:`cos` are the two halves of
-:func:`sincos`, the one trig primitive.  :func:`matmul`, and the product
-inside :func:`dense` and :func:`mlp`, takes a matrix (m, k) or a stack of
-matrices (B, m, k) on the left and a matrix (k, n) on the right; any other
-layout raises :class:`ShapeError`.  :func:`grad` adds the contributions to
-each adjoint left to right in the order they arrive, whatever their size.
+:func:`sincos`, the one trig primitive.  :func:`matmul` takes a matrix
+(m, k) or a stack of matrices (B, m, k) on the left and a matrix (k, n)
+on the right, and each layer's product inside :func:`mlp` a matrix on
+both sides; any other layout raises :class:`ShapeError`.  :func:`grad`
+adds the contributions to each adjoint left to right in the order they
+arrive, whatever their size.
 It checks each adjoint once for non-finite entries, where it is consumed:
 an adjoint that a backward hands on unchanged, or as a view, was checked
 at its consumer already.  :class:`NumericError` names the first node whose
@@ -53,14 +54,14 @@ Retention rule: a node keeps an array only while an adjoint reads it.
 When a node is recorded, it decides from which of its inputs are tracked
 what its backward will read, and keeps only that; of everything else it
 keeps shapes.  A product keeps a factor only if the other factor is
-tracked, so a product with a constant keeps only the constant; a
-:func:`dense` layer with frozen weights keeps neither its input nor, if
-linear, its output.  An :func:`mlp` node keeps, for the layers whose
-adjoints are collected, a layer's input only when that weight is tracked,
-omega0 z of each sine layer (or, for a sine layer whose input is narrower
-than its output, that input, its weights and bias, to rebuild omega0 z in
-backward with the forward's ops), each tanh output, each relu mask and the
-output box's tanh.  Sums, means, reshapes, slices and concats keep shapes
+tracked, so a product with a constant keeps only the constant.  An
+:func:`mlp` node keeps, for the layers whose adjoints are collected, a
+layer's input only when that weight is tracked, omega0 z of each sine
+layer (or, for a sine layer whose input is narrower than its output, that
+input, its weights and bias, to rebuild omega0 z in backward with the
+forward's ops), each tanh output, each relu mask and the output box's
+tanh; a one-layer node with frozen weights keeps neither its input nor
+its output.  Sums, means, reshapes, slices and concats keep shapes
 only.  An untaped call records nothing and builds no closure, and an
 untaped :func:`mlp` keeps no array of a layer once the next one is
 computed.  :func:`grad` drops each node as soon as its backward has run,
@@ -68,20 +69,19 @@ so the step's arrays are freed while the adjoints grow.  Because a step
 frees and reallocates the same arrays, importing the module also sets
 malloc to keep freed memory in the process (:func:`_keep_freed_memory`).
 
-Five fused primitives record a hot composite as one node with an adjoint
+Four fused primitives record a hot composite as one node with an adjoint
 composed of the chain's own adjoint arithmetic, treated as one elemental
 (Griewank & Walther, *Evaluating Derivatives*): :func:`mlp`, a whole
-network evaluation; :func:`dense`, a tanh or linear layer
-``act(a @ w + b)``; :func:`chain`, one layer ``(g * d) @ w^T`` of a
-network's seeded reverse Jacobian chain, which keeps g, d and w but never
-their product; :func:`axpy`, an RK4 stage input ``x + c k``; and
+network evaluation, or with one layer a single affine layer
+``a @ w + b``; :func:`chain`, one layer ``(g * d) @ w^T`` of a network's
+seeded reverse Jacobian chain, which keeps g, d and w but never their
+product; :func:`axpy`, an RK4 stage input ``x + c k``; and
 :func:`rk4_combine`, the RK4 update.  Each rounds exactly like the chain
 of primitives it replaces, so results are bitwise those of the chain.
 Their nodes carry the label of an existing op (``matmul`` for a network
-and a chain layer; ``tanh`` or ``matmul`` for a layer, after its
-activation; ``add`` for the RK4 nodes), so a tally of the tape over the
-fixed list of op names, such as the benchmark's traced op table, still
-accounts for every node; a fused node's backward time lands in its
+and a chain layer, ``add`` for the RK4 nodes), so a tally of the tape
+over the fixed list of op names, such as the benchmark's traced op table,
+still accounts for every node; a fused node's backward time lands in its
 label's row.  They have no tangent rule, and refuse a tangent under their
 own name.
 """
@@ -805,9 +805,6 @@ def getitem(a, key) -> Tensor:
 # Fused primitives: one node for a hot composite, with a hand-written adjoint
 # ---------------------------------------------------------------------------
 
-# layer activation -> the label of the last op of the chain the node replaces
-_LAYER_OPS = {"tanh": "tanh", "linear": "matmul"}
-
 
 def _act_adjoint(g: np.ndarray, act: str, saved, omega0: float = 1.0) -> np.ndarray:
     """The adjoint of a layer's pre-activation z from that of its output,
@@ -832,34 +829,6 @@ def _affine_adjoints(g: np.ndarray, p, ad, wd, sb) -> tuple:
         _mm_grad_b(g, ad) if p[1] >= 0 else None,
         _unbroadcast(g, sb) if p[2] >= 0 else None,
     )
-
-
-def _dense_vjp(p, ad, wd, bd, act, saved):
-    """``saved`` is the output of a tanh layer, None for a linear one."""
-    sb = bd.shape
-    if p[1] < 0:
-        ad = None
-    if p[0] < 0:
-        wd = None
-    return lambda g, p: _affine_adjoints(_act_adjoint(g, act, saved), p, ad, wd, sb)
-
-
-def dense(a, w, b, act: str = "linear") -> Tensor:
-    """One network layer ``act(a @ w + b)`` as one node labelled by its
-    last op: ``tanh`` for act="tanh", ``matmul`` for act="linear".
-
-    Forward and adjoint round exactly like the matmul/add/activation chain
-    they replace, so results are bitwise those of the chain.
-    """
-    op = _LAYER_OPS.get(act)
-    if op is None:
-        raise ValueError(f"unknown layer activation '{act}'")
-    a, w, b = tensor(a), tensor(w), tensor(b)
-    ad, wd, bd = _same_all([a.data, w.data, b.data])
-    _check_matmul(ad, wd)
-    z = _mm(ad, wd) + bd
-    saved = np.tanh(z, out=z) if act == "tanh" else None
-    return _emit(op, z, (a, w, b), _dense_vjp, (ad, wd, bd, act, saved), name="dense")
 
 
 def _mlp_vjp(p, layers, skip, omega0, box):
@@ -916,7 +885,8 @@ def _mlp_vjp(p, layers, skip, omega0, box):
     return backward
 
 
-_MLP_ACTS = ("sine", "tanh", "relu")
+# the hidden-layer activations of a network
+ACTIVATIONS = ("sine", "tanh", "relu")
 
 
 def mlp(x, layers: Sequence, act: str, omega0: float = 1.0, skip: bool = False,
@@ -927,15 +897,16 @@ def mlp(x, layers: Sequence, act: str, omega0: float = 1.0, skip: bool = False,
     ``layers`` holds (w, b) per layer.  Hidden layers apply ``act``:
     "sine" (sin(omega0 z)), "tanh" or "relu"; the last layer is linear.
     With ``skip``, x is concatenated onto the input of every hidden layer
-    but the first.  ``box`` = (lo, hi) squashes the output y into the box
-    as ``lo + (hi - lo) * (tanh(y) + 1) * 0.5``.  The node computes in the
+    but the first; a one-layer network is the affine map x @ w + b.
+    ``box`` = (lo, hi) squashes the output y into the box as
+    ``lo + (hi - lo) * (tanh(y) + 1) * 0.5``.  The node computes in the
     narrowest dtype among x and the weights.  When the weights share one
     dtype, value and adjoints round exactly like the
-    dense/relu/sincos/concat/box chain the node replaces.  x is an input
-    once per layer that reads it, so its adjoints arrive in the chain's
-    order.  An untaped call keeps nothing per layer.
+    matmul/add/tanh/relu/sincos/concat/box chain the node replaces.  x is
+    an input once per layer that reads it, so its adjoints arrive in the
+    chain's order.  An untaped call keeps nothing per layer.
     """
-    if act not in _MLP_ACTS:
+    if act not in ACTIVATIONS:
         raise ValueError(f"unknown layer activation '{act}'")
     x = tensor(x)
     params = [tensor(t) for layer in layers for t in layer]

@@ -190,10 +190,13 @@ class HjbConfig:
 
 def build_transition(spec: SystemSpec, source: str, dtype):
     """'analytic' or a path to a dynamics-net checkpoint, whose weights
-    are cast to ``dtype``."""
+    are cast to ``dtype``; a dynamics net has no output box, since its
+    input derivatives are taken."""
     if source == "analytic":
         return AnalyticTransition(spec)
     net, _meta = netzoo.load(source)
+    if net.output_transform is not None:
+        raise ValueError(f"{source}: output_transform: a dynamics net has no output box")
     return LearnedTransition(net.astype(dtype), spec.d, spec.m)
 
 

@@ -13,19 +13,21 @@ builds ``net.with_params(leaves)`` and evaluates that net, so everything
 it computes is differentiable with respect to those leaves.
 A plain evaluation (``forward``) is one ``diffkit.mlp`` node.  The
 per-layer path serves the derivatives that are themselves taped
-(``forward_with_jacobian``, ``vjp``): every layer is one ``diffkit.dense``
-node (matmul, bias and tanh or identity fused), a sine layer adds a
-``sincos`` node and a relu layer a ``relu`` node.  Input derivatives come
-from one reverse chain seeded with a matrix S that returns S . dy/dx,
-exact (layer-wise chain rule): the identity seed gives the Jacobian and a
-row seed v gives the vjp.  The chain records one ``diffkit.chain`` node per
-hidden layer; a sine layer hands it its cos node and omega0, so omega0 cos
-is never stored.
+(``forward_with_jacobian``, ``vjp``): every affine layer is a one-layer
+``diffkit.mlp`` node, and each hidden layer adds its activation's node,
+``tanh``, ``sincos`` or ``relu``.  Input derivatives come from one reverse
+chain seeded with a matrix S that returns S . dy/dx, exact (layer-wise
+chain rule): the identity seed gives the Jacobian and a row seed v gives
+the vjp.  The chain records one ``diffkit.chain`` node per hidden layer; a
+sine layer hands it its cos node and omega0, so omega0 cos is never
+stored.  A boxed net (the controller) has no input derivatives: nothing
+takes them, and both functions refuse it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -33,9 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import diffkit as dk
-from .diffkit import Tensor
-
-ACTIVATIONS = ("sine", "tanh", "relu")
+from .diffkit import ACTIVATIONS, Tensor
 
 
 class CheckpointError(Exception):
@@ -48,6 +48,15 @@ class TanhBox:
 
     lo: np.ndarray
     hi: np.ndarray
+
+    def __post_init__(self):
+        if self.lo.ndim != 1 or self.lo.shape != self.hi.shape:
+            raise ValueError(f"output_transform: box bounds lo and hi need one entry each per "
+                             f"output, got shapes {self.lo.shape} and {self.hi.shape}")
+        if not np.all(np.isfinite((self.lo, self.hi))):
+            raise ValueError("output_transform: box bounds must be finite")
+        if np.any(self.hi <= self.lo):
+            raise ValueError("output_transform: box upper bounds must exceed lower bounds")
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,10 @@ class Mlp:
                 raise ValueError(
                     f"layer {k + 1} expects fan_in {w_in}, previous layer chains to {expected}"
                 )
+        box = self.output_transform
+        if box is not None and box.lo.shape != (self.out_dim,):
+            raise ValueError(f"output_transform: box bounds must match the output dimension "
+                             f"{self.out_dim}, got {box.lo.shape[0]} entries")
 
     @property
     def in_dim(self) -> int:
@@ -161,13 +174,8 @@ def init(spec: MlpSpec, seed: int) -> Mlp:
 
     box = None
     if spec.box is not None:
-        lo = np.asarray(spec.box[0], dtype=np.float64)
-        hi = np.asarray(spec.box[1], dtype=np.float64)
-        if lo.shape != (spec.out_dim,) or hi.shape != (spec.out_dim,):
-            raise ValueError("box bounds must match the output dimension")
-        if np.any(hi <= lo):
-            raise ValueError("box upper bounds must exceed lower bounds")
-        box = TanhBox(lo=lo, hi=hi)
+        box = TanhBox(lo=np.asarray(spec.box[0], dtype=np.float64),
+                      hi=np.asarray(spec.box[1], dtype=np.float64))
 
     return Mlp(
         layers=tuple(layers),
@@ -216,15 +224,15 @@ def _hidden_layer(net: Mlp, a: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, tu
     pre-activation z = a @ w + b, as a pair (d, scale) for
     ``diffkit.chain``: the derivative is scale * d, or d if scale is None.
 
-    The derivative of a tanh layer comes from its fused node's output; a
-    sine layer is a fused linear node followed by sincos(omega0 z), and its
-    derivative is the cos node scaled by omega0.
+    z is a one-layer network node, which is linear.  The derivative of a
+    tanh layer comes from its tanh node's output; that of a sine layer,
+    sincos(omega0 z), is the cos node scaled by omega0.
     """
     act = net.activation
+    z = dk.mlp(a, ((w, b),), act)
     if act == "tanh":
-        t = dk.dense(a, w, b, "tanh")
+        t = dk.tanh(z)
         return t, (1.0 - t * t, None)
-    z = dk.dense(a, w, b)
     if act == "sine":
         s, c = dk.sincos(net.omega0 * z)
         return s, (c, net.omega0)
@@ -237,10 +245,11 @@ def _forward_core(net: Mlp, x, seed) -> tuple[Tensor, Tensor]:
     (B, r, out_dim), S . dy/dx of shape (B, r, in_dim), accumulated from the
     output side: r is never larger than the hidden width, so GEMMs are cheap.
     """
+    if net.output_transform is not None:
+        raise ValueError("a net with an output box has no input derivatives")
     x = dk.tensor(x)
     _check_input(net, x)
     ws, bs = zip(*net.layers)
-    batch = x.shape[0]
 
     a = x
     derivs: list[tuple] = []
@@ -249,14 +258,7 @@ def _forward_core(net: Mlp, x, seed) -> tuple[Tensor, Tensor]:
             a = dk.concat([a, x], axis=-1)
         a, d = _hidden_layer(net, a, ws[i], bs[i])
         derivs.append(d)
-    y = dk.dense(a, ws[-1], bs[-1])
-
-    box = net.output_transform
-    if box is not None:
-        t = dk.tanh(y)
-        box_deriv = (box.hi - box.lo) * 0.5 * (1.0 - t * t)
-        seed = seed * dk.reshape(box_deriv, (batch, 1, net.out_dim))
-        y = box.lo + (box.hi - box.lo) * (t + 1.0) * 0.5
+    y = dk.mlp(a, ((ws[-1], bs[-1]),), net.activation)
 
     g = dk.matmul(seed, dk.transpose(ws[-1]))
     jac = None
@@ -269,8 +271,8 @@ def _forward_core(net: Mlp, x, seed) -> tuple[Tensor, Tensor]:
             tail = g[:, :, width:]
             jac = tail if jac is None else jac + tail
             g = g[:, :, :width]
-    if g.ndim == 2:  # no hidden layer and no box: the seed never met the batch
-        g = g + np.zeros((batch,) + g.shape)
+    if g.ndim == 2:  # no hidden layer: the seed never met the batch
+        g = g + np.zeros((x.shape[0],) + g.shape)
     return y, g if jac is None else jac + g
 
 
@@ -285,14 +287,16 @@ def forward(net: Mlp, x) -> Tensor:
 
 def forward_with_jacobian(net: Mlp, x) -> tuple[Tensor, Tensor]:
     """Output (B, out_dim) and exact input-Jacobian (B, out_dim, in_dim),
-    sharing one forward pass; the chain seeded with the identity."""
+    sharing one forward pass; the chain seeded with the identity.  Raises
+    ValueError for a net with an output box."""
     return _forward_core(net, x, seed=np.eye(net.out_dim))
 
 
 def vjp(net: Mlp, x, v) -> tuple[Tensor, Tensor]:
     """Output and the rows v_b^T . d(net)/d(input) at x_b, (B, in_dim) for
     v of shape (B, out_dim), sharing one forward pass; the chain seeded with
-    v, so the full Jacobian is never materialized."""
+    v, so the full Jacobian is never materialized.  Raises ValueError for a
+    net with an output box."""
     x, v = dk.tensor(x), dk.tensor(v)
     if v.shape != (x.shape[0], net.out_dim):
         raise dk.ShapeError(f"v has shape {v.shape}, expected ({x.shape[0]}, {net.out_dim})")
@@ -333,7 +337,8 @@ def save(net: Mlp, path, metadata: dict | None = None) -> None:
 
 
 def load(path) -> tuple[Mlp, dict]:
-    """Read a checkpoint, validating shapes; returns (net, metadata)."""
+    """Read a checkpoint, validating it as :func:`init` validates a spec,
+    with finite weights and a finite omega0 > 0; returns (net, metadata)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -342,14 +347,22 @@ def load(path) -> tuple[Mlp, dict]:
         raise CheckpointError(f"corrupt checkpoint {path}: {e}")
     try:
         if doc["format_version"] != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(f"unsupported format_version {doc['format_version']}")
+            raise CheckpointError(f"unsupported format_version {doc['format_version']} in {path}")
         layers = []
-        for rec in doc["layers"]:
+        for i, rec in enumerate(doc["layers"]):
             w = np.asarray(rec["weights"], dtype=np.float64)
             b = np.asarray(rec["bias"], dtype=np.float64)
-            if list(w.shape) != list(rec["shape"]) or b.shape != (w.shape[1],):
+            if w.ndim != 2 or list(w.shape) != list(rec["shape"]) or b.shape != (w.shape[1],):
                 raise CheckpointError(f"layer shape mismatch in {path}")
+            for name, arr in (("weights", w), ("bias", b)):
+                if not np.all(np.isfinite(arr)):
+                    raise CheckpointError(f"corrupt checkpoint {path}: layers[{i}].{name} "
+                                          f"has non-finite entries")
             layers.append((w, b))
+        omega0 = float(doc["omega0"])
+        if not (math.isfinite(omega0) and omega0 > 0):
+            raise CheckpointError(f"corrupt checkpoint {path}: omega0 must be finite and > 0, "
+                                  f"got {omega0}")
         ot = doc["output_transform"]
         box = None
         if ot["kind"] == "tanh_box":
@@ -358,11 +371,11 @@ def load(path) -> tuple[Mlp, dict]:
                 hi=np.asarray(ot["hi"], dtype=np.float64),
             )
         elif ot["kind"] != "identity":
-            raise CheckpointError(f"unknown output transform '{ot['kind']}'")
+            raise CheckpointError(f"unknown output transform '{ot['kind']}' in {path}")
         net = Mlp(
             layers=tuple(layers),
             activation=doc["activation"],
-            omega0=float(doc["omega0"]),
+            omega0=omega0,
             skip_connections=bool(doc["skip_connections"]),
             output_transform=box,
         )

@@ -97,7 +97,7 @@ def test_matmul_shape_errors():
         with pytest.raises(dk.ShapeError):
             dk.matmul(np.zeros(sa), np.zeros(sb))
         with pytest.raises(dk.ShapeError):
-            dk.dense(np.zeros(sa), np.zeros(sb), np.zeros(sb[-1:]))
+            dk.mlp(np.zeros(sa), [(np.zeros(sb), np.zeros(sb[-1:]))], "tanh")
 
 
 def test_grad_frees_the_step_without_the_cyclic_collector():
@@ -424,16 +424,6 @@ def test_gradient_through_sincos_tangents_matches_fd(rng):
 # -- fused primitives ------------------------------------------------------------
 
 
-def layer_chain(act):
-    """act(a @ w + b) as the chain of primitives that dk.dense fuses."""
-
-    def run(a, w, b):
-        z = dk.matmul(a, w) + b
-        return dk.tanh(z) if act == "tanh" else z
-
-    return run
-
-
 def value_grads_ops(fn, arrays, proj):
     """fn's value, the gradient of sum(fn * proj) for every argument, and the
     ops recorded between the leaves and that projection."""
@@ -445,36 +435,6 @@ def value_grads_ops(fn, arrays, proj):
         out = dk.sum_(y * proj)
     g = dk.grad(out, leaves)
     return y.data, [g[leaf].data for leaf in leaves], ops
-
-
-LAYER_LABELS = {"tanh": "tanh", "linear": "matmul"}
-
-
-@pytest.mark.parametrize("act", sorted(LAYER_LABELS))
-def test_dense_is_bitwise_the_chain_it_fuses(act, rng):
-    # a narrower input than output and a wider one
-    for fan_in, fan_out in ((4, 5), (5, 4)):
-        arrays = (rng.normal(size=(6, fan_in)), rng.normal(size=(fan_in, fan_out)),
-                  rng.normal(size=(fan_out,)))
-        proj = rng.normal(size=(6, fan_out))
-        y, grads, ops = value_grads_ops(lambda a, w, b: dk.dense(a, w, b, act), arrays, proj)
-        y_ref, grads_ref, _ = value_grads_ops(layer_chain(act), arrays, proj)
-        assert ops == [LAYER_LABELS[act]]
-        assert np.array_equal(y, y_ref)
-        for g, g_ref in zip(grads, grads_ref):
-            assert np.array_equal(g, g_ref)
-
-
-@pytest.mark.parametrize("act", sorted(LAYER_LABELS))
-def test_dense_gradients_match_central_differences(act, rng):
-    arrays = (rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=(2,)))
-    proj = rng.normal(size=(3, 2))
-    _, grads, _ = value_grads_ops(lambda a, w, b: dk.dense(a, w, b, act), arrays, proj)
-    for i, g in enumerate(grads):
-        def at(v, i=i):
-            args = [v if j == i else x for j, x in enumerate(arrays)]
-            return float((dk.dense(*args, act).data * proj).sum())
-        assert rel_err(g, fd_grad(at, arrays[i], h=1e-6)) < 1e-7
 
 
 def chain_unfused(g, d, w, scale=None):
@@ -600,9 +560,10 @@ def mlp_value_grads(fn, x0, layers0, tracked, box):
 @pytest.mark.parametrize("act", ["sine", "tanh", "relu"])
 def test_mlp_is_bitwise_the_layer_chain(act, skip, boxed, tracked, dtype, rng):
     # a first layer narrower than its output (a sine layer rebuilds omega0 z
-    # from the input) and a wider one
-    for in_dim in (3, 10):
-        x0, layers0 = mlp_arrays(rng, in_dim, skip, dtype)
+    # from the input) and a wider one, and a one-layer network, the affine
+    # layer of netzoo's per-layer path
+    for in_dim, hidden in ((3, (8, 6, 5)), (10, (8, 6, 5)), (4, ())):
+        x0, layers0 = mlp_arrays(rng, in_dim, skip, dtype, hidden)
         box = (np.array([-1.0, 0.0]), np.array([1.0, 2.0])) if boxed else None
         y, grads = mlp_value_grads(lambda x, ls, bx: dk.mlp(x, ls, act, 3.0, skip, bx),
                                    x0, layers0, tracked, box)
@@ -654,20 +615,8 @@ def test_chain_rejects_bad_shapes():
         dk.chain(np.ones((6, 1, 4)), np.ones((6, 4)), np.ones((2, 3)))
 
 
-def test_dense_rejects_unknown_activation_and_bad_shapes():
-    # a network's sine and relu layers are parts of its mlp node
-    for act in ("relu", "sine"):
-        with pytest.raises(ValueError, match=act):
-            dk.dense(np.ones((2, 3)), np.ones((3, 1)), np.ones(1), act)
-    with pytest.raises(dk.ShapeError):
-        dk.dense(np.ones((2, 3)), np.ones((4, 1)), np.ones(1))
-
-
 def test_fused_primitives_have_no_tangent_rule(rng):
     x0 = rng.normal(size=(2, 3))
-    with pytest.raises(dk.DiffkitError, match="dense"):
-        dk.jvp(lambda a: dk.dense(a, np.ones((3, 1)), np.ones(1), "tanh"), (x0,),
-               [(np.ones_like(x0),)])
     with pytest.raises(dk.DiffkitError, match="axpy"):
         dk.jvp(lambda a: dk.axpy(a, 0.5, a), (x0,), [(np.ones_like(x0),)])
     with pytest.raises(dk.DiffkitError, match="chain"):
@@ -696,8 +645,6 @@ SKIP_CASES = {
     "mul": lambda a, b, c: dk.mul(a, b),
     "div": lambda a, b, c: dk.div(a, b),
     "matmul": lambda a, b, c: dk.matmul(a, dk.transpose(b)),
-    "dense": lambda a, b, c: dk.dense(a, dk.transpose(b), c[0], "tanh"),
-    "dense_narrow_input": lambda a, b, c: dk.dense(a[:, :2], b[:2], c[0], "tanh"),
     "mlp": lambda a, b, c: dk.mlp(a, [(b, c[0]), (c, c[1])], "sine", 2.0),
     "mlp_narrow_input": lambda a, b, c: dk.mlp(a[:, :2], [(b[:2], c[0]), (c, c[1])], "sine",
                                                2.0),
@@ -738,7 +685,7 @@ def test_non_finite_adjoint_at_a_fused_node_names_it(rng):
     tape = dk.Tape()
     with tape:
         a = tape.leaf(1e-3 * a0)
-        out = dk.sum_(dk.dense(a, np.full((4, 2), 1e300), b0) * 1e9)
+        out = dk.sum_(dk.mlp(a, [(np.full((4, 2), 1e300), b0)], "tanh") * 1e9)
     assert np.isfinite(out.item())
     with np.errstate(over="ignore"):
         with pytest.raises(dk.NumericError, match=rf"node {a.idx} \(op 'leaf'\)"):
@@ -749,7 +696,6 @@ def test_non_finite_adjoint_at_a_fused_node_names_it(rng):
 FUSED = {
     "mlp": ("matmul", lambda a: dk.mlp(a, [(np.ones((3, 4)), np.ones(4)),
                                            (np.ones((4, 3)), np.ones(3))], "sine", 2.0)),
-    "dense": ("tanh", lambda a: dk.dense(a, np.ones((3, 3)), np.ones(3), "tanh")),
     "chain": ("matmul", lambda a: dk.chain(a, np.ones((3, 3)), np.ones((3, 3)), 2.0)),
     "axpy": ("add", lambda a: dk.axpy(a, 0.5, a)),
     "rk4_combine": ("add", lambda a: dk.rk4_combine(a, 0.1, a, a, a, a)),
@@ -814,25 +760,6 @@ def test_grad_sums_adjoints_in_arrival_order(rng):
 # -- retention: a node keeps an array only while an adjoint reads it ------------
 
 
-@pytest.mark.parametrize("act", ["tanh", "linear"])
-def test_dense_keeps_its_input_only_for_a_tracked_weight(act, rng):
-    a0, w0, b0 = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=(3,))
-    for weights_tracked in (False, True):
-        tape = dk.Tape()
-        with tape:
-            x = tape.leaf(a0)
-            w = tape.leaf(w0) if weights_tracked else w0
-            a = x + 1.0  # a node that keeps shapes only
-            input_ref = weakref.ref(a.data)
-            y = dk.dense(a, w, b0, act)
-            del a
-            out = dk.sum_(y)
-        # with frozen weights no adjoint reads an input wider than the output
-        assert (input_ref() is not None) == weights_tracked
-        dk.grad(out, [x])
-        assert input_ref() is None
-
-
 def test_an_mlp_with_frozen_weights_keeps_no_layer_input(rng):
     # (500, 64) sine layers; the first one is narrower than its output, so
     # it keeps its input, which exists already, instead of omega0 z
@@ -848,6 +775,25 @@ def test_an_mlp_with_frozen_weights_keeps_no_layer_input(rng):
     assert 2 * layer <= kept_bytes(lambda x: net(x, *flat), (x0,)) < 2.1 * layer
     # and the inputs of the two deeper layers and of the output layer
     assert kept_bytes(net, (x0, *flat)) >= 5 * layer
+
+
+def test_a_one_layer_mlp_keeps_its_input_only_for_a_tracked_weight(rng):
+    # the affine layer of netzoo's per-layer path
+    a0, w0, b0 = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=(3,))
+    for weights_tracked in (False, True):
+        tape = dk.Tape()
+        with tape:
+            x = tape.leaf(a0)
+            w = tape.leaf(w0) if weights_tracked else w0
+            a = x + 1.0  # a node that keeps shapes only
+            input_ref = weakref.ref(a.data)
+            y = dk.mlp(a, [(w, b0)], "tanh")
+            del a
+            out = dk.sum_(y)
+        # with frozen weights no adjoint reads the input
+        assert (input_ref() is not None) == weights_tracked
+        dk.grad(out, [x])
+        assert input_ref() is None
 
 
 def test_an_untaped_mlp_never_calls_its_vjp_factory(monkeypatch, rng):
@@ -973,23 +919,3 @@ def test_grad_releases_each_node_before_the_next_backward(rng):
         assert len(tape) == 0
     finally:
         gc.enable()
-
-
-def test_an_untaped_call_builds_no_backward(monkeypatch, rng):
-    masks = []
-    real = dk._dense_vjp
-
-    def spy(parents, *args):
-        masks.append(parents)
-        return real(parents, *args)
-
-    monkeypatch.setattr(dk, "_dense_vjp", spy)
-    a0, w0, b0 = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=(3,))
-    dk.dense(a0, w0, b0, "tanh")
-    tape = dk.Tape()
-    with tape:
-        dk.dense(a0, w0, b0, "tanh")  # a tape is active, but no input is on it
-        a = tape.leaf(a0)
-        y = dk.dense(a, w0, b0, "tanh")
-    assert masks == [(a.idx, -1, -1)]
-    assert len(tape) == 2 and tape.nodes[y.idx].op == "tanh"

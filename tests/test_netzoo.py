@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,12 +144,13 @@ def test_one_layer_sine_jacobian_symbolic():
     assert np.allclose(jac.data, [[[2.0]]])
 
 
-def test_jacobian_output_transform_chain(rng):
+def test_a_boxed_net_has_no_input_derivatives(rng):
     net = small_net("tanh", box=([-2.0, 0.0], [2.0, 4.0]), seed=4)
     x = rng.uniform(-1, 1, size=(5, 3))
-    jac = nz.forward_with_jacobian(net, x)[1].data
-    ref = np.stack([fd_jac(lambda v: nz.forward(net, v[None, :]).data[0], x[i]) for i in range(5)])
-    assert rel_err(jac, ref) < 1e-5
+    with pytest.raises(ValueError, match="output box has no input derivatives"):
+        nz.forward_with_jacobian(net, x)
+    with pytest.raises(ValueError, match="output box has no input derivatives"):
+        nz.vjp(net, x, rng.normal(size=(5, 2)))
 
 
 def test_value_net_jacobian_finite_everywhere_sampled(rng):
@@ -204,10 +206,11 @@ def test_the_reverse_chain_records_one_node_per_layer(rng):
     x = rng.uniform(-1, 1, size=(5, 3))
     # a plain evaluation is one network node
     assert ops(nz.forward) == Counter({"matmul": 1})
-    # per hidden layer a fused tanh layer, 1 - t * t and one chain node; the
-    # output layer, and the transpose and matmul that start the chain
+    # per hidden layer a one-layer network node, a tanh node, 1 - t * t and
+    # one chain node; the output layer's one-layer network node, and the
+    # transpose and matmul that start the chain
     assert ops(nz.forward_with_jacobian) == Counter(
-        {"tanh": 2, "mul": 2, "sub": 2, "matmul": 1 + 1 + 2, "transpose": 1})
+        {"tanh": 2, "mul": 2, "sub": 2, "matmul": 2 + 1 + 1 + 2, "transpose": 1})
 
 
 def value_and_grads(fn, net, x, proj):
@@ -221,16 +224,25 @@ def value_and_grads(fn, net, x, proj):
     return [y.data] + [g[leaf].data for leaf in leaves]
 
 
+def per_layer_value(net, x):
+    """The value half of forward_with_jacobian; a boxed net's is that of
+    the same net unboxed, squashed into the box by primitives."""
+    box = net.output_transform
+    if box is None:
+        return nz.forward_with_jacobian(net, x)[0]
+    y = nz.forward_with_jacobian(replace(net, output_transform=None), x)[0]
+    return box.lo + (box.hi - box.lo) * (dk.tanh(y) + 1.0) * 0.5
+
+
 @pytest.mark.parametrize("box", [None, ([-1.0, 0.0], [1.0, 2.0])], ids=["no-box", "box"])
 @pytest.mark.parametrize("skip", [False, True])
 @pytest.mark.parametrize("activation", ["sine", "tanh", "relu"])
 def test_forward_is_bitwise_the_per_layer_path(activation, skip, box, rng):
-    # the per-layer path is the value half of forward_with_jacobian
     net = small_net(activation, skip=skip, box=box, seed=5).astype(np.float32)
     x = rng.uniform(-1, 1, size=(9, 3)).astype(np.float32)
     proj = rng.normal(size=(9, 2))
     got = value_and_grads(nz.forward, net, x, proj)
-    want = value_and_grads(lambda n, v: nz.forward_with_jacobian(n, v)[0], net, x, proj)
+    want = value_and_grads(per_layer_value, net, x, proj)
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype == np.float32 and np.array_equal(g, w)
 
@@ -308,12 +320,46 @@ def test_checkpoint_shape_mismatch_errors(tmp_path):
         nz.load(path)
 
 
-# field -> a bad value for it (None deletes the field), and the error it raises
+def tanh_box(lo, hi) -> dict:
+    return {"kind": "tanh_box", "lo": lo, "hi": hi}
+
+
+def flat_layer0(layers):
+    """A checkpoint edit: layer 0's weights as a vector, with a matching shape."""
+    layers[0]["weights"] = np.ravel(layers[0]["weights"]).tolist()
+    layers[0]["shape"] = [len(layers[0]["weights"])]
+    return layers
+
+
+def layer0_filled(field, value):
+    """A checkpoint edit: every entry of layer 0's ``field`` set to value."""
+    def edit(layers):
+        layers[0][field] = np.full(np.shape(layers[0][field]), value).tolist()
+        return layers
+    return edit
+
+
+# field -> a bad value for it (None deletes the field, a function edits it),
+# and the error it raises; the checkpoint's net has 2 outputs
 @pytest.mark.parametrize("key, value, message", [
     ("format_version", 99, "unsupported format_version 99"),
     ("output_transform", {"kind": "sigmoid"}, "unknown output transform 'sigmoid'"),
     ("activation", None, "missing field 'activation'"),
     ("omega0", [1.0, 2.0], "corrupt checkpoint"),
+    ("output_transform", tanh_box([1.0, 2.0], [-1.0, 0.0]),
+     "output_transform: box upper bounds must exceed lower bounds"),
+    ("output_transform", tanh_box([-1.0], [1.0, 2.0]),
+     r"output_transform: box bounds lo and hi need one entry each per output, "
+     r"got shapes \(1,\) and \(2,\)"),
+    ("output_transform", tanh_box([-1.0], [1.0]),
+     "output_transform: box bounds must match the output dimension 2, got 1 entries"),
+    ("output_transform", tanh_box([-np.inf, 0.0], [1.0, 2.0]),
+     "output_transform: box bounds must be finite"),
+    ("layers", layer0_filled("weights", np.nan), r"layers\[0\].weights has non-finite entries"),
+    ("layers", layer0_filled("bias", np.inf), r"layers\[0\].bias has non-finite entries"),
+    ("omega0", np.inf, "omega0 must be finite and > 0, got inf"),
+    ("omega0", 0.0, "omega0 must be finite and > 0, got 0.0"),
+    ("layers", flat_layer0, "layer shape mismatch"),
 ])
 def test_checkpoint_with_a_bad_field_errors(key, value, message, tmp_path):
     path = tmp_path / "net.json"
@@ -321,11 +367,14 @@ def test_checkpoint_with_a_bad_field_errors(key, value, message, tmp_path):
     doc = json.loads(path.read_text())
     if value is None:
         del doc[key]
+    elif callable(value):
+        doc[key] = value(doc[key])
     else:
         doc[key] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(nz.CheckpointError, match=message):
+    with pytest.raises(nz.CheckpointError, match=message) as err:
         nz.load(path)
+    assert str(path) in str(err.value)
 
 
 def test_mlp_rejects_unknown_activation_and_unchained_layers():
@@ -346,6 +395,7 @@ def test_with_params_rejects_the_wrong_count():
 @pytest.mark.parametrize("box, message", [
     (([-1.0], [1.0]), "box bounds must match the output dimension"),
     (([-1.0, 1.0], [1.0, 1.0]), "box upper bounds must exceed lower bounds"),
+    (([-1.0, 0.0], [1.0, np.nan]), "box bounds must be finite"),
 ])
 def test_init_rejects_a_bad_output_box(box, message):
     with pytest.raises(ValueError, match=message):

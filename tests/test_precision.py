@@ -88,8 +88,6 @@ def test_n_ary_and_fused_ops_compute_in_the_narrowest_dtype(rng):
     assert dk.concat([x, np.zeros((4, 1))], axis=1).data.dtype == F32
     assert dk.stack([np.zeros((4, 3)), x]).data.dtype == F32
     assert dk.matmul(x, w).data.dtype == F32
-    for act in ("tanh", "linear"):
-        assert dk.dense(x, w, b, act).data.dtype == F32
     for act in ("sine", "tanh", "relu"):
         out = dk.mlp(x, [(w, b), (rng.standard_normal((5, 2)), b[:2])], act, 2.0,
                      box=(np.zeros(2), np.ones(2)))
