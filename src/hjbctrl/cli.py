@@ -13,8 +13,10 @@ report's columns are its dataclass fields.
 
 A flag that sets a config value declares it as ``dest="section.key"``
 (``--epochs`` of ``train`` is ``hjb.epochs``), and :func:`_setup` turns
-every such flag into a config override.  Evaluation lives in
-:mod:`hjbctrl.rollout`; it always integrates with the analytic dynamics.
+every such flag into a config override.  Evaluation and trajectory
+integration live in :mod:`hjbctrl.rollout`, always under the analytic
+dynamics and in ``diffkit.COMPUTE``.  A controller's output box must be
+the system's action box.
 
 Exit codes: 0 ok, 2 usage/config error, 3 numeric failure (reported by
 diffkit's checks; numpy's floating-point warnings are silenced).
@@ -32,12 +34,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, config as cfgmod, hjbtrain, netzoo, sysid
+from . import __version__, config as cfgmod, hjbtrain, netzoo, rollout, sysid
 from .diffkit import NumericError
 from .dynzoo import SystemSpec, system_names
-from .rollout import (AnalyticTransition, TrajectoryBatch, evaluate, evaluate_with_trajectories,
-                      rollout)
 from .sysid import TrainingDiverged
+
+# the library's evaluation entry point, timed as ``cli.evaluate`` by the benchmark
+evaluate = rollout.evaluate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -79,6 +82,13 @@ def _load_controller(path, spec: SystemSpec) -> netzoo.Mlp:
     if net.out_dim != spec.m:
         raise ValueError(f"{path}: controller outputs m={net.out_dim}, system '{spec.name}' "
                          f"has m={spec.m}")
+    # exact: a checkpoint's box round-trips bit-exactly
+    box, want = net.output_transform, spec.action_box
+    if box is None or not (np.array_equal(box.lo, want.lo) and np.array_equal(box.hi, want.hi)):
+        got = "none" if box is None else f"lo {box.lo.tolist()}, hi {box.hi.tolist()}"
+        raise ValueError(f"{path}: output_transform: the controller's box ({got}) is not the "
+                         f"action box of system '{spec.name}' (lo {want.lo.tolist()}, "
+                         f"hi {want.hi.tolist()})")
     return net
 
 
@@ -108,8 +118,8 @@ def _write_report(path: Path, header: str, report) -> None:
     _write_csv(path, header, [f.name for f in fields(report)], [astuple(report)])
 
 
-def _write_trajectories(traj: TrajectoryBatch, spec: SystemSpec, outdir: Path, prefix: str,
-                        header: str, manifest: dict) -> list[Path]:
+def _write_trajectories(traj: rollout.TrajectoryBatch, spec: SystemSpec, outdir: Path,
+                        prefix: str, header: str, manifest: dict) -> list[Path]:
     """One CSV per batch element plus a JSON manifest.
 
     Columns: t, x_0..x_{d-1}, u_0..u_{m-1}, running_cost (the rate
@@ -192,12 +202,10 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--export-trajectories must be between 0 and the {ecfg.starts} "
                          f"evaluation starts, got {n_export}")
     controller = _load_controller(args.controller, spec)
-    run = (spec, controller, ecfg.starts, ecfg.seed, hcfg.K, ecfg.threshold, ecfg.metric)
-    if n_export:
-        # the first scored trajectories, not a second rollout of their starts
-        report, traj = evaluate_with_trajectories(*run, keep=n_export)
-    else:
-        report, traj = evaluate(*run), None
+    # the first scored trajectories, not a second rollout of their starts
+    report, traj = rollout.evaluate_with_trajectories(
+        spec, controller, ecfg.starts, ecfg.seed, hcfg.K, ecfg.threshold, ecfg.metric,
+        keep=n_export)
     _write_report(outdir / "eval_report.csv", header, report)
     if traj is not None:
         _write_trajectories(traj, spec, outdir, "eval_traj", header,
@@ -224,7 +232,7 @@ def cmd_rollout(args) -> int:
         raise ValueError(f"--x0 must be finite, got {args.x0!r}")
 
     controller = _load_controller(args.controller, spec)
-    traj = rollout(spec, AnalyticTransition(spec), controller, x0[None, :], K=hcfg.K)
+    traj = rollout.analytic_rollout(spec, controller, x0[None, :], hcfg.K)
     paths = _write_trajectories(traj, spec, outdir, "rollout", _header(cfg, "-"),
                                 {"x0": x0.tolist(), "config_hash": cfgmod.config_hash(cfg)})
     print(f"[rollout] {spec.name} x0={args.x0} -> {paths[0]}")

@@ -831,7 +831,7 @@ def _affine_adjoints(g: np.ndarray, p, ad, wd, sb) -> tuple:
     )
 
 
-def _mlp_vjp(p, layers, skip, omega0, box):
+def _mlp_vjp(p, layers, omega0, box):
     """``layers`` holds (a, w, b, act, saved) per layer as the forward
     computed them, ``box`` (hi - lo, tanh(y)) or None.
 
@@ -856,15 +856,12 @@ def _mlp_vjp(p, layers, skip, omega0, box):
                     wd if need_in or narrow else None, bd if narrow else None, bd.shape,
                     None if narrow else saved)
         need_in = True
-    x_width = layers[0][0].shape[-1]
-    n_x = len(p) - 2 * n
 
     def backward(g, p):
         if box is not None:
             hl, t = box
             g = ((g * 0.5) * hl) * (1.0 - t * t)
         adjoints = [None] * (2 * n)
-        xs = []  # x's adjoints in the order the layer chain delivers them
         for i in range(n - 1, -1, -1):
             if steps[i] is None:
                 break
@@ -873,14 +870,7 @@ def _mlp_vjp(p, layers, skip, omega0, box):
                 saved = omega0 * (_mm(ad, wd) + bd)
             g, adjoints[2 * i], adjoints[2 * i + 1] = _affine_adjoints(
                 _act_adjoint(g, act, saved, omega0), mask, ad, wd, sb)
-            if g is not None and skip and 0 < i < n - 1:
-                width = g.shape[-1] - x_width
-                if x_tracked:
-                    xs.append(g[:, width:])
-                g = g[:, :width]
-        if x_tracked:
-            xs.append(g)
-        return (*adjoints, *(xs or [None] * n_x))
+        return (*adjoints, g if x_tracked else None)
 
     return backward
 
@@ -889,22 +879,20 @@ def _mlp_vjp(p, layers, skip, omega0, box):
 ACTIVATIONS = ("sine", "tanh", "relu")
 
 
-def mlp(x, layers: Sequence, act: str, omega0: float = 1.0, skip: bool = False,
+def mlp(x, layers: Sequence, act: str, omega0: float = 1.0,
         box: tuple | None = None) -> Tensor:
     """One evaluation of a multilayer perceptron on a (B, n) input x as one
     node labelled ``matmul``.
 
     ``layers`` holds (w, b) per layer.  Hidden layers apply ``act``:
     "sine" (sin(omega0 z)), "tanh" or "relu"; the last layer is linear.
-    With ``skip``, x is concatenated onto the input of every hidden layer
-    but the first; a one-layer network is the affine map x @ w + b.
-    ``box`` = (lo, hi) squashes the output y into the box as
-    ``lo + (hi - lo) * (tanh(y) + 1) * 0.5``.  The node computes in the
+    x is read by the first layer only; a one-layer network is the affine
+    map x @ w + b.  ``box`` = (lo, hi) squashes the output y into the box
+    as ``lo + (hi - lo) * (tanh(y) + 1) * 0.5``.  The node computes in the
     narrowest dtype among x and the weights.  When the weights share one
     dtype, value and adjoints round exactly like the
-    matmul/add/tanh/relu/sincos/concat/box chain the node replaces.  x is
-    an input once per layer that reads it, so its adjoints arrive in the
-    chain's order.  An untaped call keeps nothing per layer.
+    matmul/add/tanh/relu/sincos/box chain the node replaces.  An untaped
+    call keeps nothing per layer.
     """
     if act not in ACTIVATIONS:
         raise ValueError(f"unknown layer activation '{act}'")
@@ -918,8 +906,6 @@ def mlp(x, layers: Sequence, act: str, omega0: float = 1.0, skip: bool = False,
     last = len(layers) - 1
     a = xd
     for i in range(last + 1):
-        if skip and 0 < i < last:
-            a = np.concatenate([a, xd], axis=-1)
         ad, wd, bd = a, pd[2 * i], pd[2 * i + 1]
         _check_matmul(ad, wd)
         a = _mm(ad, wd)
@@ -947,8 +933,7 @@ def mlp(x, layers: Sequence, act: str, omega0: float = 1.0, skip: bool = False,
         lo, m = _same(lo, hl * tp1 * 0.5)
         a = lo + m
         boxed = (hl, t)
-    xs = (x,) * (1 + (max(last - 1, 0) if skip else 0))
-    return _emit("matmul", a, (*params, *xs), _mlp_vjp, (kept, skip, omega0, boxed), name="mlp")
+    return _emit("matmul", a, (*params, x), _mlp_vjp, (kept, omega0, boxed), name="mlp")
 
 
 def _chain_rows(dd: np.ndarray, scale) -> np.ndarray:

@@ -11,17 +11,23 @@
 are arrays or taped leaves: training records its parameters as leaves,
 builds ``net.with_params(leaves)`` and evaluates that net, so everything
 it computes is differentiable with respect to those leaves.
-A plain evaluation (``forward``) is one ``diffkit.mlp`` node.  The
+A plain evaluation (``forward``) is one ``diffkit.mlp`` node, which reads
+its input once; it serves the nets without skip connections.  The
 per-layer path serves the derivatives that are themselves taped
 (``forward_with_jacobian``, ``vjp``): every affine layer is a one-layer
-``diffkit.mlp`` node, and each hidden layer adds its activation's node,
-``tanh``, ``sincos`` or ``relu``.  Input derivatives come from one reverse
-chain seeded with a matrix S that returns S . dy/dx, exact (layer-wise
-chain rule): the identity seed gives the Jacobian and a row seed v gives
-the vjp.  The chain records one ``diffkit.chain`` node per hidden layer; a
-sine layer hands it its cos node and omega0, so omega0 cos is never
-stored.  A boxed net (the controller) has no input derivatives: nothing
-takes them, and both functions refuse it.
+``diffkit.mlp`` node, a skip layer's input is a ``concat`` node, and each
+hidden layer adds its activation's node, ``tanh``, ``sincos`` or
+``relu``.  The value net, the one net with skip connections, is only
+ever evaluated with its derivatives (``hjbtrain.MlpValue``), so this path
+is its evaluator, and ``forward`` refuses it.  Input derivatives come
+from one reverse chain seeded with a matrix S that returns S . dy/dx,
+exact (layer-wise chain rule): the identity seed gives the Jacobian and a
+row seed v gives the vjp.  The chain records one ``diffkit.chain`` node
+per hidden layer; a sine layer hands it its cos node and omega0, so
+omega0 cos is never stored.  A boxed net (the controller) has no input
+derivatives: nothing takes them, and both functions refuse it.  So no
+net has both an output box and skip connections: neither path could
+evaluate it.
 """
 
 from __future__ import annotations
@@ -60,19 +66,6 @@ class TanhBox:
 
 
 @dataclass(frozen=True)
-class MlpSpec:
-    """Architecture description consumed by :func:`init`."""
-
-    in_dim: int
-    hidden: tuple[int, ...]
-    out_dim: int
-    activation: str = "tanh"
-    omega0: float = 30.0
-    skip_connections: bool = False
-    box: tuple[Sequence[float], Sequence[float]] | None = None  # (lo, hi)
-
-
-@dataclass(frozen=True)
 class Mlp:
     """Immutable MLP: list of (W, b) with W of shape (fan_in, fan_out),
     arrays or taped leaves (see :meth:`with_params`)."""
@@ -86,6 +79,9 @@ class Mlp:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation '{self.activation}'")
+        # forward evaluates no skip net, and the per-layer path no boxed one
+        if self.output_transform is not None and self.skip_connections:
+            raise ValueError("output_transform: a net with skip connections has no output box")
         last = len(self.layers) - 1
         for k in range(last):
             w_out = self.layers[k][0].shape[1]
@@ -144,69 +140,57 @@ class Mlp:
 # ---------------------------------------------------------------------------
 
 
-def init(spec: MlpSpec, seed: int) -> Mlp:
-    """Deterministic random init.
+def init(in_dim: int, hidden: Sequence[int], out_dim: int, *, activation: str = "tanh",
+         omega0: float = 30.0, skip_connections: bool = False,
+         box: tuple[Sequence[float], Sequence[float]] | None = None, seed: int) -> Mlp:
+    """Deterministic random init of an MLP with ``hidden`` widths and an
+    optional output box (lo, hi), validated like any :class:`Mlp`.
 
     Sine layers follow the sinusoidal-network scheme: first layer
     U(-1/fan_in, 1/fan_in), deeper layers U(-sqrt(6/fan_in)/omega0, +).
     Tanh/relu layers use Glorot-uniform U(-sqrt(6/(fan_in+fan_out)), +).
+    With ``skip_connections``, the input is concatenated onto the input of
+    every hidden layer but the first.
     """
     rng = np.random.default_rng(seed)
     dims_in: list[int] = []
-    dims_out: list[int] = []
-    prev = spec.in_dim
-    for j, h in enumerate(spec.hidden):
+    prev = in_dim
+    for j, h in enumerate(hidden):
         dims_in.append(prev)
-        dims_out.append(h)
-        prev = h + (spec.in_dim if spec.skip_connections and j + 1 < len(spec.hidden) else 0)
-    dims_in.append(spec.hidden[-1] if spec.hidden else spec.in_dim)
-    dims_out.append(spec.out_dim)
+        prev = h + (in_dim if skip_connections and j + 1 < len(hidden) else 0)
+    dims_in.append(hidden[-1] if hidden else in_dim)
 
     layers = []
-    for i, (fi, fo) in enumerate(zip(dims_in, dims_out)):
-        if spec.activation == "sine":
-            bound = 1.0 / fi if i == 0 else np.sqrt(6.0 / fi) / spec.omega0
+    for i, (fi, fo) in enumerate(zip(dims_in, (*hidden, out_dim))):
+        if activation == "sine":
+            bound = 1.0 / fi if i == 0 else np.sqrt(6.0 / fi) / omega0
         else:
             bound = np.sqrt(6.0 / (fi + fo))
         w = rng.uniform(-bound, bound, size=(fi, fo))
         b = rng.uniform(-1.0 / np.sqrt(fi), 1.0 / np.sqrt(fi), size=(fo,))
         layers.append((w, b))
 
-    box = None
-    if spec.box is not None:
-        box = TanhBox(lo=np.asarray(spec.box[0], dtype=np.float64),
-                      hi=np.asarray(spec.box[1], dtype=np.float64))
-
-    return Mlp(
-        layers=tuple(layers),
-        activation=spec.activation,
-        omega0=spec.omega0,
-        skip_connections=spec.skip_connections,
-        output_transform=box,
-    )
+    if box is not None:
+        box = TanhBox(lo=np.asarray(box[0], dtype=np.float64),
+                      hi=np.asarray(box[1], dtype=np.float64))
+    return Mlp(layers=tuple(layers), activation=activation, omega0=omega0,
+               skip_connections=skip_connections, output_transform=box)
 
 
 def dynamics_net(d: int, m: int, hidden=(64, 64, 64), activation="sine", omega0=30.0,
                  seed: int = 0) -> Mlp:
     """Transition model f(x, u) -> xdot as one MLP over the stacked input."""
-    return init(MlpSpec(d + m, tuple(hidden), d, activation=activation, omega0=omega0), seed)
+    return init(d + m, hidden, d, activation=activation, omega0=omega0, seed=seed)
 
 
 def controller_net(d: int, action_lo, action_hi, hidden=(64, 64), seed: int = 0) -> Mlp:
     """State-feedback controller with outputs squashed into the action box."""
-    m = len(action_lo)
-    return init(
-        MlpSpec(d, tuple(hidden), m, activation="tanh", box=(action_lo, action_hi)),
-        seed,
-    )
+    return init(d, hidden, len(action_lo), box=(action_lo, action_hi), seed=seed)
 
 
 def value_net(d: int, hidden=(64, 64, 64), seed: int = 0) -> Mlp:
     """Value function over (state, time): scalar output, skip connections."""
-    return init(
-        MlpSpec(d + 1, tuple(hidden), 1, activation="tanh", skip_connections=True),
-        seed,
-    )
+    return init(d + 1, hidden, 1, skip_connections=True, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +261,16 @@ def _forward_core(net: Mlp, x, seed) -> tuple[Tensor, Tensor]:
 
 
 def forward(net: Mlp, x) -> Tensor:
-    """Evaluate the network on a (B, in_dim) batch, as one tape node."""
+    """Evaluate the network on a (B, in_dim) batch, as one tape node.
+    Raises ValueError for a net with skip connections, which is evaluated
+    with its derivatives (:func:`forward_with_jacobian`)."""
+    if net.skip_connections:
+        raise ValueError("a net with skip connections is evaluated with its derivatives, "
+                         "not by forward")
     x = dk.tensor(x)
     _check_input(net, x)
     box = net.output_transform
-    return dk.mlp(x, net.layers, net.activation, net.omega0, net.skip_connections,
+    return dk.mlp(x, net.layers, net.activation, net.omega0,
                   None if box is None else (box.lo, box.hi))
 
 
@@ -337,7 +326,7 @@ def save(net: Mlp, path, metadata: dict | None = None) -> None:
 
 
 def load(path) -> tuple[Mlp, dict]:
-    """Read a checkpoint, validating it as :func:`init` validates a spec,
+    """Read a checkpoint, validated like a net that :func:`init` builds,
     with finite weights and a finite omega0 > 0; returns (net, metadata)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))

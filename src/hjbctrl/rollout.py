@@ -10,11 +10,13 @@ Transition sources are interchangeable callables (x, u) -> xdot; analytic
 system dynamics and learned network dynamics run through identical code
 paths.  Each transition counts its own calls, so budgets are auditable.
 
-Evaluation (:func:`evaluate`) scores a controller from starts drawn from
-the system's ``rho``, always under the analytic dynamics and in
-``diffkit.COMPUTE``; a registry of learned transitions lets it assert that
-no network dynamics were touched.  :func:`evaluate_with_trajectories` also
-hands back the first scored trajectories, for export.
+A trained controller is scored and exported through one integrator,
+:func:`analytic_rollout`: under the analytic dynamics and in
+``diffkit.COMPUTE``.  Evaluation (:func:`evaluate`) scores a controller
+from starts drawn from the system's ``rho``; a registry of learned
+transitions lets it assert that no network dynamics were touched.
+:func:`evaluate_with_trajectories` also hands back the first scored
+trajectories, for export.
 """
 
 from __future__ import annotations
@@ -178,6 +180,15 @@ def rollout(
     )
 
 
+def analytic_rollout(spec: SystemSpec, controller: netzoo.Mlp, x0: np.ndarray,
+                     K: int) -> TrajectoryBatch:
+    """:func:`rollout` of a controller network under the analytic f, with
+    the controller's weights and the (B, d) starts x0 cast to
+    ``diffkit.COMPUTE``, so that it computes in that dtype."""
+    return rollout(spec, AnalyticTransition(spec), controller.astype(dk.COMPUTE),
+                   np.asarray(x0, dk.COMPUTE), K=K)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -281,9 +292,8 @@ def evaluate_with_trajectories(
     the analytic f; the report and the first ``keep`` of the scored
     trajectories (None for keep=0).
 
-    The controller's weights and the starts are cast to
-    ``diffkit.COMPUTE``, so the rollout computes in it.  The starts are
-    drawn at once and rolled out in near-equal chunks, as few as keep each
+    The starts are drawn at once and rolled out by
+    :func:`analytic_rollout` in near-equal chunks, as few as keep each
     within ``_EVAL_CHUNK_BYTES``; each chunk is reduced to per-start metrics
     (and its share of the kept trajectories) before the next one runs.
     Memory does not grow with ``n_starts``, and the report equals the
@@ -294,13 +304,12 @@ def evaluate_with_trajectories(
         raise ValueError(f"can keep 0 to {n_starts} trajectories, not {keep}")
     nfe_learned_before = learned_nfe_total()
     t_start = time.perf_counter()
-    controller = controller.astype(dk.COMPUTE)
     x0 = spec.rho.sample(np.random.default_rng(seed), n_starts).astype(dk.COMPUTE)
     start_bytes = 3 * x0.itemsize * (K + 1) * (spec.d + spec.m)
     n_chunks = -(-n_starts * start_bytes // _EVAL_CHUNK_BYTES)
     chunks, kept = [], []
     for part in np.array_split(x0, n_chunks):
-        traj = rollout(spec, AnalyticTransition(spec), controller, part, K=K)
+        traj = analytic_rollout(spec, controller, part, K)
         chunks.append(_start_metrics(spec, traj, metric))
         need = keep - sum(t.batch for t in kept)
         if need > 0:

@@ -348,9 +348,9 @@ def test_export_writes_the_scored_trajectories(chunk_bytes, export, tiny_config,
         return trajs[-1]
 
     monkeypatch.setattr(config, "system_spec", counted_spec)
-    # a second rollout of the exported starts, by either module, would be recorded too
+    # the cli integrates through the rollout module only, so a second
+    # rollout of the exported starts would be recorded too
     monkeypatch.setattr(rollout, "rollout", recorded)
-    monkeypatch.setattr(cli, "rollout", recorded)
     path = tmp_path / "controller.json"
     netzoo.save(netzoo.controller_net(3, [0.0, -1.0], [1.0, 1.0], hidden=(8,)), path)
     assert run("eval", "--config", tiny_config, "--outdir", tmp_path, "--controller", path,
@@ -407,6 +407,38 @@ def test_controller_with_a_bad_field_is_a_usage_error(edit, message, tiny_config
                "--controller", path) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert str(path) in err and message in err
+
+
+@pytest.mark.parametrize("box, shown", [
+    (([-50.0, -50.0], [50.0, 50.0]), "(lo [-50.0, -50.0], hi [50.0, 50.0])"),
+    (None, "(none)"),
+], ids=["wider-box", "no-box"])
+def test_controller_without_the_action_box_is_a_usage_error(box, shown, tiny_config, tmp_path,
+                                                            capsys):
+    path = tmp_path / "controller.json"
+    netzoo.save(netzoo.init(3, (4,), 2, box=box, seed=0), path)
+    assert run("eval", "--config", tiny_config, "--outdir", tmp_path / "out",
+               "--controller", path) == cli.EXIT_USAGE
+    assert (f"{path}: output_transform: the controller's box {shown} is not the action box "
+            f"of system 'dubins' (lo [0.0, -1.0], hi [1.0, 1.0])") in capsys.readouterr().err
+    assert run("rollout", "--config", tiny_config, "--outdir", tmp_path / "out",
+               "--controller", path, "--x0=0,0,0") == cli.EXIT_USAGE
+
+
+def test_rollout_from_an_exported_start_is_the_exported_trajectory(tiny_config, tmp_path):
+    # eval and rollout both integrate a float32 batch of one under analytic f
+    path = tmp_path / "controller.json"
+    netzoo.save(netzoo.controller_net(3, [0.0, -1.0], [1.0, 1.0], hidden=(8,), seed=2), path)
+    assert run("eval", "--config", tiny_config, "--outdir", tmp_path / "eval", "--controller",
+               path, "--starts", 1, "--export-trajectories", 1) == cli.EXIT_OK
+    exported = (tmp_path / "eval" / "eval_traj_0000.csv").read_text().splitlines()
+    x0 = ",".join(exported[2].split(",")[1:4])
+    assert run("rollout", "--config", tiny_config, "--outdir", tmp_path / "rollout",
+               "--controller", path, f"--x0={x0}") == cli.EXIT_OK
+    rolled = (tmp_path / "rollout" / "rollout_0000.csv").read_text().splitlines()
+    # the header comments differ in their seed; columns and rows do not
+    assert len(rolled) == len(exported) == 1 + 1 + TINY["hjb"]["K"] + 1
+    assert rolled[1:] == exported[1:]
 
 
 def test_controller_of_another_action_dimension_is_a_usage_error(tiny_config, tmp_path, capsys):

@@ -499,7 +499,9 @@ def test_chain_gradients_match_central_differences(g_shape, scale, rng):
 
 
 def mlp_chain(x, layers, act, omega0=1.0, skip=False, box=None):
-    """The network as the chain of primitives that dk.mlp fuses."""
+    """The network as the chain of primitives that dk.mlp fuses; with
+    ``skip``, x is concatenated onto the input of every hidden layer but the
+    first."""
     a, last = x, len(layers) - 1
     for i, (w, b) in enumerate(layers):
         if skip and 0 < i < last:
@@ -527,6 +529,17 @@ def mlp_arrays(rng, in_dim, skip, dtype, hidden=(8, 6, 5), out_dim=2):
     cast = lambda a: (0.5 * a).astype(dtype)
     x = rng.uniform(-1.0, 1.0, size=(7, in_dim)).astype(dtype)
     return x, [(cast(w), cast(b)) for w, b in layers]
+
+
+def per_layer_skip_net(x, layers, act, omega0, box):
+    """A skip net's value on netzoo's per-layer path, the one evaluator of
+    such a net, squashed into ``box`` by the primitives of mlp_chain."""
+    net = nz.Mlp(layers=tuple(layers), activation=act, omega0=omega0, skip_connections=True)
+    y = nz.forward_with_jacobian(net, x)[0]
+    if box is not None:
+        lo, hi = box
+        y = lo + (hi - lo) * (dk.tanh(y) + 1.0) * 0.5
+    return y
 
 
 # which inputs are leaves: x and every weight, x alone (frozen weights), or
@@ -559,14 +572,17 @@ def mlp_value_grads(fn, x0, layers0, tracked, box):
 @pytest.mark.parametrize("skip", [False, True], ids=["no-skip", "skip"])
 @pytest.mark.parametrize("act", ["sine", "tanh", "relu"])
 def test_mlp_is_bitwise_the_layer_chain(act, skip, boxed, tracked, dtype, rng):
-    # a first layer narrower than its output (a sine layer rebuilds omega0 z
+    # a network without skips is one dk.mlp node; a skip net, which dk.mlp
+    # does not take, is netzoo's per-layer path (the value net's evaluator).
+    # A first layer narrower than its output (a sine layer rebuilds omega0 z
     # from the input) and a wider one, and a one-layer network, the affine
     # layer of netzoo's per-layer path
+    net = ((lambda x, ls, bx: per_layer_skip_net(x, ls, act, 3.0, bx)) if skip
+           else (lambda x, ls, bx: dk.mlp(x, ls, act, 3.0, bx)))
     for in_dim, hidden in ((3, (8, 6, 5)), (10, (8, 6, 5)), (4, ())):
         x0, layers0 = mlp_arrays(rng, in_dim, skip, dtype, hidden)
         box = (np.array([-1.0, 0.0]), np.array([1.0, 2.0])) if boxed else None
-        y, grads = mlp_value_grads(lambda x, ls, bx: dk.mlp(x, ls, act, 3.0, skip, bx),
-                                   x0, layers0, tracked, box)
+        y, grads = mlp_value_grads(net, x0, layers0, tracked, box)
         y_ref, grads_ref = mlp_value_grads(
             lambda x, ls, bx: mlp_chain(x, ls, act, 3.0, skip, bx), x0, layers0, tracked, box)
         assert y.dtype == np.dtype(dtype)
@@ -577,13 +593,13 @@ def test_mlp_is_bitwise_the_layer_chain(act, skip, boxed, tracked, dtype, rng):
 
 @pytest.mark.parametrize("act", ["sine", "tanh", "relu"])
 def test_mlp_gradients_match_central_differences(act, rng):
-    x0, layers0 = mlp_arrays(rng, 3, True, np.float64, hidden=(5, 4))
+    x0, layers0 = mlp_arrays(rng, 3, False, np.float64, hidden=(5, 4))
     box = (np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
     proj = rng.normal(size=(7, 2))
     flat = [x0] + [t for layer in layers0 for t in layer]
 
     def value(args):
-        return dk.mlp(args[0], list(zip(args[1::2], args[2::2])), act, 1.5, True, box)
+        return dk.mlp(args[0], list(zip(args[1::2], args[2::2])), act, 1.5, box)
 
     tape = dk.Tape()
     with tape:
@@ -648,9 +664,8 @@ SKIP_CASES = {
     "mlp": lambda a, b, c: dk.mlp(a, [(b, c[0]), (c, c[1])], "sine", 2.0),
     "mlp_narrow_input": lambda a, b, c: dk.mlp(a[:, :2], [(b[:2], c[0]), (c, c[1])], "sine",
                                                2.0),
-    "mlp_skip_box": lambda a, b, c: dk.mlp(
-        a, [(b, c[0]), (dk.concat([c, b], axis=0), c[1]), (c, c[2])], "tanh", skip=True,
-        box=(np.zeros(3), np.ones(3))),
+    "mlp_box": lambda a, b, c: dk.mlp(a, [(b, c[0]), (c, c[1]), (c, c[2])], "tanh",
+                                      box=(np.zeros(3), np.ones(3))),
     "chain": lambda a, b, c: dk.chain(a, b, c, 2.0),
     "axpy": lambda a, b, c: dk.axpy(a, 0.25, b),
     "rk4_combine": lambda a, b, c: dk.rk4_combine(a, 0.1, b, a, b, a),
@@ -805,15 +820,14 @@ def test_an_untaped_mlp_never_calls_its_vjp_factory(monkeypatch, rng):
         return real(parents, *args)
 
     monkeypatch.setattr(dk, "_mlp_vjp", spy)
-    x0, layers = mlp_arrays(rng, 3, True, np.float32)
-    dk.mlp(x0, layers, "sine", 2.0, skip=True)
+    x0, layers = mlp_arrays(rng, 3, False, np.float32)
+    dk.mlp(x0, layers, "sine", 2.0)
     tape = dk.Tape()
     with tape:
-        dk.mlp(x0, layers, "sine", 2.0, skip=True)  # a tape is active, but no input is on it
+        dk.mlp(x0, layers, "sine", 2.0)  # a tape is active, but no input is on it
         x = tape.leaf(x0)
-        y = dk.mlp(x, layers, "sine", 2.0, skip=True)
-    # x is an input once per layer that reads it: the first and two skips
-    assert masks == [(-1,) * 8 + (x.idx,) * 3]
+        y = dk.mlp(x, layers, "sine", 2.0)
+    assert masks == [(-1,) * 8 + (x.idx,)]
     assert len(tape) == 2 and tape.nodes[y.idx].op == "matmul"
 
 

@@ -16,11 +16,8 @@ from conftest import fd_jac, rel_err
 
 
 def small_net(activation="tanh", skip=False, box=None, seed=0, in_dim=3, out_dim=2):
-    return nz.init(
-        nz.MlpSpec(in_dim, (12, 10), out_dim, activation=activation, omega0=4.0,
-                   skip_connections=skip, box=box),
-        seed=seed,
-    )
+    return nz.init(in_dim, (12, 10), out_dim, activation=activation, omega0=4.0,
+                   skip_connections=skip, box=box, seed=seed)
 
 
 # -- forward -----------------------------------------------------------------
@@ -71,22 +68,25 @@ def test_forward_dim_mismatch():
         nz.forward(net, np.ones(3))
 
 
+def test_forward_refuses_a_net_with_skip_connections():
+    with pytest.raises(ValueError, match="skip connections is evaluated with its derivatives"):
+        nz.forward(small_net(skip=True), np.ones((4, 3)))
+
+
 # -- init --------------------------------------------------------------------
 
 
 def test_init_deterministic_and_seed_sensitive():
-    spec = nz.MlpSpec(4, (16, 16), 3, activation="sine")
-    a = nz.init(spec, seed=7)
-    b = nz.init(spec, seed=7)
-    c = nz.init(spec, seed=8)
+    a = nz.init(4, (16, 16), 3, activation="sine", seed=7)
+    b = nz.init(4, (16, 16), 3, activation="sine", seed=7)
+    c = nz.init(4, (16, 16), 3, activation="sine", seed=8)
     for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
         assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
     assert any(not np.array_equal(wa, wc) for (wa, _), (wc, _) in zip(a.layers, c.layers))
 
 
 def test_sine_first_layer_init_bounds():
-    spec = nz.MlpSpec(5, (64, 64), 3, activation="sine", omega0=30.0)
-    net = nz.init(spec, seed=3)
+    net = nz.init(5, (64, 64), 3, activation="sine", omega0=30.0, seed=3)
     w0 = net.layers[0][0]
     assert np.all(np.abs(w0) <= 1.0 / 5)
     w1 = net.layers[1][0]
@@ -94,7 +94,7 @@ def test_sine_first_layer_init_bounds():
 
 
 def test_glorot_bounds_for_tanh():
-    net = nz.init(nz.MlpSpec(4, (32,), 2, activation="tanh"), seed=1)
+    net = nz.init(4, (32,), 2, activation="tanh", seed=1)
     w0 = net.layers[0][0]
     assert np.all(np.abs(w0) <= np.sqrt(6.0 / (4 + 32)))
 
@@ -122,7 +122,9 @@ def test_input_jacobian_matches_fd(activation, skip, rng):
     net = small_net(activation, skip=skip, seed=11)
     x = rng.uniform(-1.0, 1.0, size=(6, 3))
     jac = nz.forward_with_jacobian(net, x)[1].data
-    ref = np.stack([fd_jac(lambda v: nz.forward(net, v[None, :]).data[0], x[i]) for i in range(6)])
+    # a skip net's value comes from the per-layer path alone
+    value = (lambda n, v: nz.forward_with_jacobian(n, v)[0]) if skip else nz.forward
+    ref = np.stack([fd_jac(lambda v: value(net, v[None, :]).data[0], x[i]) for i in range(6)])
     assert rel_err(jac, ref) < 1e-5
 
 
@@ -188,7 +190,7 @@ def test_vjp_agrees_with_dense_product(rng):
 
 @pytest.mark.parametrize("activation", ["sine", "tanh", "relu"])
 def test_vjp_output_is_the_forward_value(activation, rng):
-    net = small_net(activation, skip=True, seed=4)
+    net = small_net(activation, seed=4)
     x = rng.uniform(-1, 1, size=(8, 3))
     y, _ = nz.vjp(net, x, rng.normal(size=(8, 2)))
     assert np.array_equal(y.data, nz.forward(net, x).data)
@@ -235,10 +237,9 @@ def per_layer_value(net, x):
 
 
 @pytest.mark.parametrize("box", [None, ([-1.0, 0.0], [1.0, 2.0])], ids=["no-box", "box"])
-@pytest.mark.parametrize("skip", [False, True])
 @pytest.mark.parametrize("activation", ["sine", "tanh", "relu"])
-def test_forward_is_bitwise_the_per_layer_path(activation, skip, box, rng):
-    net = small_net(activation, skip=skip, box=box, seed=5).astype(np.float32)
+def test_forward_is_bitwise_the_per_layer_path(activation, box, rng):
+    net = small_net(activation, box=box, seed=5).astype(np.float32)
     x = rng.uniform(-1, 1, size=(9, 3)).astype(np.float32)
     proj = rng.normal(size=(9, 2))
     got = value_and_grads(nz.forward, net, x, proj)
@@ -254,7 +255,7 @@ def test_vjp_dim_mismatch():
 
 
 def test_jacobian_nesting_grad_wrt_params_matches_fd(rng):
-    net = nz.init(nz.MlpSpec(4, (10, 10), 2, activation="sine", omega0=3.0), seed=6)
+    net = nz.init(4, (10, 10), 2, activation="sine", omega0=3.0, seed=6)
     x = rng.uniform(-1, 1, size=(5, 4))
 
     def scalar_of(params_list):
@@ -340,7 +341,7 @@ def layer0_filled(field, value):
 
 
 # field -> a bad value for it (None deletes the field, a function edits it),
-# and the error it raises; the checkpoint's net has 2 outputs
+# and the error it raises; the checkpoint's net has 2 outputs and an output box
 @pytest.mark.parametrize("key, value, message", [
     ("format_version", 99, "unsupported format_version 99"),
     ("output_transform", {"kind": "sigmoid"}, "unknown output transform 'sigmoid'"),
@@ -360,10 +361,11 @@ def layer0_filled(field, value):
     ("omega0", np.inf, "omega0 must be finite and > 0, got inf"),
     ("omega0", 0.0, "omega0 must be finite and > 0, got 0.0"),
     ("layers", flat_layer0, "layer shape mismatch"),
+    ("skip_connections", True, "output_transform: a net with skip connections has no output box"),
 ])
 def test_checkpoint_with_a_bad_field_errors(key, value, message, tmp_path):
     path = tmp_path / "net.json"
-    nz.save(small_net(), path)
+    nz.save(small_net(box=([-1.0, 0.0], [1.0, 2.0])), path)
     doc = json.loads(path.read_text())
     if value is None:
         del doc[key]
@@ -400,6 +402,12 @@ def test_with_params_rejects_the_wrong_count():
 def test_init_rejects_a_bad_output_box(box, message):
     with pytest.raises(ValueError, match=message):
         small_net(box=box)
+
+
+def test_init_rejects_an_output_box_with_skip_connections():
+    # neither forward (no skips) nor the per-layer path (no box) evaluates it
+    with pytest.raises(ValueError, match="a net with skip connections has no output box"):
+        small_net(skip=True, box=([-1.0, 0.0], [1.0, 2.0]))
 
 
 def test_checkpoint_survives_process_restart(tmp_path):

@@ -304,6 +304,20 @@ def test_controls_stay_inside_action_box():
     assert np.all(np.abs(us[:, :, 1]) <= 1.0)
 
 
+def test_evaluation_builds_no_learned_transition(monkeypatch):
+    # it scores under the analytic f by construction, whatever f the
+    # controller was trained under
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluation built a learned transition")
+
+    monkeypatch.setattr(ro.LearnedTransition, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built a learned transition"):
+        ro.LearnedTransition(nz.dynamics_net(3, 2, hidden=(4,)), 3, 2)
+    spec = dz.make_system("dubins")
+    controller = nz.controller_net(3, spec.action_box.lo, spec.action_box.hi, hidden=(8,))
+    ro.evaluate(spec, controller, 12, seed=0, K=5, threshold=0.15)
+
+
 def test_rollout_abort_names_step():
     spec = dz.make_system("dubins")
 
