@@ -61,29 +61,37 @@ layer (or, for a sine layer whose input is narrower than its output, that
 input, its weights and bias, to rebuild omega0 z in backward with the
 forward's ops), each tanh output, each relu mask and the output box's
 tanh; a one-layer node with frozen weights keeps neither its input nor
-its output.  Sums, means, reshapes, slices and concats keep shapes
-only.  An untaped call records nothing and builds no closure, and an
-untaped :func:`mlp` keeps no array of a layer once the next one is
-computed.  :func:`grad` drops each node as soon as its backward has run,
-so the step's arrays are freed while the adjoints grow.  Because a step
-frees and reallocates the same arrays, importing the module also sets
-malloc to keep freed memory in the process (:func:`_keep_freed_memory`).
+its output.  An :func:`rk4_mlp` node keeps, per stage, what that
+stage's network node would keep, so of its layer inputs only the narrow
+first sine layer's (in place of its omega0 z) and those of tracked
+weights.  Sums, means, reshapes, slices and concats keep shapes only.
+An untaped call records nothing and builds no closure, and an untaped
+:func:`mlp` or :func:`rk4_mlp` keeps no array of a layer once the next
+one is computed.  :func:`grad` drops each node as soon as its backward
+has run, so the step's arrays are freed while the adjoints grow.
+Because a step frees and reallocates the same arrays, importing the
+module also sets malloc to keep freed memory in the process
+(:func:`_keep_freed_memory`).
 
-Four fused primitives record a hot composite as one node with an adjoint
+Five fused primitives record a hot composite as one node with an adjoint
 composed of the chain's own adjoint arithmetic, treated as one elemental
 (Griewank & Walther, *Evaluating Derivatives*): :func:`mlp`, a whole
 network evaluation, or with one layer a single affine layer
 ``a @ w + b``; :func:`chain`, one layer ``(g * d) @ w^T`` of a network's
 seeded reverse Jacobian chain, which keeps g, d and w but never their
-product; :func:`axpy`, an RK4 stage input ``x + c k``; and
-:func:`rk4_combine`, the RK4 update.  Each rounds exactly like the chain
-of primitives it replaces, so results are bitwise those of the chain.
-Their nodes carry the label of an existing op (``matmul`` for a network
-and a chain layer, ``add`` for the RK4 nodes), so a tally of the tape
-over the fixed list of op names, such as the benchmark's traced op table,
-still accounts for every node; a fused node's backward time lands in its
-label's row.  They have no tangent rule, and refuse a tangent under their
-own name.
+product; :func:`axpy`, an RK4 stage input ``x + c k``;
+:func:`rk4_combine`, the RK4 update; and :func:`rk4_mlp`, a whole RK4
+step under a network transition: the four stage inputs ``[x + c k, u]``,
+the four network evaluations and the update.  Each rounds exactly like
+the chain of primitives it replaces, so values and adjoints are bitwise
+those of the chain, except that :func:`rk4_mlp` sums a state's adjoint
+contributions from within its step before those from outside it.  Their
+nodes carry the label of an existing op (``matmul`` for a network, an
+RK4 step under one and a chain layer, ``add`` for the other RK4 nodes),
+so a tally of the tape over the fixed list of op names, such as the
+benchmark's traced op table, still accounts for every node; a fused
+node's backward time lands in its label's row.  They have no tangent
+rule, and refuse a tangent under their own name.
 """
 
 from __future__ import annotations
@@ -831,22 +839,22 @@ def _affine_adjoints(g: np.ndarray, p, ad, wd, sb) -> tuple:
     )
 
 
-def _mlp_vjp(p, layers, omega0, box):
-    """``layers`` holds (a, w, b, act, saved) per layer as the forward
-    computed them, ``box`` (hi - lo, tanh(y)) or None.
+def _mlp_steps(layers, p, in_tracked: bool) -> list:
+    """What the backward of a network evaluation keeps of ``layers``, the
+    (a, w, b, act, saved) per layer that :func:`_mlp_layers` recorded, given
+    the mask ``p`` of its weights and biases (entries 2i and 2i + 1) and
+    whether its input's adjoint is collected.
 
     A layer is live if its input, weight or bias adjoint is collected;
     the live layers are the top ones.  A live layer keeps its input only
     for a tracked weight, its weight only for a collected input adjoint,
     and ``saved``, except that a sine layer whose input is narrower than
     its output keeps the input, weight and bias instead of omega0 z and
-    rebuilds omega0 z with the forward's ops.
+    rebuilds omega0 z with the forward's ops.  Returns, per live layer,
+    (mask, act, a, w, b, b's shape, saved), and None below them.
     """
-    n = len(layers)
-    x_tracked = p[-1] >= 0
-    # per live layer (mask, act, a, w, b, b's shape, saved), None below them
-    steps = [None] * n
-    need_in = x_tracked
+    steps = [None] * len(layers)
+    need_in = in_tracked
     for i, (ad, wd, bd, act, saved) in enumerate(layers):
         mask = (0 if need_in else -1, p[2 * i], p[2 * i + 1])
         if max(mask) < 0:
@@ -856,20 +864,41 @@ def _mlp_vjp(p, layers, omega0, box):
                     wd if need_in or narrow else None, bd if narrow else None, bd.shape,
                     None if narrow else saved)
         need_in = True
+    return steps
+
+
+def _mlp_adjoints(g: np.ndarray, steps: list, omega0: float, adjoints: list):
+    """Run a network's adjoint from that of its output g down its live
+    ``steps`` (see :func:`_mlp_steps`), adding each weight's and bias's
+    adjoint onto its entry of ``adjoints`` (entries 2i and 2i + 1), and
+    return the adjoint of the input of the lowest live layer."""
+    for i in range(len(steps) - 1, -1, -1):
+        if steps[i] is None:
+            break
+        mask, act, ad, wd, bd, sb, saved = steps[i]
+        if saved is None and act == "sine":
+            saved = omega0 * (_mm(ad, wd) + bd)
+        g, gw, gb = _affine_adjoints(_act_adjoint(g, act, saved, omega0), mask, ad, wd, sb)
+        j = 2 * i
+        if gw is not None:
+            adjoints[j] = gw if adjoints[j] is None else adjoints[j] + gw
+        if gb is not None:
+            adjoints[j + 1] = gb if adjoints[j + 1] is None else adjoints[j + 1] + gb
+    return g
+
+
+def _mlp_vjp(p, layers, omega0, box):
+    """``layers`` holds (a, w, b, act, saved) per layer as the forward
+    computed them, ``box`` (hi - lo, tanh(y)) or None."""
+    x_tracked = p[-1] >= 0
+    steps = _mlp_steps(layers, p, x_tracked)
 
     def backward(g, p):
         if box is not None:
             hl, t = box
             g = ((g * 0.5) * hl) * (1.0 - t * t)
-        adjoints = [None] * (2 * n)
-        for i in range(n - 1, -1, -1):
-            if steps[i] is None:
-                break
-            mask, act, ad, wd, bd, sb, saved = steps[i]
-            if saved is None and act == "sine":
-                saved = omega0 * (_mm(ad, wd) + bd)
-            g, adjoints[2 * i], adjoints[2 * i + 1] = _affine_adjoints(
-                _act_adjoint(g, act, saved, omega0), mask, ad, wd, sb)
+        adjoints = [None] * len(steps) * 2
+        g = _mlp_adjoints(g, steps, omega0, adjoints)
         return (*adjoints, g if x_tracked else None)
 
     return backward
@@ -877,6 +906,44 @@ def _mlp_vjp(p, layers, omega0, box):
 
 # the hidden-layer activations of a network
 ACTIVATIONS = ("sine", "tanh", "relu")
+
+
+def _records(inputs) -> bool:
+    """Whether an op on ``inputs`` is recorded: a tape is active and one of
+    them is on it."""
+    tape = _ACTIVE_TAPE
+    return tape is not None and any(t.tape is tape for t in inputs)
+
+
+def _mlp_layers(a: np.ndarray, pd: list, act: str, omega0: float, kept: list | None):
+    """The layer loop of a network evaluation on the input a, for the
+    weights and biases ``pd`` (w0, b0, w1, ...): hidden layers apply
+    ``act``, the last one is linear.  It appends (a, w, b, act, saved) per
+    layer to ``kept`` (see :func:`_act_adjoint` for saved), or, for
+    ``kept`` None, computes in place and keeps nothing of a layer once the
+    next one is computed."""
+    last = len(pd) // 2 - 1
+    for i in range(last + 1):
+        ad, wd, bd = a, pd[2 * i], pd[2 * i + 1]
+        _check_matmul(ad, wd)
+        a = _mm(ad, wd)
+        a += bd
+        layer_act = act if i < last else "linear"
+        saved = None
+        if layer_act == "sine":
+            a *= omega0
+            saved = a
+            # untaped, omega0 z is not kept, and sin overwrites it
+            a = np.sin(a) if kept is not None else np.sin(a, out=a)
+        elif layer_act == "tanh":
+            a = saved = np.tanh(a, out=a)
+        elif layer_act == "relu":
+            if kept is not None:
+                saved = a > 0.0
+            a = np.maximum(a, 0.0, out=a)
+        if kept is not None:
+            kept.append((ad, wd, bd, layer_act, saved))
+    return a
 
 
 def mlp(x, layers: Sequence, act: str, omega0: float = 1.0,
@@ -901,30 +968,8 @@ def mlp(x, layers: Sequence, act: str, omega0: float = 1.0,
     xd, *pd = _same_all([x.data] + [t.data for t in params])
     if xd.ndim != 2:
         raise ShapeError(f"mlp needs a (B, n) input, got shape {xd.shape}")
-    tape = _ACTIVE_TAPE
-    kept = [] if tape is not None and any(t.tape is tape for t in [x, *params]) else None
-    last = len(layers) - 1
-    a = xd
-    for i in range(last + 1):
-        ad, wd, bd = a, pd[2 * i], pd[2 * i + 1]
-        _check_matmul(ad, wd)
-        a = _mm(ad, wd)
-        a += bd
-        layer_act = act if i < last else "linear"
-        saved = None
-        if layer_act == "sine":
-            a *= omega0
-            saved = a
-            # untaped, omega0 z is not kept, and sin overwrites it
-            a = np.sin(a) if kept is not None else np.sin(a, out=a)
-        elif layer_act == "tanh":
-            a = saved = np.tanh(a, out=a)
-        elif layer_act == "relu":
-            if kept is not None:
-                saved = a > 0.0
-            a = np.maximum(a, 0.0, out=a)
-        if kept is not None:
-            kept.append((ad, wd, bd, layer_act, saved))
+    kept = [] if _records([x, *params]) else None
+    a = _mlp_layers(xd, pd, act, omega0, kept)
     boxed = None
     if box is not None:
         lo, hi = box
@@ -1041,6 +1086,75 @@ def rk4_combine(x, h: float, k1, k2, k3, k4) -> Tensor:
     c = h / 6.0
     s = k1 + 2.0 * k2 + 2.0 * k3 + k4
     return _emit("add", x + c * s, ins, _rk4_vjp, (c, s, x, k1, k2, k3, k4), name="rk4_combine")
+
+
+def _rk4_mlp_vjp(p, stages, omega0, h, d):
+    """``stages`` holds the four stages' layers as :func:`_mlp_layers`
+    recorded them; the state has d columns of a stage's input."""
+    x_tracked, u_tracked = p[-2] >= 0, p[-1] >= 0
+    # a later stage's input adjoint always reaches the stage before it
+    steps = [_mlp_steps(layers, p, s > 0 or x_tracked or u_tracked)
+             for s, layers in enumerate(stages)]
+    n = len(steps[0])
+
+    def backward(g, p):
+        # the combine's adjoints, then each stage's network and stage
+        # input from the last stage down, summed in the chain's order
+        gs = g * (h / 6.0)
+        gs2 = gs * 2.0
+        gk = [gs, gs2, gs2, gs]
+        adjoints = [None] * (2 * n)
+        gx, gu = g, None
+        for s, c in ((3, h), (2, h / 2.0), (1, h / 2.0), (0, None)):
+            gz = _mlp_adjoints(gk[s], steps[s], omega0, adjoints)
+            if s == 0 and not (x_tracked or u_tracked):
+                break
+            gzx = gz[:, :d]
+            if c is not None:
+                gk[s - 1] = gk[s - 1] + gzx * c
+            if x_tracked:
+                gx = gx + gzx
+            if u_tracked:
+                gu = gz[:, d:] if gu is None else gu + gz[:, d:]
+        return (*adjoints, gx if x_tracked else None, gu)
+
+    return backward
+
+
+def rk4_mlp(x, u, h: float, layers: Sequence, act: str, omega0: float = 1.0) -> Tensor:
+    """One classical RK4 step of x' = f(x, u) with the control u held, for
+    f a multilayer perceptron on the stacked input [x, u] (an unboxed
+    :func:`mlp`), as one node labelled ``matmul``.
+
+    x is (B, d), u (B, m), and the network maps d + m columns to d.  The
+    node covers the four stage inputs [x + c k, u], the four network
+    evaluations and the update, and computes in the narrowest dtype among
+    x, u and the weights.  Its value is bitwise that of the
+    concat/mlp/axpy/rk4_combine chain it replaces; its adjoints are the
+    chain's, summed in the chain's order within the step.
+    """
+    if act not in ACTIVATIONS:
+        raise ValueError(f"unknown layer activation '{act}'")
+    x, u = tensor(x), tensor(u)
+    params = [tensor(t) for layer in layers for t in layer]
+    xd, ud, *pd = _same_all([x.data, u.data] + [t.data for t in params])
+    if xd.ndim != 2 or ud.ndim != 2 or xd.shape[0] != ud.shape[0]:
+        raise ShapeError(f"rk4_mlp needs x (B, d) and u (B, m), got {xd.shape} and {ud.shape}")
+    taped = _records([x, u, *params])
+    stages, ks, xs = [], [], xd
+    for c in (h / 2.0, h / 2.0, h, None):
+        kept = [] if taped else None
+        k = _mlp_layers(np.concatenate([xs, ud], axis=1), pd, act, omega0, kept)
+        if k.shape != xd.shape:
+            raise ShapeError(f"rk4_mlp: the network maps x {xd.shape} to {k.shape}")
+        stages.append(kept)
+        ks.append(k)
+        if c is not None:
+            xs = xd + c * k
+    k1, k2, k3, k4 = ks
+    out = xd + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _emit("matmul", out, (*params, x, u), _rk4_mlp_vjp,
+                 (stages, omega0, h, xd.shape[1]), name="rk4_mlp")
 
 
 # ---------------------------------------------------------------------------

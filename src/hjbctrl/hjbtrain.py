@@ -190,14 +190,15 @@ class HjbConfig:
 
 def build_transition(spec: SystemSpec, source: str, dtype):
     """'analytic' or a path to a dynamics-net checkpoint, whose weights
-    are cast to ``dtype``; a dynamics net has no output box, since its
-    input derivatives are taken."""
+    are cast to ``dtype``; a ValueError for a net that
+    :class:`LearnedTransition` refuses names the path."""
     if source == "analytic":
         return AnalyticTransition(spec)
     net, _meta = netzoo.load(source)
-    if net.output_transform is not None:
-        raise ValueError(f"{source}: output_transform: a dynamics net has no output box")
-    return LearnedTransition(net.astype(dtype), spec.d, spec.m)
+    try:
+        return LearnedTransition(net.astype(dtype), spec.d, spec.m)
+    except ValueError as e:
+        raise ValueError(f"{source}: {e}") from None
 
 
 def train_controller(

@@ -6,9 +6,13 @@ respect to controller (and transition) parameters.  Control is held
 constant across each step (zero-order hold).  A rollout only integrates:
 costs are evaluated on its grid afterwards (``hjbtrain``).
 
-Transition sources are interchangeable callables (x, u) -> xdot; analytic
-system dynamics and learned network dynamics run through identical code
-paths.  Each transition counts its own calls, so budgets are auditable.
+Transition sources are interchangeable callables (x, u) -> xdot, and
+each counts its evaluations, so budgets are auditable.  An RK4 step is
+composed of primitives for analytic dynamics and any other callable;
+under a learned transition the step is one fused node
+(``diffkit.rk4_mlp``) whose values are bitwise those of that composite.
+The learned transition's own call serves where f is needed outside a
+step.
 
 A trained controller is scored and exported through one integrator,
 :func:`analytic_rollout`: under the analytic dynamics and in
@@ -59,13 +63,22 @@ class AnalyticTransition:
 
 class LearnedTransition:
     """Network dynamics model f_theta(x, u) as a transition source; a net
-    built by ``with_params(leaves)`` makes it differentiable in theta."""
+    built by ``with_params(leaves)`` makes it differentiable in theta.
+
+    The net maps the stacked input [x, u] to xdot, with no output box and
+    no skip connections (a ValueError names the field otherwise), so that
+    :func:`rk4_step` can run a whole step as one ``diffkit.rk4_mlp`` node.
+    """
 
     def __init__(self, net: netzoo.Mlp, d: int, m: int):
         if net.in_dim != d + m or net.out_dim != d:
             raise ValueError(
                 f"network dims ({net.in_dim}->{net.out_dim}) do not match system ({d + m}->{d})"
             )
+        if net.output_transform is not None:
+            raise ValueError("output_transform: a dynamics net has no output box")
+        if net.skip_connections:
+            raise ValueError("skip_connections: a dynamics net has no skip connections")
         self.net = net
         self.d = d
         self.m = m
@@ -126,17 +139,24 @@ class TrajectoryBatch:
 def rk4_step(f: Callable, x, u, h: float) -> Tensor:
     """One classical RK4 step with the control held constant (ZOH).
 
-    Each stage input ``x + c k`` and the final combine are one tape node
-    each (``diffkit.axpy``, ``diffkit.rk4_combine``).
+    Under a :class:`LearnedTransition` the whole step is one tape node
+    (``diffkit.rk4_mlp``), and the transition counts its four evaluations.
+    For any other f, each stage input ``x + c k`` and the final combine
+    are one tape node each (``diffkit.axpy``, ``diffkit.rk4_combine``).
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    x = dk.tensor(x)
-    k1 = f(x, u)
-    k2 = f(dk.axpy(x, h / 2.0, k1), u)
-    k3 = f(dk.axpy(x, h / 2.0, k2), u)
-    k4 = f(dk.axpy(x, h, k3), u)
-    out = dk.rk4_combine(x, h, k1, k2, k3, k4)
+    if isinstance(f, LearnedTransition):
+        f.nfe += 4
+        net = f.net
+        out = dk.rk4_mlp(x, u, h, net.layers, net.activation, net.omega0)
+    else:
+        x = dk.tensor(x)
+        k1 = f(x, u)
+        k2 = f(dk.axpy(x, h / 2.0, k1), u)
+        k3 = f(dk.axpy(x, h / 2.0, k2), u)
+        k4 = f(dk.axpy(x, h, k3), u)
+        out = dk.rk4_combine(x, h, k1, k2, k3, k4)
     if not np.all(np.isfinite(out.data)):
         raise NumericError("non-finite state after rk4 step")
     return out

@@ -457,9 +457,14 @@ def add_box(doc):
     doc["output_transform"] = {"kind": "tanh_box", "lo": [-9.0] * 3, "hi": [9.0] * 3}
 
 
+def add_skips(doc):
+    doc["skip_connections"] = True
+
+
 @pytest.mark.parametrize("edit, message", [
     (infinite_omega0, "omega0 must be finite and > 0, got inf"),
     (add_box, "output_transform: a dynamics net has no output box"),
+    (add_skips, "skip_connections: a dynamics net has no skip connections"),
 ])
 def test_transition_with_a_bad_field_is_a_usage_error(edit, message, tiny_config, tmp_path,
                                                       capsys):

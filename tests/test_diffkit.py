@@ -613,6 +613,97 @@ def test_mlp_gradients_match_central_differences(act, rng):
         assert rel_err(grads[leaf].data, fd_grad(at, flat[i], h=1e-6)) < 1e-6
 
 
+def rk4_mlp_chain(x, u, h, layers, act, omega0):
+    """The concat/mlp/axpy/rk4_combine chain that dk.rk4_mlp fuses."""
+    f = lambda x, u: dk.mlp(dk.concat([x, u], axis=1), layers, act, omega0)
+    k1 = f(x, u)
+    k2 = f(dk.axpy(x, h / 2.0, k1), u)
+    k3 = f(dk.axpy(x, h / 2.0, k2), u)
+    k4 = f(dk.axpy(x, h, k3), u)
+    return dk.rk4_combine(x, h, k1, k2, k3, k4)
+
+
+def rk4_mlp_arrays(rng, m, dtype, hidden=(8, 6)):
+    """x (7, 3), u (7, m) and the layers of a network from [x, u] to x'."""
+    x, layers = mlp_arrays(rng, 3 + m, False, dtype, hidden, out_dim=3)
+    return x[:, :3], x[:, 3:], layers
+
+
+# which of x, u and the weights are leaves
+RK4_TRACKED = {"all": (True, True, True), "frozen": (True, True, False),
+               "u": (False, True, False), "weights": (False, False, True)}
+
+
+def rk4_mlp_value_grads(fn, x0, u0, layers0, tracked):
+    """fn's value and the adjoints of sum(fn * proj) for the tracked ones of
+    x, u, w0, b0, w1, ..."""
+    proj = np.random.default_rng(0).normal(size=x0.shape)
+    flat = [t for layer in layers0 for t in layer]
+    tape = dk.Tape()
+    with tape:
+        lift = lambda a, t: tape.leaf(a) if t else a
+        x, u = lift(x0, tracked[0]), lift(u0, tracked[1])
+        params = [lift(a, tracked[2]) for a in flat]
+        y = fn(x, u, 0.07, list(zip(params[::2], params[1::2])))
+        out = dk.sum_(y * proj)
+    leaves = [t for t in [x, u, *params] if isinstance(t, dk.Tensor)]
+    g = dk.grad(out, leaves)
+    return y.data, [g[leaf].data for leaf in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tracked", sorted(RK4_TRACKED))
+@pytest.mark.parametrize("m", [2, 7], ids=["narrow", "wide"])
+@pytest.mark.parametrize("act", ["sine", "tanh", "relu"])
+def test_rk4_mlp_is_bitwise_the_chain_it_fuses(act, m, tracked, dtype, rng):
+    # a first layer narrower than its output (5 -> 8: a sine layer rebuilds
+    # omega0 z from its input) and a wider one (10 -> 8)
+    x0, u0, layers0 = rk4_mlp_arrays(rng, m, dtype)
+    y, grads = rk4_mlp_value_grads(lambda x, u, h, ls: dk.rk4_mlp(x, u, h, ls, act, 3.0),
+                                   x0, u0, layers0, RK4_TRACKED[tracked])
+    y_ref, grads_ref = rk4_mlp_value_grads(
+        lambda x, u, h, ls: rk4_mlp_chain(x, u, h, ls, act, 3.0), x0, u0, layers0,
+        RK4_TRACKED[tracked])
+    assert y.dtype == np.dtype(dtype)
+    assert np.array_equal(y, y_ref)
+    for g, g_ref in zip(grads, grads_ref, strict=True):
+        assert g.dtype == g_ref.dtype and np.array_equal(g, g_ref)
+
+
+@pytest.mark.parametrize("act", ["sine", "tanh"])
+def test_rk4_mlp_gradients_match_central_differences(act, rng):
+    x0, u0, layers0 = rk4_mlp_arrays(rng, 2, np.float64, hidden=(5, 4))
+    flat = [x0, u0] + [t for layer in layers0 for t in layer]
+    proj = rng.normal(size=x0.shape)
+
+    def value(args):
+        return dk.rk4_mlp(args[0], args[1], 0.3, list(zip(args[2::2], args[3::2])), act, 1.5)
+
+    tape = dk.Tape()
+    with tape:
+        leaves = [tape.leaf(a) for a in flat]
+        out = dk.sum_(value(leaves) * proj)
+    grads = dk.grad(out, leaves)
+    for i, leaf in enumerate(leaves):
+        def at(v, i=i):
+            return float((value([v if j == i else a for j, a in enumerate(flat)]).data
+                          * proj).sum())
+        assert rel_err(grads[leaf].data, fd_grad(at, flat[i], h=1e-6)) < 1e-6
+
+
+def test_rk4_mlp_rejects_a_mismatched_state_or_control():
+    layers = [(np.ones((5, 4)), np.ones(4)), (np.ones((4, 3)), np.ones(3))]
+    for x, u in [(np.ones((2, 4)), np.ones((2, 1))),  # x too wide for the output
+                 (np.ones((2, 3)), np.ones((2, 3))),  # [x, u] too wide for w0
+                 (np.ones((2, 3)), np.ones((3, 2))),  # batches differ
+                 (np.ones((2, 3)), np.ones(2)),
+                 (np.ones((1, 2, 3)), np.ones((1, 2)))]:
+        with pytest.raises(dk.ShapeError):
+            dk.rk4_mlp(x, u, 0.1, layers, "sine", 2.0)
+    with pytest.raises(ValueError, match="gelu"):
+        dk.rk4_mlp(np.ones((2, 3)), np.ones((2, 2)), 0.1, layers, "gelu")
+
+
 def test_mlp_rejects_a_mismatched_input_and_an_unknown_activation():
     layers = [(np.ones((3, 4)), np.ones(4)), (np.ones((4, 1)), np.ones(1))]
     for shape in [(2, 5), (3,), (2, 2, 3)]:
@@ -641,6 +732,9 @@ def test_fused_primitives_have_no_tangent_rule(rng):
     with pytest.raises(dk.DiffkitError, match="'mlp' has no tangent rule"):
         dk.jvp(lambda a: dk.mlp(a, [(np.ones((3, 4)), np.ones(4)), (np.ones((4, 1)), np.ones(1))],
                                 "sine", 2.0), (x0,), [(np.ones_like(x0),)])
+    with pytest.raises(dk.DiffkitError, match="'rk4_mlp' has no tangent rule"):
+        dk.jvp(lambda a: dk.rk4_mlp(a[:, :2], a[:, 2:], 0.1, [(np.ones((3, 2)), np.ones(2))],
+                                    "sine", 2.0), (x0,), [(np.ones_like(x0),)])
 
 
 def test_an_op_refuses_a_tangent_unless_it_hands_over_a_rule(rng):
@@ -669,6 +763,9 @@ SKIP_CASES = {
     "chain": lambda a, b, c: dk.chain(a, b, c, 2.0),
     "axpy": lambda a, b, c: dk.axpy(a, 0.25, b),
     "rk4_combine": lambda a, b, c: dk.rk4_combine(a, 0.1, b, a, b, a),
+    # x (3, 2) and u (3, 1) through a (3 -> 3 -> 2) sine network
+    "rk4_mlp": lambda a, b, c: dk.rk4_mlp(a[:, :2], b[:, :1], 0.1,
+                                          [(c, c[0]), (c[:, :2], c[1, :2])], "sine", 2.0),
     "concat": lambda a, b, c: dk.concat([a, b, c], axis=0),
     "stack": lambda a, b, c: dk.stack([a, b, c], axis=1),
 }
@@ -714,6 +811,8 @@ FUSED = {
     "chain": ("matmul", lambda a: dk.chain(a, np.ones((3, 3)), np.ones((3, 3)), 2.0)),
     "axpy": ("add", lambda a: dk.axpy(a, 0.5, a)),
     "rk4_combine": ("add", lambda a: dk.rk4_combine(a, 0.1, a, a, a, a)),
+    "rk4_mlp": ("matmul", lambda a: dk.rk4_mlp(a, a[:, :1], 0.1, [(np.ones((4, 3)), np.ones(3))],
+                                               "sine", 2.0)),
 }
 
 
@@ -828,6 +927,44 @@ def test_an_untaped_mlp_never_calls_its_vjp_factory(monkeypatch, rng):
         x = tape.leaf(x0)
         y = dk.mlp(x, layers, "sine", 2.0)
     assert masks == [(-1,) * 8 + (x.idx,)]
+    assert len(tape) == 2 and tape.nodes[y.idx].op == "matmul"
+
+
+def test_an_rk4_mlp_with_frozen_weights_keeps_no_layer_input_but_the_first(rng):
+    # (500, 64) sine layers in each of the four stages; the first one is
+    # narrower than its output, so it keeps its (500, 5) input, not omega0 z
+    _, layers = mlp_arrays(rng, 5, False, np.float64, hidden=(64, 64, 64), out_dim=3)
+    x0, u0 = rng.uniform(-1.0, 1.0, size=(500, 3)), rng.uniform(-1.0, 1.0, size=(500, 2))
+    flat = [t for pair in layers for t in pair]
+    layer, stage_input = 500 * 64 * 8, 500 * 5 * 8
+
+    def step(x, u, *params):
+        return dk.rk4_mlp(x, u, 0.1, list(zip(params[::2], params[1::2])), "sine", 2.0)
+
+    # per stage, omega0 z of the two deeper layers and the stage input
+    kept = kept_bytes(lambda x, u: step(x, u, *flat), (x0, u0))
+    assert 4 * (2 * layer + stage_input) <= kept < 4 * (2.1 * layer + stage_input)
+    # and the inputs of the two deeper layers and of the output layer
+    assert kept_bytes(step, (x0, u0, *flat)) >= 4 * 5 * layer
+
+
+def test_an_untaped_rk4_mlp_never_calls_its_vjp_factory(monkeypatch, rng):
+    masks = []
+    real = dk._rk4_mlp_vjp
+
+    def spy(parents, *args):
+        masks.append(parents)
+        return real(parents, *args)
+
+    monkeypatch.setattr(dk, "_rk4_mlp_vjp", spy)
+    x0, u0, layers = rk4_mlp_arrays(rng, 2, np.float32)
+    dk.rk4_mlp(x0, u0, 0.1, layers, "sine", 2.0)
+    tape = dk.Tape()
+    with tape:
+        dk.rk4_mlp(x0, u0, 0.1, layers, "sine", 2.0)  # a tape is active, but nothing is on it
+        u = tape.leaf(u0)
+        y = dk.rk4_mlp(x0, u, 0.1, layers, "sine", 2.0)
+    assert masks == [(-1,) * 7 + (u.idx,)]
     assert len(tape) == 2 and tape.nodes[y.idx].op == "matmul"
 
 

@@ -96,6 +96,8 @@ def test_n_ary_and_fused_ops_compute_in_the_narrowest_dtype(rng):
                     w, 2.0).data.dtype == F32
     assert dk.axpy(np.zeros((4, 3)), 0.5, x).data.dtype == F32
     assert dk.rk4_combine(np.zeros((4, 3)), 0.1, x, x, x, x).data.dtype == F32
+    assert dk.rk4_mlp(np.zeros((4, 3)), x[:, :2], 0.1, [(rng.standard_normal((5, 3)), b[:3])],
+                      "sine", 2.0).data.dtype == F32
 
 
 def test_float32_gradients_and_tangents_are_float32_and_near_float64(rng):

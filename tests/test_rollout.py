@@ -278,6 +278,72 @@ def test_learned_transition_dim_check_and_counting():
     assert ro.learned_nfe_total() - base == 20
 
 
+@pytest.mark.parametrize("net, field", [
+    (nz.init(5, (8,), 3, box=([-1.0] * 3, [1.0] * 3), seed=0), "output_transform"),
+    (nz.init(5, (8, 8), 3, skip_connections=True, seed=0), "skip_connections"),
+], ids=["box", "skip"])
+def test_learned_transition_refuses_a_net_it_cannot_run(net, field):
+    with pytest.raises(ValueError, match=rf"^{field}: a dynamics net has no"):
+        ro.LearnedTransition(net, 3, 2)
+
+
+def learned_rollout(K, dtype, fused=True):
+    """A K-step learned rollout of a small controller, recorded on a tape:
+    the trajectory, the tape's primitives, and the gradients of its final
+    states' sum with respect to the controller's weights.  ``fused=False``
+    rolls out through the transition as a plain callable, whose step is
+    the primitive chain."""
+    spec = dz.make_system("dubins")
+    lt = ro.LearnedTransition(nz.dynamics_net(3, 2, hidden=(16, 16), omega0=8.0, seed=0)
+                              .astype(dtype), 3, 2)
+    ctrl = nz.controller_net(3, spec.action_box.lo, spec.action_box.hi, hidden=(8,),
+                             seed=1).astype(dtype)
+    x0 = spec.rho.sample(np.random.default_rng(2), 6).astype(dtype)
+    tape = dk.Tape()
+    with tape:
+        leaves = [tape.leaf(p) for p in ctrl.params()]
+        traj = ro.rollout(spec, lt if fused else lt.__call__, ctrl.with_params(leaves), x0, K=K)
+        names = Counter(node.name for node in tape.nodes if node.op != "leaf")
+        out = dk.sum_(traj.states[-1])
+    g = dk.grad(out, leaves)
+    return traj, names, [g[leaf].data for leaf in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_learned_rollout_is_the_primitive_chain(dtype):
+    traj, names, grads = learned_rollout(10, dtype)
+    traj_ref, names_ref, grads_ref = learned_rollout(10, dtype, fused=False)
+    assert np.array_equal(traj.states_array, traj_ref.states_array)
+    assert np.array_equal(traj.controls_array, traj_ref.controls_array)
+    # the chain sums a state's adjoint contributions in another order
+    for g, g_ref in zip(grads, grads_ref, strict=True):
+        np.testing.assert_allclose(g, g_ref, rtol=1e-5, atol=1e-5 * np.abs(g_ref).max())
+    # K + 1 controller evaluations and one node per step
+    assert names == {"mlp": 11, "rk4_mlp": 10}
+    assert names_ref["rk4_combine"] == 10 and names_ref["mlp"] == 11 + 40
+
+
+def test_learned_rk4_step_gradients_match_central_differences(rng):
+    # f_theta is differentiable in theta through the fused step, and in x and u
+    net = nz.dynamics_net(3, 2, hidden=(6,), omega0=2.0, seed=0)
+    arrays = [rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (4, 2)), *net.params()]
+    proj = rng.normal(size=(4, 3))
+
+    def value(args):
+        lt = ro.LearnedTransition(net.with_params(args[2:]), 3, 2)
+        return dk.sum_(ro.rk4_step(lt, args[0], args[1], 0.2) * proj)
+
+    tape = dk.Tape()
+    with tape:
+        leaves = [tape.leaf(a) for a in arrays]
+        out = value(leaves)
+    grads = dk.grad(out, leaves)
+    for i, leaf in enumerate(leaves):
+        def at(v, i=i):
+            return value([v if j == i else a for j, a in enumerate(arrays)]).item()
+        assert rel_err(grads[leaf].data, fd_grad(at, arrays[i], h=1e-6)) < 1e-6
+
+
 def test_identical_code_path_for_analytic_and_injected_learned():
     spec = dz.make_system("dubins")
     analytic = ro.AnalyticTransition(spec)
