@@ -64,34 +64,40 @@ tanh; a one-layer node with frozen weights keeps neither its input nor
 its output.  An :func:`rk4_mlp` node keeps, per stage, what that
 stage's network node would keep, so of its layer inputs only the narrow
 first sine layer's (in place of its omega0 z) and those of tracked
-weights.  Sums, means, reshapes, slices and concats keep shapes only.
-An untaped call records nothing and builds no closure, and an untaped
-:func:`mlp` or :func:`rk4_mlp` keeps no array of a layer once the next
-one is computed.  :func:`grad` drops each node as soon as its backward
-has run, so the step's arrays are freed while the adjoints grow.
+weights.  Sums, means, reshapes, slices, concats and :func:`lincomb`
+nodes keep shapes only.  An untaped call records nothing and builds no
+closure, and an untaped :func:`mlp` or :func:`rk4_mlp` keeps no array of
+a layer once the next one is computed.  :func:`grad` drops each node as
+soon as its backward has run, so the step's arrays are freed while the
+adjoints grow.
 Because a step frees and reallocates the same arrays, importing the
 module also sets malloc to keep freed memory in the process
 (:func:`_keep_freed_memory`).
 
-Five fused primitives record a hot composite as one node with an adjoint
+Four fused primitives record a hot composite as one node with an adjoint
 composed of the chain's own adjoint arithmetic, treated as one elemental
 (Griewank & Walther, *Evaluating Derivatives*): :func:`mlp`, a whole
 network evaluation, or with one layer a single affine layer
 ``a @ w + b``; :func:`chain`, one layer ``(g * d) @ w^T`` of a network's
 seeded reverse Jacobian chain, which keeps g, d and w but never their
-product; :func:`axpy`, an RK4 stage input ``x + c k``;
-:func:`rk4_combine`, the RK4 update; and :func:`rk4_mlp`, a whole RK4
+product; :func:`lincomb`, ``x + c (w1 k1 + w2 k2 + ...)`` for constants
+c and w, an RK4 stage input or update; and :func:`rk4_mlp`, a whole RK4
 step under a network transition: the four stage inputs ``[x + c k, u]``,
 the four network evaluations and the update.  Each rounds exactly like
 the chain of primitives it replaces, so values and adjoints are bitwise
 those of the chain, except that :func:`rk4_mlp` sums a state's adjoint
 contributions from within its step before those from outside it.  Their
 nodes carry the label of an existing op (``matmul`` for a network, an
-RK4 step under one and a chain layer, ``add`` for the other RK4 nodes),
-so a tally of the tape over the fixed list of op names, such as the
+RK4 step under one and a chain layer, ``add`` for :func:`lincomb`), so a
+tally of the tape over the fixed list of op names, such as the
 benchmark's traced op table, still accounts for every node; a fused
 node's backward time lands in its label's row.  They have no tangent
 rule, and refuse a tangent under their own name.
+
+:func:`rk4` and :func:`rk4_mlp` read one RK4 tableau, the classical one
+(Hairer, Norsett & Wanner, *Solving ODEs I*, sec. II.1): stage i > 1
+evaluates f at ``x + (a_i h) k_(i-1)`` for the offsets a = 1/2, 1/2, 1
+(``0.5 * h`` is ``h / 2`` bitwise), and the weights are 1, 2, 2, 1 over 6.
 """
 
 from __future__ import annotations
@@ -247,13 +253,9 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
-            _scalar_err(self)
+            raise ShapeError(f"expected a scalar, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
@@ -296,10 +298,6 @@ class Tensor:
         return getitem(self, key)
 
 
-def _scalar_err(t: Tensor):
-    raise ShapeError(f"expected a scalar, got shape {t.data.shape}")
-
-
 def tensor(data) -> Tensor:
     """Lift an operand: a tensor is returned unchanged, a float array (or
     numpy float) is wrapped in its own dtype, and anything else (a Python
@@ -325,12 +323,13 @@ def _same(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _same_all(arrays: list) -> list:
-    """:func:`_same` for any number of operand arrays."""
+    """:func:`_same` for any number of operand arrays; as given if they share a dtype."""
     dt = arrays[0].dtype
     for a in arrays:
-        if a.dtype.itemsize < dt.itemsize:
-            dt = a.dtype
-    return [a if a.dtype is dt else a.astype(dt) for a in arrays]
+        if a.dtype is not dt:
+            dt = min((a.dtype for a in arrays), key=lambda d: d.itemsize)
+            return [a if a.dtype is dt else a.astype(dt) for a in arrays]
+    return arrays
 
 
 def _emit(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], vjp,
@@ -1041,51 +1040,55 @@ def chain(g, d, w, scale: float | None = None) -> Tensor:
     return _emit("matmul", out, (g, d, w), _chain_vjp, (gd, dd, wd, scale), name="chain")
 
 
-def _axpy_vjp(p, xd, c, kd):
-    sx, sk = xd.shape, kd.shape
+# the RK4 tableau of the module docstring: stage offsets, weights, their sum
+_RK4_OFFSETS, _RK4_WEIGHTS, _RK4_OVER = (0.5, 0.5, 1.0), (1.0, 2.0, 2.0, 1.0), 6.0
+
+
+def _rk4_scheme(f: Callable, x, u, h: float, comb: Callable):
+    """One RK4 step of x' = f(x, u) off the tableau; ``comb(x, c, ks, w)``
+    forms each stage input and the update, as :func:`lincomb` does."""
+    ks = [f(x, u)]
+    for a in _RK4_OFFSETS:
+        ks.append(f(comb(x, a * h, ks[-1:], (1.0,)), u))
+    return comb(x, h / _RK4_OVER, ks, _RK4_WEIGHTS)
+
+
+def _wsum(kd: list, w: Sequence[float]) -> np.ndarray:
+    """``w1 k1 + w2 k2 + ...`` summed left to right; a unit weight multiplies nothing."""
+    s = None
+    for wi, k in zip(w, kd):
+        k = k if wi == 1.0 else wi * k
+        s = k if s is None else s + k
+    return s
+
+
+def _lincomb_vjp(p, c, w, xd, s, kd):
+    sx, ss, sk = xd.shape, s.shape, [k.shape for k in kd]
 
     def backward(g, p):
-        return (
-            _unbroadcast(g, sx) if p[0] >= 0 else None,
-            _unbroadcast(g, sk) * c if p[1] >= 0 else None,
-        )
+        gs = _unbroadcast(g, ss) * c if max(p[1:]) >= 0 else None
+        out = [_unbroadcast(g, sx) if p[0] >= 0 else None]
+        for q, wi, shape in zip(p[1:], w, sk):
+            gk = None if q < 0 else _unbroadcast(gs, shape)
+            out.append(gk if gk is None or wi == 1.0 else gk * wi)
+        return out
 
     return backward
 
 
-def axpy(x, c: float, k) -> Tensor:
-    """``x + c * k`` for a constant c as one node labelled ``add`` (an RK4
-    stage input), rounded like the mul/add pair it replaces."""
-    x, k = tensor(x), tensor(k)
-    xd, kd = _same(x.data, k.data)
-    return _emit("add", xd + c * kd, (x, k), _axpy_vjp, (xd, c, kd), name="axpy")
+def lincomb(x, c: float, ks: Sequence, w: Sequence[float]) -> Tensor:
+    """``x + c (w1 k1 + w2 k2 + ...)`` for constants c and w (an RK4 stage input
+    or update) as one node labelled ``add``, rounded like the chain it replaces."""
+    ins = (tensor(x), *map(tensor, ks))
+    xd, *kd = _same_all([t.data for t in ins])
+    s = _wsum(kd, w)
+    return _emit("add", xd + c * s, ins, _lincomb_vjp, (c, w, xd, s, kd), name="lincomb")
 
 
-def _rk4_vjp(p, c, s, *ins):
-    ss = s.shape
-    sx, s1, s2, s3, s4 = (t.shape for t in ins)
-
-    def backward(g, p):
-        gs = _unbroadcast(g, ss) * c
-        return (
-            _unbroadcast(g, sx) if p[0] >= 0 else None,
-            _unbroadcast(gs, s1) if p[1] >= 0 else None,
-            _unbroadcast(gs, s2) * 2.0 if p[2] >= 0 else None,
-            _unbroadcast(gs, s3) * 2.0 if p[3] >= 0 else None,
-            _unbroadcast(gs, s4) if p[4] >= 0 else None,
-        )
-
-    return backward
-
-
-def rk4_combine(x, h: float, k1, k2, k3, k4) -> Tensor:
-    """The RK4 update ``x + h/6 * (k1 + 2 k2 + 2 k3 + k4)`` as one node
-    labelled ``add``, summed left to right like the chain it replaces."""
-    ins = tuple(tensor(t) for t in (x, k1, k2, k3, k4))
-    x, k1, k2, k3, k4 = _same_all([t.data for t in ins])
-    c = h / 6.0
-    s = k1 + 2.0 * k2 + 2.0 * k3 + k4
-    return _emit("add", x + c * s, ins, _rk4_vjp, (c, s, x, k1, k2, k3, k4), name="rk4_combine")
+def rk4(f: Callable, x, u, h: float) -> Tensor:
+    """One classical RK4 step of x' = f(x, u) with the control u held, for
+    any f on tensors: a :func:`lincomb` node per stage input and update."""
+    return _rk4_scheme(f, tensor(x), u, h, lincomb)
 
 
 def _rk4_mlp_vjp(p, stages, omega0, h, d):
@@ -1098,20 +1101,19 @@ def _rk4_mlp_vjp(p, stages, omega0, h, d):
     n = len(steps[0])
 
     def backward(g, p):
-        # the combine's adjoints, then each stage's network and stage
-        # input from the last stage down, summed in the chain's order
-        gs = g * (h / 6.0)
-        gs2 = gs * 2.0
-        gk = [gs, gs2, gs2, gs]
+        # the update's adjoints, then each stage's network and stage input
+        # from the last stage down, summed in the chain's order
+        gs = g * (h / _RK4_OVER)
+        gk = [gs if w == 1.0 else gs * w for w in _RK4_WEIGHTS]
         adjoints = [None] * (2 * n)
         gx, gu = g, None
-        for s, c in ((3, h), (2, h / 2.0), (1, h / 2.0), (0, None)):
+        for s in range(len(gk) - 1, -1, -1):
             gz = _mlp_adjoints(gk[s], steps[s], omega0, adjoints)
             if s == 0 and not (x_tracked or u_tracked):
                 break
             gzx = gz[:, :d]
-            if c is not None:
-                gk[s - 1] = gk[s - 1] + gzx * c
+            if s > 0:
+                gk[s - 1] = gk[s - 1] + gzx * (_RK4_OFFSETS[s - 1] * h)
             if x_tracked:
                 gx = gx + gzx
             if u_tracked:
@@ -1130,8 +1132,8 @@ def rk4_mlp(x, u, h: float, layers: Sequence, act: str, omega0: float = 1.0) -> 
     node covers the four stage inputs [x + c k, u], the four network
     evaluations and the update, and computes in the narrowest dtype among
     x, u and the weights.  Its value is bitwise that of the
-    concat/mlp/axpy/rk4_combine chain it replaces; its adjoints are the
-    chain's, summed in the chain's order within the step.
+    concat/mlp/lincomb chain it replaces; its adjoints are the chain's,
+    summed in the chain's order within the step.
     """
     if act not in ACTIVATIONS:
         raise ValueError(f"unknown layer activation '{act}'")
@@ -1141,18 +1143,17 @@ def rk4_mlp(x, u, h: float, layers: Sequence, act: str, omega0: float = 1.0) -> 
     if xd.ndim != 2 or ud.ndim != 2 or xd.shape[0] != ud.shape[0]:
         raise ShapeError(f"rk4_mlp needs x (B, d) and u (B, m), got {xd.shape} and {ud.shape}")
     taped = _records([x, u, *params])
-    stages, ks, xs = [], [], xd
-    for c in (h / 2.0, h / 2.0, h, None):
+    stages = []
+
+    def stage(xs, ud):
         kept = [] if taped else None
         k = _mlp_layers(np.concatenate([xs, ud], axis=1), pd, act, omega0, kept)
         if k.shape != xd.shape:
             raise ShapeError(f"rk4_mlp: the network maps x {xd.shape} to {k.shape}")
         stages.append(kept)
-        ks.append(k)
-        if c is not None:
-            xs = xd + c * k
-    k1, k2, k3, k4 = ks
-    out = xd + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return k
+
+    out = _rk4_scheme(stage, xd, ud, h, lambda x, c, ks, w: x + c * _wsum(ks, w))
     return _emit("matmul", out, (*params, x, u), _rk4_mlp_vjp,
                  (stages, omega0, h, xd.shape[1]), name="rk4_mlp")
 

@@ -77,6 +77,10 @@ class Mlp:
     output_transform: TanhBox | None = None
 
     def __post_init__(self):
+        if not self.layers:
+            raise ValueError("layers: a net has at least one layer")
+        if not isinstance(self.skip_connections, bool):
+            raise ValueError(f"skip_connections must be a boolean, got {self.skip_connections!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation '{self.activation}'")
         # forward evaluates no skip net, and the per-layer path no boxed one
@@ -107,11 +111,7 @@ class Mlp:
 
     def params(self) -> list[np.ndarray]:
         """Flat parameter list (W0, b0, W1, b1, ...)."""
-        out: list[np.ndarray] = []
-        for w, b in self.layers:
-            out.append(w)
-            out.append(b)
-        return out
+        return [t for layer in self.layers for t in layer]
 
     def with_params(self, params: Sequence) -> "Mlp":
         """New network with the same architecture and replaced parameters
@@ -365,7 +365,7 @@ def load(path) -> tuple[Mlp, dict]:
             layers=tuple(layers),
             activation=doc["activation"],
             omega0=omega0,
-            skip_connections=bool(doc["skip_connections"]),
+            skip_connections=doc["skip_connections"],
             output_transform=box,
         )
     except KeyError as e:

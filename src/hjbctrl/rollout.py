@@ -8,11 +8,11 @@ costs are evaluated on its grid afterwards (``hjbtrain``).
 
 Transition sources are interchangeable callables (x, u) -> xdot, and
 each counts its evaluations, so budgets are auditable.  An RK4 step is
-composed of primitives for analytic dynamics and any other callable;
-under a learned transition the step is one fused node
-(``diffkit.rk4_mlp``) whose values are bitwise those of that composite.
-The learned transition's own call serves where f is needed outside a
-step.
+``diffkit.rk4`` for analytic dynamics and any other callable: four calls
+of f and four ``diffkit.lincomb`` nodes.  Under a learned transition the
+step is one fused node (``diffkit.rk4_mlp``) whose values are bitwise
+those of that composite.  Both read diffkit's one RK4 tableau.  The
+learned transition's own call serves where f is needed outside a step.
 
 A trained controller is scored and exported through one integrator,
 :func:`analytic_rollout`: under the analytic dynamics and in
@@ -25,6 +25,7 @@ trajectories, for export.
 
 from __future__ import annotations
 
+import math
 import time
 import weakref
 from dataclasses import dataclass
@@ -141,8 +142,8 @@ def rk4_step(f: Callable, x, u, h: float) -> Tensor:
 
     Under a :class:`LearnedTransition` the whole step is one tape node
     (``diffkit.rk4_mlp``), and the transition counts its four evaluations.
-    For any other f, each stage input ``x + c k`` and the final combine
-    are one tape node each (``diffkit.axpy``, ``diffkit.rk4_combine``).
+    Any other f is stepped by ``diffkit.rk4`` (four ``diffkit.lincomb`` nodes).
+    NumericError if the new state is not finite (sum of squares first, then by entry).
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -151,13 +152,8 @@ def rk4_step(f: Callable, x, u, h: float) -> Tensor:
         net = f.net
         out = dk.rk4_mlp(x, u, h, net.layers, net.activation, net.omega0)
     else:
-        x = dk.tensor(x)
-        k1 = f(x, u)
-        k2 = f(dk.axpy(x, h / 2.0, k1), u)
-        k3 = f(dk.axpy(x, h / 2.0, k2), u)
-        k4 = f(dk.axpy(x, h, k3), u)
-        out = dk.rk4_combine(x, h, k1, k2, k3, k4)
-    if not np.all(np.isfinite(out.data)):
+        out = dk.rk4(f, x, u, h)
+    if not (math.isfinite(np.vdot(out.data, out.data)) or np.isfinite(out.data).all()):
         raise NumericError("non-finite state after rk4 step")
     return out
 

@@ -44,6 +44,8 @@ class SysIdConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.activation not in dk.ACTIVATIONS:
+            raise ValueError(f"activation must be one of {dk.ACTIVATIONS}, got {self.activation!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         for name in ("batch", "n_test"):

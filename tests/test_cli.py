@@ -273,6 +273,9 @@ def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
                  "u_max must be finite and > 0, got 0", id="system-lq1d-u-max-zero"),
     pytest.param("sysid", {"sysid": {"n_test": 0}}, "n_test must be >= 1",
                  id="sysid-n-test-zero"),
+    pytest.param("sysid", {"sysid": {"activation": "gelu"}},
+                 "bad sysid config: activation must be one of ('sine', 'tanh', 'relu'), "
+                 "got 'gelu'", id="sysid-activation-unknown"),
     pytest.param("sysid", {"system": {"name": "acrobot", "overrides": {"I1": "x"}}},
                  "I1 must be finite and > 0, got 'x'", id="system-acrobot-I1-string"),
     pytest.param("sysid", {"system": {"name": "acrobot", "overrides": {"m1": -1}}},
@@ -391,10 +394,20 @@ def nan_weight(doc):
     doc["layers"][0]["weights"][0][0] = float("nan")
 
 
+def no_layers(doc):
+    doc["layers"] = []
+
+
+def quoted_skips(doc):
+    doc["skip_connections"] = "false"
+
+
 @pytest.mark.parametrize("edit, message", [
     (swap_box, "output_transform: box upper bounds must exceed lower bounds"),
     (shorten_lo, "output_transform: box bounds lo and hi need one entry each per output"),
     (nan_weight, "layers[0].weights has non-finite entries"),
+    (no_layers, "layers: a net has at least one layer"),
+    (quoted_skips, "skip_connections must be a boolean, got 'false'"),
 ])
 def test_controller_with_a_bad_field_is_a_usage_error(edit, message, tiny_config, tmp_path,
                                                       capsys):
@@ -465,6 +478,8 @@ def add_skips(doc):
     (infinite_omega0, "omega0 must be finite and > 0, got inf"),
     (add_box, "output_transform: a dynamics net has no output box"),
     (add_skips, "skip_connections: a dynamics net has no skip connections"),
+    (no_layers, "layers: a net has at least one layer"),
+    (quoted_skips, "skip_connections must be a boolean, got 'false'"),
 ])
 def test_transition_with_a_bad_field_is_a_usage_error(edit, message, tiny_config, tmp_path,
                                                       capsys):

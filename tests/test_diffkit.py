@@ -614,13 +614,13 @@ def test_mlp_gradients_match_central_differences(act, rng):
 
 
 def rk4_mlp_chain(x, u, h, layers, act, omega0):
-    """The concat/mlp/axpy/rk4_combine chain that dk.rk4_mlp fuses."""
+    """The concat/mlp/lincomb chain that dk.rk4_mlp fuses."""
     f = lambda x, u: dk.mlp(dk.concat([x, u], axis=1), layers, act, omega0)
     k1 = f(x, u)
-    k2 = f(dk.axpy(x, h / 2.0, k1), u)
-    k3 = f(dk.axpy(x, h / 2.0, k2), u)
-    k4 = f(dk.axpy(x, h, k3), u)
-    return dk.rk4_combine(x, h, k1, k2, k3, k4)
+    k2 = f(dk.lincomb(x, h / 2.0, [k1], [1.0]), u)
+    k3 = f(dk.lincomb(x, h / 2.0, [k2], [1.0]), u)
+    k4 = f(dk.lincomb(x, h, [k3], [1.0]), u)
+    return dk.lincomb(x, h / 6.0, [k1, k2, k3, k4], [1.0, 2.0, 2.0, 1.0])
 
 
 def rk4_mlp_arrays(rng, m, dtype, hidden=(8, 6)):
@@ -724,8 +724,8 @@ def test_chain_rejects_bad_shapes():
 
 def test_fused_primitives_have_no_tangent_rule(rng):
     x0 = rng.normal(size=(2, 3))
-    with pytest.raises(dk.DiffkitError, match="axpy"):
-        dk.jvp(lambda a: dk.axpy(a, 0.5, a), (x0,), [(np.ones_like(x0),)])
+    with pytest.raises(dk.DiffkitError, match="'lincomb' has no tangent rule"):
+        dk.jvp(lambda a: dk.lincomb(a, 0.5, [a], [1.0]), (x0,), [(np.ones_like(x0),)])
     with pytest.raises(dk.DiffkitError, match="chain"):
         dk.jvp(lambda g: dk.chain(g, np.ones((4, 3)), np.ones((2, 3)), 2.0), (x0,),
                [(np.ones_like(x0),)])
@@ -739,8 +739,9 @@ def test_fused_primitives_have_no_tangent_rule(rng):
 
 def test_an_op_refuses_a_tangent_unless_it_hands_over_a_rule(rng):
     x0 = rng.normal(size=(2, 3))
-    with pytest.raises(dk.DiffkitError, match="rk4_combine"):
-        dk.jvp(lambda x: dk.rk4_combine(x, 0.1, x, x, x, x), (x0,), [(np.ones_like(x0),)])
+    with pytest.raises(dk.DiffkitError, match="lincomb"):
+        dk.jvp(lambda x: dk.lincomb(x, 0.1, [x, x, x, x], [1.0, 2.0, 2.0, 1.0]), (x0,),
+               [(np.ones_like(x0),)])
     # an op labelled "add" gets no rule from its label: d(x + 2 k) is not dx + dk
     twice = lambda x, k: dk._emit("add", x.data + 2.0 * k.data, (x, k), dk._add_vjp,
                                   (x.data, k.data))
@@ -761,8 +762,9 @@ SKIP_CASES = {
     "mlp_box": lambda a, b, c: dk.mlp(a, [(b, c[0]), (c, c[1]), (c, c[2])], "tanh",
                                       box=(np.zeros(3), np.ones(3))),
     "chain": lambda a, b, c: dk.chain(a, b, c, 2.0),
-    "axpy": lambda a, b, c: dk.axpy(a, 0.25, b),
-    "rk4_combine": lambda a, b, c: dk.rk4_combine(a, 0.1, b, a, b, a),
+    # an RK4 stage input and an RK4 update
+    "lincomb": lambda a, b, c: dk.lincomb(a, 0.25, [b], [1.0]),
+    "lincomb_rk4": lambda a, b, c: dk.lincomb(a, 0.1, [b, a, c, a], [1.0, 2.0, 2.0, 1.0]),
     # x (3, 2) and u (3, 1) through a (3 -> 3 -> 2) sine network
     "rk4_mlp": lambda a, b, c: dk.rk4_mlp(a[:, :2], b[:, :1], 0.1,
                                           [(c, c[0]), (c[:, :2], c[1, :2])], "sine", 2.0),
@@ -804,21 +806,25 @@ def test_non_finite_adjoint_at_a_fused_node_names_it(rng):
             dk.grad(out, [a])
 
 
-# fused primitive -> its tally label and a call of it on a (3, 3) leaf
+# case -> its tally label, its primitive name and a call of it on a (3, 3) leaf;
+# "axpy" (an RK4 stage input x + c k) and "rk4_combine" (an RK4 update) are the
+# two forms of lincomb
 FUSED = {
-    "mlp": ("matmul", lambda a: dk.mlp(a, [(np.ones((3, 4)), np.ones(4)),
-                                           (np.ones((4, 3)), np.ones(3))], "sine", 2.0)),
-    "chain": ("matmul", lambda a: dk.chain(a, np.ones((3, 3)), np.ones((3, 3)), 2.0)),
-    "axpy": ("add", lambda a: dk.axpy(a, 0.5, a)),
-    "rk4_combine": ("add", lambda a: dk.rk4_combine(a, 0.1, a, a, a, a)),
-    "rk4_mlp": ("matmul", lambda a: dk.rk4_mlp(a, a[:, :1], 0.1, [(np.ones((4, 3)), np.ones(3))],
-                                               "sine", 2.0)),
+    "mlp": ("matmul", "mlp", lambda a: dk.mlp(a, [(np.ones((3, 4)), np.ones(4)),
+                                                  (np.ones((4, 3)), np.ones(3))], "sine", 2.0)),
+    "chain": ("matmul", "chain", lambda a: dk.chain(a, np.ones((3, 3)), np.ones((3, 3)), 2.0)),
+    "axpy": ("add", "lincomb", lambda a: dk.lincomb(a, 0.5, [a], [1.0])),
+    "rk4_combine": ("add", "lincomb",
+                    lambda a: dk.lincomb(a, 0.1, [a, a, a, a], [1.0, 2.0, 2.0, 1.0])),
+    "rk4_mlp": ("matmul", "rk4_mlp",
+                lambda a: dk.rk4_mlp(a, a[:, :1], 0.1, [(np.ones((4, 3)), np.ones(3))],
+                                     "sine", 2.0)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(FUSED))
-def test_a_non_finite_adjoint_names_the_fused_primitive(name, rng):
-    label, fn = FUSED[name]
+@pytest.mark.parametrize("case", sorted(FUSED))
+def test_a_non_finite_adjoint_names_the_fused_primitive(case, rng):
+    label, name, fn = FUSED[case]
     tape = dk.Tape()
     with tape, np.errstate(invalid="ignore", over="ignore"):
         a = tape.leaf(rng.normal(size=(3, 3)))

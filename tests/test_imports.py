@@ -1,11 +1,13 @@
-"""Every import in src/ and tests/ is used, and library modules do no file I/O.
+"""Every import in src/ and tests/ is used, every private helper in src/ is
+read, and library modules do no file I/O.
 
-Deleting code tends to leave imports behind; this check parses each file
-and fails on a name that is imported but never read.  ``__future__``
-imports and package ``__init__`` files (whose imports are re-exports) are
-skipped.  The compute modules import none of csv, json or pathlib: the CLI
-writes every output file, and netzoo (checkpoints) and config (config
-files) are the only other modules that touch files.
+Deleting code tends to leave imports and helpers behind; this check parses
+each file and fails on a name that is imported but never read, and on a
+module-level ``_name`` of the package that its own module never reads.
+``__future__`` imports and package ``__init__`` files (whose imports are
+re-exports) are skipped.  The compute modules import none of csv, json or
+pathlib: the CLI writes every output file, and netzoo (checkpoints) and
+config (config files) are the only other modules that touch files.
 """
 
 import ast
@@ -52,6 +54,49 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_caught():
     tree = ast.parse("import os\nimport os.path as osp\nfrom a import b, c\nprint(c, osp.sep)\n")
     assert set(imported_names(tree)) - read_names(tree) == {"os", "b"}
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_name`` (not ``__dunder__``) bound by a def, a class or
+    an assignment -> its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [t.id for target in targets for t in ast.walk(target)
+                     if isinstance(t, ast.Name)]
+        else:
+            continue
+        names.update({name: node.lineno for name in bound
+                      if name.startswith("_") and not name.startswith("__")})
+    return names
+
+
+def loaded_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, not counting the ones it only binds."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+SRC = [p for p in FILES if p.is_relative_to(ROOT / "src")]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_orphaned_private_helpers(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = loaded_names(tree)
+    orphans = {name: line for name, line in private_definitions(tree).items()
+               if name not in read}
+    assert not orphans, f"{path.name}: private name(s) never read {orphans}"
+
+
+def test_an_orphaned_private_helper_is_caught():
+    tree = ast.parse("def _used(): pass\ndef _orphan(): pass\nclass _C: pass\n"
+                     "_A, _B = 1, 2\n_D: int = 3\n__all__ = []\nx = _used(), _B, _C\n"
+                     "def f():\n    _A = 4\n")
+    assert set(private_definitions(tree)) - loaded_names(tree) == {"_orphan", "_A", "_D"}
 
 
 LIBRARY = ("diffkit", "dynzoo", "optim", "rollout", "hjbtrain", "sysid")

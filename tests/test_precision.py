@@ -94,8 +94,9 @@ def test_n_ary_and_fused_ops_compute_in_the_narrowest_dtype(rng):
         assert out.data.dtype == F32
     assert dk.chain(rng.standard_normal((2, 5)), rng.standard_normal((4, 5)).astype(np.float32),
                     w, 2.0).data.dtype == F32
-    assert dk.axpy(np.zeros((4, 3)), 0.5, x).data.dtype == F32
-    assert dk.rk4_combine(np.zeros((4, 3)), 0.1, x, x, x, x).data.dtype == F32
+    assert dk.lincomb(np.zeros((4, 3)), 0.5, [x], [1.0]).data.dtype == F32
+    assert dk.lincomb(np.zeros((4, 3)), 0.1, [x, np.ones((4, 3)), x, x],
+                      [1.0, 2.0, 2.0, 1.0]).data.dtype == F32
     assert dk.rk4_mlp(np.zeros((4, 3)), x[:, :2], 0.1, [(rng.standard_normal((5, 3)), b[:3])],
                       "sine", 2.0).data.dtype == F32
 

@@ -102,8 +102,11 @@ def test_rk4_nodes_match_central_differences(rng):
     ops = [rng.normal(size=(3, 2)) for _ in range(5)]
     proj = rng.normal(size=(3, 2))
     cases = [
-        (lambda x, k: dk.axpy(x, 0.3, k), ops[:2]),
-        (lambda x, k1, k2, k3, k4: dk.rk4_combine(x, 0.3, k1, k2, k3, k4), ops),
+        (lambda x, k: dk.lincomb(x, 0.3, [k], [1.0]), ops[:2]),
+        (lambda x, *ks: dk.lincomb(x, 0.3, ks, [1.0, 2.0, 2.0, 1.0]), ops),
+        (lambda x, *ks: dk.lincomb(x, 0.3, ks, [-0.5, 3.0]), ops[:3]),
+        # k broadcast along x's rows: its adjoint is summed back to (2,)
+        (lambda x, k: dk.lincomb(x, 0.3, [k], [2.0]), [ops[0], ops[1][0]]),
     ]
     for fn, arrays in cases:
         tape = dk.Tape()
@@ -320,7 +323,7 @@ def test_learned_rollout_is_the_primitive_chain(dtype):
         np.testing.assert_allclose(g, g_ref, rtol=1e-5, atol=1e-5 * np.abs(g_ref).max())
     # K + 1 controller evaluations and one node per step
     assert names == {"mlp": 11, "rk4_mlp": 10}
-    assert names_ref["rk4_combine"] == 10 and names_ref["mlp"] == 11 + 40
+    assert names_ref["lincomb"] == 4 * 10 and names_ref["mlp"] == 11 + 40
 
 
 def test_learned_rk4_step_gradients_match_central_differences(rng):
