@@ -85,11 +85,14 @@ def load_preset(name: str) -> dict:
 
 def load_config_file(path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}")
+    return _object(f"config file {path}", doc)
 
 
 def _deep_merge(base: dict, update: dict) -> dict:
@@ -123,7 +126,10 @@ def config_hash(cfg: dict) -> str:
 
 def echo_config(cfg: dict, outdir) -> Path:
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"output directory {outdir} is not a directory") from None
     path = outdir / "effective_config.json"
     path.write_text(json.dumps(cfg, indent=2, sort_keys=True), encoding="utf-8")
     return path
@@ -151,10 +157,20 @@ def _typed(name: str, key: str, value, hint):
     raise ConfigError(f"{name}.{key} must be {_TYPE_NAMES[hint]}, got {value!r}")
 
 
+def _object(where: str, value) -> dict:
+    """``value``, a JSON object, or a ConfigError naming ``where``; null is
+    an empty object."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
 def _section(cfg: dict, name: str, cls):
     """Parse config section ``name`` into dataclass ``cls``, checking each
     value against its field's type."""
-    section = cfg.get(name) or {}
+    section = _object(name, cfg.get(name))
     hints = typing.get_type_hints(cls)
     unknown = set(section) - set(hints)
     if unknown:
@@ -202,15 +218,16 @@ def _rho(section: dict) -> Box | Gaussian:
 def system_spec(cfg: dict) -> SystemSpec:
     """The configured system, with the ``rho`` section as its start
     distribution when that section is set."""
-    system = cfg.get("system") or {}
+    system = _object("system", cfg.get("system"))
     name = system.get("name")
     if not name:
         raise ConfigError("no system given (use --system or a config with system.name)")
     if name not in system_names():
         raise ConfigError(f"unknown system '{name}'; known: {', '.join(system_names())}")
-    spec = make_system(name, system.get("overrides"))
-    if cfg.get("rho"):
-        rho = _rho(cfg["rho"])
+    spec = make_system(name, _object("system.overrides", system.get("overrides")))
+    section = _object("rho", cfg.get("rho"))
+    if section:
+        rho = _rho(section)
         if rho.dim != spec.d:
             raise ConfigError(f"rho has dim {rho.dim}, system '{name}' has d={spec.d}")
         spec = dataclasses.replace(spec, rho=rho)

@@ -56,8 +56,8 @@ class Box:
 
     def __post_init__(self):
         _check_finite("box", lo=self.lo, hi=self.hi)
-        if self.lo.shape != self.hi.shape or np.any(self.hi <= self.lo):
-            raise ValueError("box needs elementwise lo < hi")
+        if self.lo.ndim != 1 or self.lo.shape != self.hi.shape or np.any(self.hi <= self.lo):
+            raise ValueError("box needs lists lo and hi of one length, elementwise lo < hi")
 
     @property
     def dim(self) -> int:
@@ -79,8 +79,8 @@ class Gaussian:
 
     def __post_init__(self):
         _check_finite("gaussian", mean=self.mean, std=self.std)
-        if self.mean.shape != self.std.shape or np.any(self.std < 0):
-            raise ValueError("gaussian needs mean and std of one shape, std >= 0")
+        if self.mean.ndim != 1 or self.mean.shape != self.std.shape or np.any(self.std < 0):
+            raise ValueError("gaussian needs lists mean and std of one shape, std >= 0")
 
     @property
     def dim(self) -> int:
@@ -98,6 +98,7 @@ class Obstacle:
     def __post_init__(self):
         if self.center.shape != (2,) or not 0.0 < self.radius < np.inf:
             raise ValueError(f"obstacles need a center [x, y] and a radius > 0, got {self}")
+        _check_finite("obstacle", center=self.center)
 
 
 @dataclass(frozen=True)
@@ -513,6 +514,7 @@ def make_system(name: str, overrides: dict | None = None) -> SystemSpec:
                 fields[key] = np.asarray(value, dtype=np.float64)
             except (TypeError, ValueError):
                 raise ValueError(f"{key} must be a numeric array, got {value!r}") from None
+            _check_finite("override", **{key: fields[key]})
     spec = maker(**params)
     if fields.get("obstacles") and spec.position_slice is None:
         # obstacle_penalty reads x[:, 0:2] as a planar position

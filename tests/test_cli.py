@@ -147,9 +147,18 @@ def test_out_of_range_flag_is_a_usage_error(argv, message, tiny_config, tmp_path
                  id="unknown-preset"),
     pytest.param(["--config", "{tmp}/missing.json"], "config file not found", id="missing-file"),
     pytest.param(["--config", "{tmp}/broken.json"], "is not valid JSON", id="invalid-json"),
+    pytest.param(["--config", "{tmp}/list.json"], "list.json must be a JSON object, got [1, 2]",
+                 id="top-level-list"),
+    pytest.param(["--config", "{tmp}"], "cannot read config file", id="config-directory"),
+    pytest.param(["--outdir", "{tmp}/broken.json"], "broken.json is not a directory",
+                 id="outdir-file"),
+    # as HJBCTRL_OUTDIR naming a file: the command's directory goes under it
+    pytest.param(["--outdir", "{tmp}/broken.json/sysid"], "broken.json/sysid is not a directory",
+                 id="outdir-under-a-file"),
 ])
 def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
     (tmp_path / "broken.json").write_text('{"system": ')
+    (tmp_path / "list.json").write_text("[1, 2]")
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert run("sysid", "--system", "dubins", "--outdir", tmp_path / "out",
                *argv) == cli.EXIT_USAGE
@@ -313,6 +322,38 @@ def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
     pytest.param("train", {"rho": {"kind": "gaussian", "mean": [0, 0, 0],
                                    "std": [0, float("inf"), 0]}},
                  "bad rho section: gaussian std must be finite", id="rho-gaussian-std-infinite"),
+    pytest.param("eval", {"system": {"name": "dubins",
+                                     "overrides": {"x_star": [0, 0, float("nan")]}}},
+                 "override x_star must be finite, got [0.0, 0.0, nan]", id="system-x-star-nan"),
+    pytest.param("train", {"system": {"name": "dubins",
+                                      "overrides": {"P": [[1, 0, 0], [0, float("inf"), 0],
+                                                          [0, 0, 1]]}}},
+                 "override P must be finite", id="system-P-infinite"),
+    pytest.param("sysid", {"system": {"name": "dubins",
+                                      "overrides": {"R": [[float("nan"), 0], [0, 1]]}}},
+                 "override R must be finite", id="system-R-nan"),
+    pytest.param("sysid", {"system": {"name": "lq1d", "overrides": {"Q": [[float("inf")]]}}},
+                 "override Q must be finite, got [[inf]]", id="system-lq1d-Q-infinite"),
+    pytest.param("sysid", {"system": {"name": "dubins",
+                                      "overrides": {"u_star": [float("nan"), 0]}}},
+                 "override u_star must be finite, got [nan, 0.0]", id="system-u-star-nan"),
+    pytest.param("eval", {"system": {"name": "dubins",
+                                     "overrides": {"obstacles": [[[float("nan"), 0], 0.5]]}}},
+                 "obstacle center must be finite, got [nan, 0.0]", id="system-obstacle-center-nan"),
+    pytest.param("sysid", {"system": "lq1d"}, "system must be a JSON object, got 'lq1d'",
+                 id="system-string"),
+    pytest.param("sysid", {"system": {"name": "dubins", "overrides": 5}},
+                 "system.overrides must be a JSON object, got 5", id="system-overrides-number"),
+    pytest.param("sysid", {"rho": [1]}, "rho must be a JSON object, got [1]", id="rho-list"),
+    pytest.param("sysid", {"rho": []}, "rho must be a JSON object, got []", id="rho-empty-list"),
+    pytest.param("eval", {"eval": 5}, "eval must be a JSON object, got 5", id="eval-number"),
+    pytest.param("sysid", {"sysid": "fast"}, "sysid must be a JSON object, got 'fast'",
+                 id="sysid-string"),
+    pytest.param("train", {"hjb": [2]}, "hjb must be a JSON object, got [2]", id="hjb-list"),
+    pytest.param("sysid", {"rho": {"kind": "box", "lo": 0, "hi": 1}},
+                 "bad rho section: box needs lists lo and hi", id="rho-box-scalar"),
+    pytest.param("sysid", {"rho": {"kind": "gaussian", "mean": 0, "std": 1}},
+                 "bad rho section: gaussian needs lists mean and std", id="rho-gaussian-scalar"),
 ])
 def test_bad_config_section_is_a_usage_error(command, section, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
