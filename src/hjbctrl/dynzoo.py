@@ -6,7 +6,7 @@ test-time rollouts) and participates in a tape during training with an
 analytic transition.  The running cost L and terminal cost G are defined
 once, on :class:`SystemSpec`, in the same op set.  No derivative is written
 by hand: forward-mode tangents derive the Jacobian [df/dx, df/du]
-(:func:`jacobian`), stacked as one (B, d, d+m) array, the layout of a
+(``diffkit.jacobian``), stacked as one (B, d, d+m) array, the layout of a
 network's input-Jacobian over z = [x, u], and the u-gradient of any batched
 scalar such as L or v . f (:func:`grad_u`).
 Everything works on batches: x is (B, d), u is (B, m).
@@ -138,9 +138,9 @@ class SystemSpec:
                 raise ValueError(f"{key} must be {shape} for '{self.name}', got {value.shape}")
         # derive jac from f, again when replace() swaps f but not jac
         jac = self.jac
-        if jac is None or (isinstance(jac, partial) and jac.func is jacobian
+        if jac is None or (isinstance(jac, partial) and jac.func is dk.jacobian
                            and jac.args[0] is not self.f):
-            object.__setattr__(self, "jac", partial(jacobian, self.f))
+            object.__setattr__(self, "jac", partial(dk.jacobian, self.f))
 
     def validate(self, x: np.ndarray, u: np.ndarray) -> None:
         """Checked-mode input validation; raises DynamicsError on violation."""
@@ -193,20 +193,6 @@ def obstacle_penalty(x, obstacles, c_obs: float = 100.0, margin: float = 0.1) ->
 # ---------------------------------------------------------------------------
 
 
-def jacobian(f: Callable, x, u) -> Tensor:
-    """[df/dx, df/du] of a batched f, stacked as (B, d, d+m), from d + m
-    forward-mode tangent directions (taped under an active tape)."""
-    x, u = dk.tensor(x), dk.tensor(u)
-    b, d = x.shape
-    m = u.shape[1]
-    eye = np.eye(d + m, dtype=x.data.dtype)
-    directions = [(np.broadcast_to(e[:d], (b, d)), np.broadcast_to(e[d:], (b, m))) for e in eye]
-    _, tangents = dk.jvp(f, (x, u), directions)
-    zero = np.zeros((b, d), x.data.dtype)
-    # (B, d+m, d) then a transposed view: stacking on the last axis copies slowly
-    return dk.transpose(dk.stack([zero if t is None else t for t in tangents], axis=1))
-
-
 def grad_u(fn: Callable, x, u) -> tuple[Tensor, Tensor]:
     """A batched scalar fn(x, u), (B,), and its u-gradient, (B, m), from one
     forward-mode tangent per action coordinate (taped under an active tape)."""
@@ -246,13 +232,17 @@ def _parameter(key: str, value, default):
 
 
 def _make_dubins(turn_radius=1.0, v_max=1.0, tf=6.0) -> SystemSpec:
+    # 1 / turn_radius in each compute dtype, so that no call casts it
+    inv_r = {np.dtype(t): t(1.0 / turn_radius) for t in (np.float32, np.float64)}
+
     def f(x, u):
         x, u = dk.tensor(x), dk.tensor(u)
         psi = x[:, 2:3]
         v = u[:, 0:1]
         alpha = u[:, 1:2]
         s, c = dk.sincos(psi)
-        return dk.concat([v * c, v * s, alpha * v * (1.0 / turn_radius)], axis=1)
+        return dk.concat([v * c, v * s, alpha * v * inv_r.get(v.data.dtype, 1.0 / turn_radius)],
+                         axis=1)
 
     return SystemSpec(
         name="dubins",

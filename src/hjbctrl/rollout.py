@@ -8,11 +8,11 @@ costs are evaluated on its grid afterwards (``hjbtrain``).
 
 Transition sources are interchangeable callables (x, u) -> xdot, and
 each counts its evaluations, so budgets are auditable.  An RK4 step is
-``diffkit.rk4`` for analytic dynamics and any other callable: four calls
-of f and four ``diffkit.lincomb`` nodes.  Under a learned transition the
-step is one fused node (``diffkit.rk4_mlp``) whose values are bitwise
-those of that composite.  Both read diffkit's one RK4 tableau.  The
-learned transition's own call serves where f is needed outside a step.
+one tape node whose values are bitwise those of the chain of primitives:
+``diffkit.rk4`` for analytic dynamics and any other callable, whose
+backward applies f's Jacobians, and ``diffkit.rk4_mlp`` under a learned
+transition.  Both read diffkit's one RK4 tableau.  A transition's own
+call serves where f is needed outside a step.
 
 A trained controller is scored and exported through one integrator,
 :func:`analytic_rollout`: under the analytic dynamics and in
@@ -140,9 +140,10 @@ class TrajectoryBatch:
 def rk4_step(f: Callable, x, u, h: float) -> Tensor:
     """One classical RK4 step with the control held constant (ZOH).
 
-    Under a :class:`LearnedTransition` the whole step is one tape node
-    (``diffkit.rk4_mlp``), and the transition counts its four evaluations.
-    Any other f is stepped by ``diffkit.rk4`` (four ``diffkit.lincomb`` nodes).
+    The whole step is one tape node, and a transition counts its four
+    evaluations: ``diffkit.rk4_mlp`` under a :class:`LearnedTransition`,
+    and ``diffkit.rk4`` of the system's f under an
+    :class:`AnalyticTransition`.  Any other f is stepped by ``diffkit.rk4``.
     NumericError if the new state is not finite (sum of squares first, then by entry).
     """
     if h <= 0:
@@ -151,6 +152,10 @@ def rk4_step(f: Callable, x, u, h: float) -> Tensor:
         f.nfe += 4
         net = f.net
         out = dk.rk4_mlp(x, u, h, net.layers, net.activation, net.omega0)
+    elif isinstance(f, AnalyticTransition):
+        # the node's linearization pass is not a transition evaluation
+        f.nfe += 4
+        out = dk.rk4(f.spec.f, x, u, h)
     else:
         out = dk.rk4(f, x, u, h)
     if not (math.isfinite(np.vdot(out.data, out.data)) or np.isfinite(out.data).all()):

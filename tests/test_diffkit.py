@@ -399,7 +399,7 @@ def test_sincos_tangents_reuse_the_sibling_value(rng):
     with tape:
         x = tape.leaf(rng.normal(size=(5, 3)))
         u = tape.leaf(rng.normal(size=(5, 2)))
-        dz.jacobian(spec.f, x, u)
+        dk.jacobian(spec.f, x, u)
         ops = Counter(node.op for node in tape.nodes)
     # the heading's sincos pair and nothing more: the tangents of sin and
     # cos take each other's node instead of recomputing the trig
@@ -614,13 +614,13 @@ def test_mlp_gradients_match_central_differences(act, rng):
 
 
 def rk4_mlp_chain(x, u, h, layers, act, omega0):
-    """The concat/mlp/lincomb chain that dk.rk4_mlp fuses."""
+    """The concat/mlp/add/mul chain that dk.rk4_mlp fuses."""
     f = lambda x, u: dk.mlp(dk.concat([x, u], axis=1), layers, act, omega0)
     k1 = f(x, u)
-    k2 = f(dk.lincomb(x, h / 2.0, [k1], [1.0]), u)
-    k3 = f(dk.lincomb(x, h / 2.0, [k2], [1.0]), u)
-    k4 = f(dk.lincomb(x, h, [k3], [1.0]), u)
-    return dk.lincomb(x, h / 6.0, [k1, k2, k3, k4], [1.0, 2.0, 2.0, 1.0])
+    k2 = f(x + (h / 2.0) * k1, u)
+    k3 = f(x + (h / 2.0) * k2, u)
+    k4 = f(x + h * k3, u)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_mlp_arrays(rng, m, dtype, hidden=(8, 6)):
@@ -724,8 +724,8 @@ def test_chain_rejects_bad_shapes():
 
 def test_fused_primitives_have_no_tangent_rule(rng):
     x0 = rng.normal(size=(2, 3))
-    with pytest.raises(dk.DiffkitError, match="'lincomb' has no tangent rule"):
-        dk.jvp(lambda a: dk.lincomb(a, 0.5, [a], [1.0]), (x0,), [(np.ones_like(x0),)])
+    with pytest.raises(dk.DiffkitError, match="'rk4' has no tangent rule"):
+        dk.jvp(lambda a: dk.rk4(lambda x, u: x * u, a, a, 0.5), (x0,), [(np.ones_like(x0),)])
     with pytest.raises(dk.DiffkitError, match="chain"):
         dk.jvp(lambda g: dk.chain(g, np.ones((4, 3)), np.ones((2, 3)), 2.0), (x0,),
                [(np.ones_like(x0),)])
@@ -739,8 +739,8 @@ def test_fused_primitives_have_no_tangent_rule(rng):
 
 def test_an_op_refuses_a_tangent_unless_it_hands_over_a_rule(rng):
     x0 = rng.normal(size=(2, 3))
-    with pytest.raises(dk.DiffkitError, match="lincomb"):
-        dk.jvp(lambda x: dk.lincomb(x, 0.1, [x, x, x, x], [1.0, 2.0, 2.0, 1.0]), (x0,),
+    with pytest.raises(dk.DiffkitError, match="rk4"):
+        dk.jvp(lambda x: dk.rk4(lambda x, u: dk.sin(x), x, None, 0.1), (x0,),
                [(np.ones_like(x0),)])
     # an op labelled "add" gets no rule from its label: d(x + 2 k) is not dx + dk
     twice = lambda x, k: dk._emit("add", x.data + 2.0 * k.data, (x, k), dk._add_vjp,
@@ -762,9 +762,9 @@ SKIP_CASES = {
     "mlp_box": lambda a, b, c: dk.mlp(a, [(b, c[0]), (c, c[1]), (c, c[2])], "tanh",
                                       box=(np.zeros(3), np.ones(3))),
     "chain": lambda a, b, c: dk.chain(a, b, c, 2.0),
-    # an RK4 stage input and an RK4 update
-    "lincomb": lambda a, b, c: dk.lincomb(a, 0.25, [b], [1.0]),
-    "lincomb_rk4": lambda a, b, c: dk.lincomb(a, 0.1, [b, a, c, a], [1.0, 2.0, 2.0, 1.0]),
+    # an RK4 step of an analytic f, with a control and without one
+    "rk4": lambda a, b, c: dk.rk4(lambda x, u: dk.sin(x) * u, a, b, 0.1),
+    "rk4_no_control": lambda a, b, c: dk.rk4(lambda x, u: dk.sin(x), a, None, 0.1),
     # x (3, 2) and u (3, 1) through a (3 -> 3 -> 2) sine network
     "rk4_mlp": lambda a, b, c: dk.rk4_mlp(a[:, :2], b[:, :1], 0.1,
                                           [(c, c[0]), (c[:, :2], c[1, :2])], "sine", 2.0),
@@ -806,16 +806,13 @@ def test_non_finite_adjoint_at_a_fused_node_names_it(rng):
             dk.grad(out, [a])
 
 
-# case -> its tally label, its primitive name and a call of it on a (3, 3) leaf;
-# "axpy" (an RK4 stage input x + c k) and "rk4_combine" (an RK4 update) are the
-# two forms of lincomb
+# case -> its tally label, its primitive name and a call of it on a (3, 3) leaf
 FUSED = {
     "mlp": ("matmul", "mlp", lambda a: dk.mlp(a, [(np.ones((3, 4)), np.ones(4)),
                                                   (np.ones((4, 3)), np.ones(3))], "sine", 2.0)),
     "chain": ("matmul", "chain", lambda a: dk.chain(a, np.ones((3, 3)), np.ones((3, 3)), 2.0)),
-    "axpy": ("add", "lincomb", lambda a: dk.lincomb(a, 0.5, [a], [1.0])),
-    "rk4_combine": ("add", "lincomb",
-                    lambda a: dk.lincomb(a, 0.1, [a, a, a, a], [1.0, 2.0, 2.0, 1.0])),
+    "rk4": ("add", "rk4", lambda a: dk.rk4(lambda x, u: dk.sin(x) * u, a, a, 0.1)),
+    "rk4_no_control": ("add", "rk4", lambda a: dk.rk4(lambda x, u: dk.sin(x), a, None, 0.1)),
     "rk4_mlp": ("matmul", "rk4_mlp",
                 lambda a: dk.rk4_mlp(a, a[:, :1], 0.1, [(np.ones((4, 3)), np.ones(3))],
                                      "sine", 2.0)),

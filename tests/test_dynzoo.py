@@ -1,3 +1,4 @@
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -51,6 +52,26 @@ def test_dubins_action_jacobian_example():
     spec = dz.make_system("dubins")
     jac = spec.jac(np.array([[0.0, 0.0, 0.0]]), np.array([[1.0, 0.0]]))
     assert np.allclose(jac.data[0, :, 3:], [[1, 0], [0, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dubins_f_casts_no_constant(dtype):
+    # 1 / turn_radius is lifted once per dtype by the maker, not per call
+    spec = dz.make_system("dubins", {"turn_radius": 0.7})
+    x, u = np.ones((4, 3), dtype), np.ones((4, 2), dtype)
+    casts = []
+
+    def count(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "astype":
+            casts.append(arg)
+
+    sys.setprofile(count)
+    try:
+        out = spec.f(x, u).data
+    finally:
+        sys.setprofile(None)
+    assert casts == []
+    assert out.dtype == np.dtype(dtype) and out[0, 2] == dtype(1.0 / 0.7)
 
 
 def test_dubins_arc_closed_form_vs_integration():

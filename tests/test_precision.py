@@ -94,9 +94,8 @@ def test_n_ary_and_fused_ops_compute_in_the_narrowest_dtype(rng):
         assert out.data.dtype == F32
     assert dk.chain(rng.standard_normal((2, 5)), rng.standard_normal((4, 5)).astype(np.float32),
                     w, 2.0).data.dtype == F32
-    assert dk.lincomb(np.zeros((4, 3)), 0.5, [x], [1.0]).data.dtype == F32
-    assert dk.lincomb(np.zeros((4, 3)), 0.1, [x, np.ones((4, 3)), x, x],
-                      [1.0, 2.0, 2.0, 1.0]).data.dtype == F32
+    # a float64 state under a float32 slope
+    assert dk.rk4(lambda x, u: x * u, np.zeros((4, 3)), x, 0.1).data.dtype == F32
     assert dk.rk4_mlp(np.zeros((4, 3)), x[:, :2], 0.1, [(rng.standard_normal((5, 3)), b[:3])],
                       "sine", 2.0).data.dtype == F32
 
@@ -111,7 +110,7 @@ def test_float32_gradients_and_tangents_are_float32_and_near_float64(rng):
         with tape:
             x = tape.leaf(x0.astype(dtype))
             # float64 cost arrays and jvp seeds meet the leaf's dtype
-            jac = dz.jacobian(spec.f, x, u)
+            jac = dk.jacobian(spec.f, x, u)
             loss = dk.sum_(spec.terminal_cost(x) * dk.sum_(jac, axis=(1, 2)))
         assert jac.data.dtype == loss.data.dtype == np.dtype(dtype)
         g = dk.grad(loss, [x])[x].data
@@ -141,7 +140,8 @@ def test_one_hjb_step_records_no_float64_value(learned, emitted, grads, tmp_path
     cfg = learned_config(tmp_path, **STEP) if learned else hj.HjbConfig(**STEP)
     ctrl, value, _ = hj.train_controller(spec, cfg)
     assert emitted[(True, F32)] > 100
-    assert set(emitted) == {(True, F32)}
+    # an analytic step's rk4 nodes also linearize f, untaped, inside grad
+    assert set(emitted) == {(True, F32)} | ({(False, F32)} if not learned else set())
     assert set(grads) == {F32}
     # the master weights, and so the trained nets, stay float64
     assert {p.dtype for p in ctrl.params() + value.params()} == {F64}
