@@ -13,10 +13,11 @@ report's columns are its dataclass fields.
 
 A flag that sets a config value declares it as ``dest="section.key"``
 (``--epochs`` of ``train`` is ``hjb.epochs``), and :func:`_setup` turns
-every such flag into a config override.  Evaluation and trajectory
-integration live in :mod:`hjbctrl.rollout`, always under the analytic
-dynamics and in ``diffkit.COMPUTE``.  A controller's output box must be
-the system's action box.
+every such flag into a config override.  Evaluation, trajectory
+integration and an exported trajectory's running-cost rates live in
+:mod:`hjbctrl.rollout`, always under the analytic dynamics and in
+``diffkit.COMPUTE``; this module only formats their rows.  A controller's
+output box must be the system's action box.
 
 Exit codes: 0 ok, 2 usage/config error, 3 numeric failure (reported by
 diffkit's checks; numpy's floating-point warnings are silenced).
@@ -130,10 +131,7 @@ def _write_trajectories(traj: rollout.TrajectoryBatch, spec: SystemSpec, outdir:
     times = traj.times.tolist()
     xs = traj.states_array
     us = traj.controls_array
-    # one call on the K steps' states and controls, stacked step-major
-    rates = spec.running_cost(np.concatenate([s.data for s in traj.states[:-1]]),
-                              np.concatenate([c.data for c in traj.controls])).data
-    rates = rates.reshape(traj.steps, traj.batch).T
+    rates = rollout.running_cost_rates(spec, traj)
     columns = (["t"] + [f"x_{i}" for i in range(spec.d)] + [f"u_{i}" for i in range(spec.m)]
                + ["running_cost"])
     paths = []

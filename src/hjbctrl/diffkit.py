@@ -358,20 +358,14 @@ def _emit(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], vjp,
     t = Tensor(out)
     tape = _ACTIVE_TAPE
     if tape is not None:
-        parents = []
-        tracked = False
         for x in inputs:
             if x.tape is tape:
-                parents.append(x.idx)
-                tracked = True
-            else:
-                parents.append(-1)
-        if tracked:
-            nodes = tape.nodes
-            t.tape = tape
-            t.idx = len(nodes)
-            parents = tuple(parents)
-            nodes.append(_Node(op, parents, vjp(parents, *args), name))
+                parents = tuple([y.idx if y.tape is tape else -1 for y in inputs])
+                nodes = tape.nodes
+                t.tape = tape
+                t.idx = len(nodes)
+                nodes.append(_Node(op, parents, vjp(parents, *args), name))
+                break
     if _JVP is not None:
         _JVP.push(name or op, t, inputs, tangent, aux)
     return t

@@ -18,9 +18,13 @@ A trained controller is scored and exported through one integrator,
 :func:`analytic_rollout`: under the analytic dynamics and in
 ``diffkit.COMPUTE``.  Evaluation (:func:`evaluate`) scores a controller
 from starts drawn from the system's ``rho``; a registry of learned
-transitions lets it assert that no network dynamics were touched.
+transitions lets it assert that no network dynamics were touched.  Each
+chunk of starts is stacked once, step-major, and its per-start metrics
+are column arithmetic on those stacks, bitwise the batch-major
+``np.linalg.norm`` reductions they replace.
 :func:`evaluate_with_trajectories` also hands back the first scored
-trajectories, for export.
+trajectories, for export, and :func:`running_cost_rates` the rates
+L(x_k, u_k) that an export writes beside them.
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ class LearnedTransition:
         if net.skip_connections:
             raise ValueError("skip_connections: a dynamics net has no skip connections")
         self.net = net
+        # the net's weights lifted to tensors once, for every fused step
+        self.layers = tuple(tuple(dk.tensor(t) for t in layer) for layer in net.layers)
         self.d = d
         self.m = m
         self.nfe = 0
@@ -150,8 +156,7 @@ def rk4_step(f: Callable, x, u, h: float) -> Tensor:
         raise ValueError("step size must be positive")
     if isinstance(f, LearnedTransition):
         f.nfe += 4
-        net = f.net
-        out = dk.rk4_mlp(x, u, h, net.layers, net.activation, net.omega0)
+        out = dk.rk4_mlp(x, u, h, f.layers, f.net.activation, f.net.omega0)
     elif isinstance(f, AnalyticTransition):
         # the node's linearization pass is not a transition evaluation
         f.nfe += 4
@@ -246,7 +251,8 @@ METRICS = ("position", "state")
 
 # memory one chunk of evaluation starts may hold at once; a start holds its
 # K+1 states and K controls about three times over: as the rollout's step
-# tensors, stacked, and in the metrics' temporaries
+# tensors, in the step-major stacks that score them, and in the metrics'
+# per-step columns (position steps, squares, norms)
 _EVAL_CHUNK_BYTES = 16 << 20
 
 
@@ -260,28 +266,61 @@ def check_metric(spec: SystemSpec, metric: str) -> None:
                          f"'{spec.name}' has none; use metric 'state'")
 
 
+def _norms(cols: list[np.ndarray]) -> np.ndarray:
+    """Euclidean norms of the vectors whose entries are the same-shape
+    arrays ``cols``, bitwise ``np.linalg.norm`` over a contiguous last
+    axis of ``len(cols)`` entries.  numpy adds fewer than 8 squares left to
+    right, which column arithmetic repeats without a reduction over a short
+    axis; it sums 8 or more pairwise, so wider vectors are stacked for it."""
+    if len(cols) >= 8:
+        return np.linalg.norm(np.stack(cols, axis=-1), axis=-1)
+    s = cols[0] * cols[0]
+    for c in cols[1:]:
+        s += c * c
+    return np.sqrt(s)
+
+
+def _step_sums(n: np.ndarray) -> np.ndarray:
+    """Each start's sum of (K, B) per-step values, added in the pairwise
+    order in which numpy sums a contiguous row of K."""
+    return np.ascontiguousarray(n.T).sum(axis=1)
+
+
 def _start_metrics(spec: SystemSpec, traj: TrajectoryBatch, metric: str) -> tuple:
     """Per-start terminal error, control magnitude, path length (None
     without a position subspace), final distance and obstacle violations of
-    one closed-loop rollout."""
-    xs = traj.states_array  # (B, K+1, d)
+    one closed-loop rollout, from its states and controls stacked once,
+    step-major, and reduced column by column."""
+    xs = np.stack([s.data for s in traj.states])  # (K+1, B, d)
+    us = np.stack([u.data for u in traj.controls])  # (K, B, m)
     h = spec.tf / traj.steps
 
-    te = np.linalg.norm(xs[:, -1, :] - spec.x_star, axis=1)
-    cm = np.linalg.norm(traj.controls_array, axis=2).sum(axis=1) * h
+    te = np.linalg.norm(xs[-1] - spec.x_star, axis=1)
+    cm = _step_sums(_norms([us[:, :, i] for i in range(spec.m)])) * h
     ln = None
     if spec.position_slice is not None:
-        pos = xs[:, :, spec.position_slice]
-        ln = np.linalg.norm(np.diff(pos, axis=1), axis=2).sum(axis=1)
+        pos = range(spec.d)[spec.position_slice]
+        ln = _step_sums(_norms([xs[1:, :, i] - xs[:-1, :, i] for i in pos]))
     if metric == "position":
-        final_dist = np.linalg.norm(pos[:, -1, :] - spec.x_star[spec.position_slice], axis=1)
+        goal = spec.x_star[spec.position_slice]
+        final_dist = np.linalg.norm(xs[-1, :, spec.position_slice] - goal, axis=1)
     else:
         final_dist = te
     violations = sum(
-        int(np.sum(np.linalg.norm(xs[:, :, 0:2] - obs.center, axis=2).min(axis=1) < obs.radius))
+        int(np.sum(_norms([xs[:, :, 0] - obs.center[0], xs[:, :, 1] - obs.center[1]])
+                   .min(axis=0) < obs.radius))
         for obs in spec.obstacles
     )
     return te, cm, ln, final_dist, violations
+
+
+def running_cost_rates(spec: SystemSpec, traj: TrajectoryBatch) -> np.ndarray:
+    """(B, K) running-cost rates L(x_k, u_k) of each trajectory at its K
+    steps, from one ``spec.running_cost`` call on the steps stacked
+    step-major."""
+    rates = spec.running_cost(np.concatenate([s.data for s in traj.states[:-1]]),
+                              np.concatenate([c.data for c in traj.controls])).data
+    return rates.reshape(traj.steps, traj.batch).T
 
 
 def _first(trajs: list[TrajectoryBatch], n: int) -> TrajectoryBatch:

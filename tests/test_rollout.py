@@ -495,6 +495,103 @@ def test_rollout_abort_names_step():
                    np.zeros((1, 3)), K=5)
 
 
+# -- per-start metrics -----------------------------------------------------------
+
+
+def batch_major_metrics(spec, traj, metric):
+    """The per-start metrics as np.linalg.norm reductions of the batch-major
+    (B, K+1, d) and (B, K, m) stacks: the reference that the step-major
+    column arithmetic of ``_start_metrics`` must repeat bitwise."""
+    xs = traj.states_array
+    h = spec.tf / traj.steps
+    te = np.linalg.norm(xs[:, -1, :] - spec.x_star, axis=1)
+    cm = np.linalg.norm(traj.controls_array, axis=2).sum(axis=1) * h
+    ln = None
+    if spec.position_slice is not None:
+        pos = xs[:, :, spec.position_slice]
+        ln = np.linalg.norm(np.diff(pos, axis=1), axis=2).sum(axis=1)
+    if metric == "position":
+        final_dist = np.linalg.norm(pos[:, -1, :] - spec.x_star[spec.position_slice], axis=1)
+    else:
+        final_dist = te
+    violations = sum(
+        int(np.sum(np.linalg.norm(xs[:, :, 0:2] - obs.center, axis=2).min(axis=1) < obs.radius))
+        for obs in spec.obstacles
+    )
+    return te, cm, ln, final_dist, violations
+
+
+def assert_same_metrics(got, want):
+    for g, w in zip(got, want, strict=True):
+        if w is None or isinstance(w, int):
+            assert g == w
+        else:
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+
+def scored_rollout(spec, n=37, K=20, seed=0):
+    controller = nz.controller_net(spec.d, spec.action_box.lo, spec.action_box.hi,
+                                   hidden=(8,), seed=seed)
+    x0 = spec.rho.sample(np.random.default_rng(seed), n)
+    return ro.analytic_rollout(spec, controller, x0, K)
+
+
+SCORED = [(name, metric) for name in dz.system_names() for metric in ro.METRICS
+          if metric == "state" or dz.make_system(name).position_slice is not None]
+
+
+@pytest.mark.parametrize("name, metric", SCORED, ids=[f"{n}-{m}" for n, m in SCORED])
+def test_start_metrics_are_the_batch_major_norms_bitwise(name, metric):
+    # quadrotor under "state" scores a final error over d = 12, above the
+    # width from which numpy sums pairwise
+    spec = dz.make_system(name)
+    traj = scored_rollout(spec)
+    assert_same_metrics(ro._start_metrics(spec, traj, metric),
+                        batch_major_metrics(spec, traj, metric))
+
+
+def test_obstacle_violations_are_the_batch_major_count():
+    # the obstacle overlaps the start box, so some starts cross it and some do not
+    spec = dz.make_system("dubins", {"obstacles": [[[-2.5, 0.0], 0.7], [[0.0, 0.0], 0.5]]})
+    traj = scored_rollout(spec, n=64)
+    got = ro._start_metrics(spec, traj, "position")
+    assert_same_metrics(got, batch_major_metrics(spec, traj, "position"))
+    assert 0 < got[4] < 64
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 12])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_norms_are_numpy_norms_bitwise(width, dtype, rng):
+    # fewer than 8 entries are added left to right, 8 or more pairwise
+    a = (rng.standard_normal((21, 300, width)) * rng.uniform(1e-3, 1e3, (21, 300, 1))).astype(dtype)
+    got = ro._norms([a[:, :, i] for i in range(width)])
+    assert got.dtype == dtype and np.array_equal(got, np.linalg.norm(a, axis=2))
+
+
+def test_a_chunked_evaluation_reports_the_one_batch_report(monkeypatch):
+    spec = dz.make_system("dubins", {"obstacles": [[[-2.5, 0.0], 0.7]]})
+    controller = nz.controller_net(spec.d, spec.action_box.lo, spec.action_box.hi,
+                                   hidden=(8,), seed=1)
+    rollouts = []
+    analytic_rollout = ro.analytic_rollout
+
+    def counted(*args):
+        rollouts.append(args[2].shape[0])
+        return analytic_rollout(*args)
+
+    monkeypatch.setattr(ro, "analytic_rollout", counted)
+    reports = []
+    # a start holds 3 * 4 * (K+1) * (d+m) bytes: 12 starts a chunk splits 50 into 5
+    for chunk_bytes in (16 << 20, 3 * 4 * 11 * 5 * 12):
+        monkeypatch.setattr(ro, "_EVAL_CHUNK_BYTES", chunk_bytes)
+        report = ro.evaluate(spec, controller, 50, seed=3, K=10, threshold=3.0)
+        reports.append(replace(report, compute_time_per_traj_s=0.0))
+    assert rollouts == [50, 10, 10, 10, 10, 10]
+    assert reports[0] == reports[1]
+    assert reports[0].obstacle_violations > 0 and 0 < reports[0].success_rate < 1
+
+
 # -- export ----------------------------------------------------------------------
 
 
