@@ -4,12 +4,14 @@ The library modules compute and return results; this module owns every
 output file format.  Every command writes into an output directory
 (--outdir, or the HJBCTRL_OUTDIR environment variable, or
 ./runs/<command>).  Every CSV comes from :func:`_write_csv`: a
-``# header`` comment with the seed and a hash of the effective config, so
-identical (seed, config) pairs reproduce identical outputs, then the
-column row, then the rows, with each float as the shortest text that reads
-back to it in its own precision (``repr`` of a float64, and of a float32
-the text that rounds to it in float32) and None as an empty cell.  A
-report's columns are its dataclass fields.
+``# header`` comment with the seed and a hash of the effective config,
+then the column row, then the rows, with each float as the shortest text
+that reads back to it in its own precision (``repr`` of a float64, and of
+a float32 the text that rounds to it in float32) and None as an empty
+cell.  A report's columns are its dataclass fields.  Identical (seed,
+config) pairs reproduce identical outputs, except for two wall times:
+``compute_time_per_traj_s`` in ``eval_report.csv`` and ``wall_time_s``
+in ``training_log.csv``.
 
 A flag that sets a config value declares it as ``dest="section.key"``
 (``--epochs`` of ``train`` is ``hjb.epochs``), and :func:`_setup` turns
@@ -129,15 +131,14 @@ def _write_trajectories(traj: rollout.TrajectoryBatch, spec: SystemSpec, outdir:
     """
     # rows keep numpy scalars, so each value is written in its own precision
     times = traj.times.tolist()
-    xs = traj.states_array
-    us = traj.controls_array
+    xs, us = traj.state_stack, traj.control_stack
     rates = rollout.running_cost_rates(spec, traj)
     columns = (["t"] + [f"x_{i}" for i in range(spec.d)] + [f"u_{i}" for i in range(spec.m)]
                + ["running_cost"])
     paths = []
     for b in range(traj.batch):
-        rows = [[t, *x, *u, r] for t, x, u, r in zip(times, xs[b], us[b], rates[b])]
-        rows.append([times[-1], *xs[b][-1]] + [None] * (spec.m + 1))
+        rows = [[t, *x, *u, r] for t, x, u, r in zip(times, xs[:, b], us[:, b], rates[b])]
+        rows.append([times[-1], *xs[-1, b]] + [None] * (spec.m + 1))
         paths.append(outdir / f"{prefix}_{b:04d}.csv")
         _write_csv(paths[-1], header, columns, rows)
     manifest = {**manifest, "nfe": traj.nfe, "steps": traj.steps, "batch": traj.batch,

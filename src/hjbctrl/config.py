@@ -53,6 +53,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (math.isfinite(self.threshold) and self.threshold >= 0):
             raise ValueError("threshold must be finite and >= 0")
         if self.metric not in METRICS:

@@ -206,7 +206,7 @@ class Tape:
 
     def __init__(self) -> None:
         self.nodes: list[_Node] = []
-        # (f, rows, dtype, u is None) -> the _Linearization of its rk4 nodes
+        # (f, rows, dtype) -> the _Linearization of its rk4 nodes
         self.linearizations: dict = {}
 
     def __enter__(self) -> "Tape":
@@ -1109,7 +1109,7 @@ class _Linearization:
     def __init__(self, f: Callable) -> None:
         self.f, self.xs, self.us, self.jac = f, [], [], None
 
-    def add(self, xs: list, ud: np.ndarray | None) -> int:
+    def add(self, xs: list, ud: np.ndarray) -> int:
         """Add one step's four stage inputs and its control; the step's index."""
         self.xs += xs
         self.us.append(ud)
@@ -1118,12 +1118,9 @@ class _Linearization:
     def at(self, i: int) -> np.ndarray:
         """[df/dx, df/du] at step i's four stage points, (4, B, d, d + m)."""
         if self.jac is None:
-            x, f = np.concatenate(self.xs), self.f
-            if self.us[0] is None:  # steps without a control
-                u, f = np.zeros((x.shape[0], 0), x.dtype), lambda x, u, f=f: f(x, None)
-            else:
-                u = np.concatenate([ud for ud in self.us for _ in _RK4_WEIGHTS])
-            jac = np.ascontiguousarray(jacobian(f, x, u).data)
+            x = np.concatenate(self.xs)
+            u = np.concatenate([ud for ud in self.us for _ in _RK4_WEIGHTS])
+            jac = np.ascontiguousarray(jacobian(self.f, x, u).data)
             b = self.xs[0].shape[0]
             self.jac = jac.reshape(len(self.us), len(_RK4_WEIGHTS), b, *jac.shape[1:])
             self.xs = self.us = None
@@ -1132,20 +1129,19 @@ class _Linearization:
 
 def _rk4_vjp(p, f, xs, ud, h):
     """Adds the step's stage points to the active tape's linearization of
-    f, keyed by f, the row count, the dtype and whether u is given."""
-    key = (f, xs[0].shape[0], xs[0].dtype, ud is None)
+    f, keyed by f, the row count and the dtype."""
+    key = (f, xs[0].shape[0], xs[0].dtype)
     batches = _ACTIVE_TAPE.linearizations
     lin = batches.get(key)
     if lin is None:
         lin = batches[key] = _Linearization(f)
     i = lin.add(xs, ud)
-    d, x_tracked, u_tracked = xs[0].shape[1], p[0] >= 0, len(p) > 1 and p[1] >= 0
+    d, x_tracked, u_tracked = xs[0].shape[1], p[0] >= 0, p[1] >= 0
 
     def backward(g, p):
         jac = lin.at(i)
-        gx, gu = _rk4_adjoint(g, h, d, lambda s, gk: np.einsum("bi,bij->bj", gk, jac[s]),
-                              x_tracked, u_tracked)
-        return (gx, gu)[:len(p)]
+        return _rk4_adjoint(g, h, d, lambda s, gk: np.einsum("bi,bij->bj", gk, jac[s]),
+                            x_tracked, u_tracked)
 
     return backward
 
@@ -1154,7 +1150,7 @@ def rk4(f: Callable, x, u, h: float) -> Tensor:
     """One classical RK4 step of x' = f(x, u) with the control u held, for
     an f on tensors that acts row by row, as one node labelled ``add``.
 
-    x is (B, d) and u (B, m) or None.  The forward evaluates f untaped at
+    x is (B, d) and u (B, m), m >= 0.  The forward evaluates f untaped at
     the four stages, so its value is bitwise that of the chain of
     primitives ``x + c * k``.  The node's backward applies f's Jacobians
     [df/dx, df/du] at the stage points, which the tape derives for all of
@@ -1165,14 +1161,12 @@ def rk4(f: Callable, x, u, h: float) -> Tensor:
     reads a tracked tensor other than its arguments, raises
     :class:`DiffkitError` instead of dropping that gradient.
     """
-    x = tensor(x)
-    ins = (x,) if u is None else (x, tensor(u))
-    xd, ud = x.data, None if u is None else ins[1].data
-    if xd.ndim != 2 or (ud is not None and (ud.ndim != 2 or ud.shape[0] != xd.shape[0])):
-        raise ShapeError(f"rk4 needs x (B, d) and u (B, m) or None, got {xd.shape} and "
-                         f"{None if ud is None else ud.shape}")
+    x, u = tensor(x), tensor(u)
+    xd, ud = x.data, u.data
+    if xd.ndim != 2 or ud.ndim != 2 or ud.shape[0] != xd.shape[0]:
+        raise ShapeError(f"rk4 needs x (B, d) and u (B, m), got {xd.shape} and {ud.shape}")
     # f sees untracked tensors, so it records nothing unless it reads another
-    uc = None if ud is None else Tensor(ud)
+    uc = Tensor(ud)
     tape = _ACTIVE_TAPE
     n_nodes = 0 if tape is None else len(tape.nodes)
     xs = []
@@ -1188,7 +1182,7 @@ def rk4(f: Callable, x, u, h: float) -> Tensor:
         return k.data
 
     out = _rk4_scheme(stage, xd, ud, h)
-    return _emit("add", out, ins, _rk4_vjp, (f, xs, ud, h), name="rk4")
+    return _emit("add", out, (x, u), _rk4_vjp, (f, xs, ud, h), name="rk4")
 
 
 def _rk4_mlp_vjp(p, stages, omega0, h, d):

@@ -37,7 +37,8 @@ from .diffkit import Tensor
 
 
 class DynamicsError(Exception):
-    """Checked-mode violation (input outside its box)."""
+    """Raised by no code in the package; kept because the benchmark's
+    stage runner catches it."""
 
 
 def _check_finite(kind: str, **fields: np.ndarray) -> None:
@@ -65,9 +66,6 @@ class Box:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
-
-    def contains(self, x: np.ndarray, atol: float = 1e-9) -> bool:
-        return bool(np.all(x >= self.lo - atol) and np.all(x <= self.hi + atol))
 
 
 @dataclass(frozen=True)
@@ -141,13 +139,6 @@ class SystemSpec:
         if jac is None or (isinstance(jac, partial) and jac.func is dk.jacobian
                            and jac.args[0] is not self.f):
             object.__setattr__(self, "jac", partial(dk.jacobian, self.f))
-
-    def validate(self, x: np.ndarray, u: np.ndarray) -> None:
-        """Checked-mode input validation; raises DynamicsError on violation."""
-        if not self.action_box.contains(u):
-            raise DynamicsError(f"{self.name}: action outside its box")
-        if not self.state_box.contains(x):
-            raise DynamicsError(f"{self.name}: state outside its box")
 
     # -- cost pieces (all taped-compatible) ---------------------------------
 
@@ -536,5 +527,4 @@ def sample_dataset(spec: SystemSpec, n: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     x = spec.state_box.sample(rng, n)
     u = spec.action_box.sample(rng, n)
-    spec.validate(x, u)
     return Dataset(x=x, u=u, xdot=spec.f(x, u).data, jac=spec.jac(x, u).data)

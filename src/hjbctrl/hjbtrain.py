@@ -174,7 +174,7 @@ class HjbConfig:
         for name in ("alpha_cost", "alpha_hjb", "alpha_final", "alpha_hamil", "lr", "lr_final"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        for name in ("alpha_cost", "alpha_hjb", "alpha_final", "alpha_hamil", "epochs"):
+        for name in ("alpha_cost", "alpha_hjb", "alpha_final", "alpha_hamil", "epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("K", "batch"):

@@ -6,13 +6,13 @@ respect to controller (and transition) parameters.  Control is held
 constant across each step (zero-order hold).  A rollout only integrates:
 costs are evaluated on its grid afterwards (``hjbtrain``).
 
-Transition sources are interchangeable callables (x, u) -> xdot, and
-each counts its evaluations, so budgets are auditable.  An RK4 step is
-one tape node whose values are bitwise those of the chain of primitives:
-``diffkit.rk4`` for analytic dynamics and any other callable, whose
-backward applies f's Jacobians, and ``diffkit.rk4_mlp`` under a learned
-transition.  Both read diffkit's one RK4 tableau.  A transition's own
-call serves where f is needed outside a step.
+A transition source is an :class:`AnalyticTransition` or a
+:class:`LearnedTransition`, and each counts its evaluations, so budgets
+are auditable.  An RK4 step is one tape node whose values are bitwise
+those of the chain of primitives: ``diffkit.rk4`` under the analytic
+dynamics, whose backward applies f's Jacobians, and ``diffkit.rk4_mlp``
+under a learned transition.  Both read diffkit's one RK4 tableau.  A
+transition's own call evaluates f once and counts it; no step calls it.
 
 A trained controller is scored and exported through one integrator,
 :func:`analytic_rollout`: under the analytic dynamics and in
@@ -88,7 +88,6 @@ class LearnedTransition:
         # the net's weights lifted to tensors once, for every fused step
         self.layers = tuple(tuple(dk.tensor(t) for t in layer) for layer in net.layers)
         self.d = d
-        self.m = m
         self.nfe = 0
         _LEARNED_REGISTRY.add(self)
 
@@ -135,34 +134,31 @@ class TrajectoryBatch:
         return 4 * self.steps
 
     @property
-    def states_array(self) -> np.ndarray:
-        return np.stack([s.data for s in self.states], axis=1)
+    def state_stack(self) -> np.ndarray:
+        return np.stack([s.data for s in self.states])  # (K+1, B, d), step-major
 
     @property
-    def controls_array(self) -> np.ndarray:
-        return np.stack([u.data for u in self.controls], axis=1)
+    def control_stack(self) -> np.ndarray:
+        return np.stack([u.data for u in self.controls])  # (K, B, m), step-major
 
 
-def rk4_step(f: Callable, x, u, h: float) -> Tensor:
+def rk4_step(f: AnalyticTransition | LearnedTransition, x, u, h: float) -> Tensor:
     """One classical RK4 step with the control held constant (ZOH).
 
-    The whole step is one tape node, and a transition counts its four
+    The whole step is one tape node, and the transition counts its four
     evaluations: ``diffkit.rk4_mlp`` under a :class:`LearnedTransition`,
     and ``diffkit.rk4`` of the system's f under an
-    :class:`AnalyticTransition`.  Any other f is stepped by ``diffkit.rk4``.
+    :class:`AnalyticTransition`.
     NumericError if the new state is not finite (sum of squares first, then by entry).
     """
     if h <= 0:
         raise ValueError("step size must be positive")
+    # an analytic node's linearization pass is not a transition evaluation
+    f.nfe += 4
     if isinstance(f, LearnedTransition):
-        f.nfe += 4
         out = dk.rk4_mlp(x, u, h, f.layers, f.net.activation, f.net.omega0)
-    elif isinstance(f, AnalyticTransition):
-        # the node's linearization pass is not a transition evaluation
-        f.nfe += 4
-        out = dk.rk4(f.spec.f, x, u, h)
     else:
-        out = dk.rk4(f, x, u, h)
+        out = dk.rk4(f.spec.f, x, u, h)
     if not (math.isfinite(np.vdot(out.data, out.data)) or np.isfinite(out.data).all()):
         raise NumericError("non-finite state after rk4 step")
     return out
@@ -170,7 +166,7 @@ def rk4_step(f: Callable, x, u, h: float) -> Tensor:
 
 def rollout(
     spec: SystemSpec,
-    transition: Callable,
+    transition: AnalyticTransition | LearnedTransition,
     controller: Callable,
     x0: np.ndarray,
     K: int = 50,
@@ -291,8 +287,7 @@ def _start_metrics(spec: SystemSpec, traj: TrajectoryBatch, metric: str) -> tupl
     without a position subspace), final distance and obstacle violations of
     one closed-loop rollout, from its states and controls stacked once,
     step-major, and reduced column by column."""
-    xs = np.stack([s.data for s in traj.states])  # (K+1, B, d)
-    us = np.stack([u.data for u in traj.controls])  # (K, B, m)
+    xs, us = traj.state_stack, traj.control_stack
     h = spec.tf / traj.steps
 
     te = np.linalg.norm(xs[-1] - spec.x_star, axis=1)
@@ -316,10 +311,10 @@ def _start_metrics(spec: SystemSpec, traj: TrajectoryBatch, metric: str) -> tupl
 
 def running_cost_rates(spec: SystemSpec, traj: TrajectoryBatch) -> np.ndarray:
     """(B, K) running-cost rates L(x_k, u_k) of each trajectory at its K
-    steps, from one ``spec.running_cost`` call on the steps stacked
-    step-major."""
-    rates = spec.running_cost(np.concatenate([s.data for s in traj.states[:-1]]),
-                              np.concatenate([c.data for c in traj.controls])).data
+    steps, from one ``spec.running_cost`` call on the step-major stacks'
+    K * B rows."""
+    rates = spec.running_cost(traj.state_stack[:-1].reshape(-1, spec.d),
+                              traj.control_stack.reshape(-1, spec.m)).data
     return rates.reshape(traj.steps, traj.batch).T
 
 

@@ -46,8 +46,9 @@ class SysIdConfig:
     def __post_init__(self):
         if self.activation not in dk.ACTIVATIONS:
             raise ValueError(f"activation must be one of {dk.ACTIVATIONS}, got {self.activation!r}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("batch", "n_test"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -107,13 +108,6 @@ def heldout_errors(net: netzoo.Mlp, data: Dataset) -> np.ndarray:
     z = np.concatenate([data.x, data.u], axis=1)
     pred = netzoo.forward(net, z).data
     return np.linalg.norm(pred - data.xdot, axis=1)
-
-
-def heldout_jac_errors(net: netzoo.Mlp, data: Dataset) -> np.ndarray:
-    """Per-sample Frobenius errors of the stacked input-Jacobian."""
-    z = np.concatenate([data.x, data.u], axis=1)
-    jac = netzoo.forward_with_jacobian(net, z)[1].data
-    return np.linalg.norm((jac - data.jac).reshape(len(data), -1), axis=1)
 
 
 def master_leaves(tape: Tape, params, epoch: int) -> list[Tensor]:

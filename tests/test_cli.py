@@ -130,6 +130,12 @@ def test_x0_with_negative_first_coordinate_takes_either_spelling(tiny_config, tm
     pytest.param(["eval", "--export-trajectories", 8, "--starts", 5],
                  "--export-trajectories must be between 0 and the 5", id="export-beyond-starts"),
     pytest.param(["train", "--log-every", -5], "--log-every must be >= 0", id="negative-log-every"),
+    pytest.param(["train", "--seed", -1], "bad hjb config: seed must be >= 0",
+                 id="negative-train-seed"),
+    pytest.param(["sysid", "--seed", -1], "bad sysid config: seed must be >= 0",
+                 id="negative-sysid-seed"),
+    pytest.param(["eval", "--seed", -1], "bad eval config: seed must be >= 0",
+                 id="negative-eval-seed"),
 ])
 def test_out_of_range_flag_is_a_usage_error(argv, message, tiny_config, tmp_path, capsys):
     train_dir = tmp_path / "train"
@@ -403,14 +409,14 @@ def test_export_writes_the_scored_trajectories(chunk_bytes, export, tiny_config,
     chunks = len(trajs)
     assert chunks == (1 if chunk_bytes > 1500 else 3)
     assert len(calls) == 4 * TINY["hjb"]["K"] * chunks
-    scored = np.concatenate([t.states_array for t in trajs])[:export]
+    scored = np.concatenate([t.state_stack for t in trajs], axis=1)[:, :export]
     assert scored.dtype == np.float32
     for b in range(export):
         with open(tmp_path / f"eval_traj_{b:04d}.csv") as fh:
             fh.readline()
             rows = list(csv.DictReader(fh))
         states = [[np.float32(r[f"x_{i}"]) for i in range(3)] for r in rows]
-        assert np.array_equal(np.array(states, dtype=np.float32), scored[b])
+        assert np.array_equal(np.array(states, dtype=np.float32), scored[:, b])
     assert not (tmp_path / f"eval_traj_{export:04d}.csv").exists()
 
 

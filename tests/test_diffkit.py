@@ -740,7 +740,7 @@ def test_fused_primitives_have_no_tangent_rule(rng):
 def test_an_op_refuses_a_tangent_unless_it_hands_over_a_rule(rng):
     x0 = rng.normal(size=(2, 3))
     with pytest.raises(dk.DiffkitError, match="rk4"):
-        dk.jvp(lambda x: dk.rk4(lambda x, u: dk.sin(x), x, None, 0.1), (x0,),
+        dk.jvp(lambda x: dk.rk4(lambda x, u: dk.sin(x), x, np.zeros((2, 0)), 0.1), (x0,),
                [(np.ones_like(x0),)])
     # an op labelled "add" gets no rule from its label: d(x + 2 k) is not dx + dk
     twice = lambda x, k: dk._emit("add", x.data + 2.0 * k.data, (x, k), dk._add_vjp,
@@ -764,7 +764,7 @@ SKIP_CASES = {
     "chain": lambda a, b, c: dk.chain(a, b, c, 2.0),
     # an RK4 step of an analytic f, with a control and without one
     "rk4": lambda a, b, c: dk.rk4(lambda x, u: dk.sin(x) * u, a, b, 0.1),
-    "rk4_no_control": lambda a, b, c: dk.rk4(lambda x, u: dk.sin(x), a, None, 0.1),
+    "rk4_no_control": lambda a, b, c: dk.rk4(lambda x, u: dk.sin(x), a, np.zeros((3, 0)), 0.1),
     # x (3, 2) and u (3, 1) through a (3 -> 3 -> 2) sine network
     "rk4_mlp": lambda a, b, c: dk.rk4_mlp(a[:, :2], b[:, :1], 0.1,
                                           [(c, c[0]), (c[:, :2], c[1, :2])], "sine", 2.0),
@@ -812,7 +812,8 @@ FUSED = {
                                                   (np.ones((4, 3)), np.ones(3))], "sine", 2.0)),
     "chain": ("matmul", "chain", lambda a: dk.chain(a, np.ones((3, 3)), np.ones((3, 3)), 2.0)),
     "rk4": ("add", "rk4", lambda a: dk.rk4(lambda x, u: dk.sin(x) * u, a, a, 0.1)),
-    "rk4_no_control": ("add", "rk4", lambda a: dk.rk4(lambda x, u: dk.sin(x), a, None, 0.1)),
+    "rk4_no_control": ("add", "rk4",
+                       lambda a: dk.rk4(lambda x, u: dk.sin(x), a, np.zeros((3, 0)), 0.1)),
     "rk4_mlp": ("matmul", "rk4_mlp",
                 lambda a: dk.rk4_mlp(a, a[:, :1], 0.1, [(np.ones((4, 3)), np.ones(3))],
                                      "sine", 2.0)),

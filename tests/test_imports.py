@@ -1,9 +1,14 @@
 """Every import in src/ and tests/ is used, every private helper in src/ is
-read, and library modules do no file I/O.
+read, every public function and class in src/ is reached, and library
+modules do no file I/O.
 
 Deleting code tends to leave imports and helpers behind; this check parses
-each file and fails on a name that is imported but never read, and on a
-module-level ``_name`` of the package that its own module never reads.
+each file and fails on a name that is imported but never read, on a
+module-level ``_name`` of the package that its own module never reads, and
+on a module-level public function or class of the package that neither its
+own module nor another file of src/ or bench/ reads (as a name, an
+attribute or an import).  Reads from tests/ do not count: a function that
+only a test calls is not part of the pipeline.
 ``__future__`` imports and package ``__init__`` files (whose imports are
 re-exports) are skipped.  The compute modules import none of csv, json or
 pathlib: the CLI writes every output file, and netzoo (checkpoints) and
@@ -97,6 +102,46 @@ def test_an_orphaned_private_helper_is_caught():
                      "_A, _B = 1, 2\n_D: int = 3\n__all__ = []\nx = _used(), _B, _C\n"
                      "def f():\n    _A = 4\n")
     assert set(private_definitions(tree)) - loaded_names(tree) == {"_orphan", "_A", "_D"}
+
+
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level public function or class -> its line."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def reached_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads as a name, as an attribute or by
+    importing it."""
+    names = loaded_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+PIPELINE_READS = set().union(*(reached_names(ast.parse(p.read_text(encoding="utf-8")))
+                               for d in ("src", "bench") for p in (ROOT / d).rglob("*.py")))
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unreached_public_definitions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unreached = {name: line for name, line in public_definitions(tree).items()
+                 if name not in PIPELINE_READS}
+    assert not unreached, f"{path.name}: public name(s) no file of src/ or bench/ reads {unreached}"
+
+
+def test_an_unreached_public_definition_is_caught():
+    defs = ast.parse("def used(): pass\ndef self_used(): pass\ndef orphan(): pass\n"
+                     "class Imported: pass\nclass Attr: pass\ndef _private(): pass\n"
+                     "x = self_used()\n")
+    other = ast.parse("from m import Imported, used\nimport m\nm.Attr\n")
+    reached = reached_names(defs) | reached_names(other)
+    assert set(public_definitions(defs)) - reached == {"orphan"}
 
 
 LIBRARY = ("diffkit", "dynzoo", "optim", "rollout", "hjbtrain", "sysid")

@@ -172,7 +172,7 @@ def test_evaluation_rolls_out_in_float32(monkeypatch, emitted):
     monkeypatch.setattr(ro, "rollout", spy)
     ro.evaluate(spec, controller, n_starts=30, seed=0, K=10, threshold=0.15)
     assert len(trajs) == 1
-    assert trajs[0].states_array.dtype == trajs[0].controls_array.dtype == F32
+    assert trajs[0].state_stack.dtype == trajs[0].control_stack.dtype == F32
     assert set(emitted) == {(False, F32)}
 
 

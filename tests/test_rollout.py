@@ -25,20 +25,25 @@ def constant_controller(u):
     return lambda x: dk.tensor(np.tile(u, (x.shape[0], 1)))
 
 
+def stepping(f):
+    """An analytic transition whose steps integrate f in place of the
+    system's dynamics: a step reads nothing of the system but f."""
+    return ro.AnalyticTransition(replace(dz.make_system("dubins"), f=f))
+
+
 # -- rk4_step -------------------------------------------------------------------
 
 
 def test_rk4_zero_field_is_identity():
-    f = lambda x, u: 0.0 * x
     x = dk.tensor(np.array([[1.0, -2.0]]))
-    out = ro.rk4_step(f, x, None, 0.1)
+    out = ro.rk4_step(stepping(lambda x, u: 0.0 * x), x, np.zeros((1, 0)), 0.1)
     assert np.array_equal(out.data, x.data)
 
 
 def test_rk4_exponential_oracle():
     # xdot = x from 1.0 over h=0.1: RK4 equals the 4th-order Taylor polynomial
-    f = lambda x, u: x
-    out = ro.rk4_step(f, dk.tensor(np.array([[1.0]])), None, 0.1).data[0, 0]
+    tr = stepping(lambda x, u: x)
+    out = ro.rk4_step(tr, dk.tensor(np.array([[1.0]])), np.zeros((1, 0)), 0.1).data[0, 0]
     taylor4 = 1 + 0.1 + 0.1**2 / 2 + 0.1**3 / 6 + 0.1**4 / 24
     assert abs(out - taylor4) < 1e-12
     assert abs(out - np.exp(0.1)) < 1e-7  # truncation error ~ h^5/120
@@ -52,13 +57,13 @@ def test_rk4_counts_four_evals():
 
 def test_rk4_rejects_bad_step():
     with pytest.raises(ValueError):
-        ro.rk4_step(lambda x, u: x, dk.tensor(np.ones((1, 1))), None, 0.0)
+        ro.rk4_step(stepping(lambda x, u: x), dk.tensor(np.ones((1, 1))), np.zeros((1, 0)), 0.0)
 
 
 def test_rk4_nonfinite_aborts():
-    f = lambda x, u: dk.tensor(np.full_like(x.data, np.inf))
+    tr = stepping(lambda x, u: dk.tensor(np.full_like(x.data, np.inf)))
     with pytest.raises(dk.NumericError):
-        ro.rk4_step(f, dk.tensor(np.ones((1, 2))), None, 0.1)
+        ro.rk4_step(tr, dk.tensor(np.ones((1, 2))), np.zeros((1, 0)), 0.1)
 
 
 def rk4_chain(f, x, u, h):
@@ -112,8 +117,9 @@ def test_rk4_step_is_bitwise_the_primitive_chain(system, rng):
     x0 = rng.uniform(spec.state_box.lo, spec.state_box.hi, size=(64, spec.d))
     u0 = rng.uniform(spec.action_box.lo, spec.action_box.hi, size=(64, spec.m))
     proj = rng.normal(size=x0.shape)
-    got = step_value_and_grads(ro.rk4_step, spec.f, x0, u0, proj)
-    want = step_value_and_grads(rk4_chain, spec.f, x0, u0, proj)
+    tr = ro.AnalyticTransition(spec)
+    got = step_value_and_grads(ro.rk4_step, tr, x0, u0, proj)
+    want = step_value_and_grads(rk4_chain, tr, x0, u0, proj)
     assert np.array_equal(got[0], want[0])
     assert_adjoints_close(got[1:3], want[1:3], RK4_RTOL[np.float64])
     # the step is one node
@@ -125,8 +131,9 @@ def test_rk4_step_is_bitwise_the_primitive_chain(system, rng):
 def test_rk4_node_is_the_chain_over_three_steps(system, dtype, rng):
     spec = dz.make_system(system)
     x0, u0, proj = system_arrays(spec, rng, dtype)
-    got = step_value_and_grads(ro.rk4_step, spec.f, x0, u0, proj, steps=3)
-    want = step_value_and_grads(rk4_chain, spec.f, x0, u0, proj, steps=3)
+    tr = ro.AnalyticTransition(spec)
+    got = step_value_and_grads(ro.rk4_step, tr, x0, u0, proj, steps=3)
+    want = step_value_and_grads(rk4_chain, tr, x0, u0, proj, steps=3)
     assert got[0].dtype == np.dtype(dtype) and np.array_equal(got[0], want[0])
     assert_adjoints_close(got[1:3], want[1:3], RK4_RTOL[dtype])
     assert got[3] == {"leaf": 2, "rk4": 3}
@@ -137,9 +144,10 @@ def test_rk4_nodes_match_central_differences(rng):
     for system in dz.system_names():
         spec = dz.make_system(system)
         x0, u0, proj = system_arrays(spec, rng, np.float64, b=3)
+        tr = ro.AnalyticTransition(spec)
 
         def value(x, u):
-            return dk.sum_(ro.rk4_step(spec.f, ro.rk4_step(spec.f, x, u, 0.07), u, 0.07) * proj)
+            return dk.sum_(ro.rk4_step(tr, ro.rk4_step(tr, x, u, 0.07), u, 0.07) * proj)
 
         tape = dk.Tape()
         with tape:
@@ -189,7 +197,7 @@ def test_rk4_refuses_an_f_that_reads_another_tracked_tensor(rng):
         for f in (lambda x, u: x * w, lambda x, u: w):
             for x_in in (x, x.data):
                 with pytest.raises(dk.DiffkitError, match="f recorded a node on the active tape"):
-                    dk.rk4(f, x_in, None, 0.1)
+                    dk.rk4(f, x_in, np.zeros((4, 0)), 0.1)
         assert len(tape.nodes) - n == 2  # the two x * w nodes, and no rk4 node
 
 
@@ -197,7 +205,7 @@ def test_rk4_refuses_an_f_op_without_a_tangent_rule(rng):
     tape = dk.Tape()
     with tape:
         x = tape.leaf(rng.normal(size=(4, 2)))
-        out = dk.sum_(dk.rk4(lambda x, u: dk.tanh(x), x, None, 0.1))
+        out = dk.sum_(dk.rk4(lambda x, u: dk.tanh(x), x, np.zeros((4, 0)), 0.1))
     with pytest.raises(dk.DiffkitError, match="'tanh' has no tangent rule"):
         dk.grad(out, [x])
 
@@ -261,7 +269,7 @@ def test_zero_controller_constant_trajectory_zero_cost():
     tr = ro.AnalyticTransition(spec)
     x0 = np.array([[1.0, 2.0, 0.5], [-1.0, 0.0, -0.3]])
     traj = ro.rollout(spec, tr, zero_controller(2), x0, K=20)
-    assert np.allclose(traj.states_array, x0[:, None, :])
+    assert np.allclose(traj.state_stack, x0[None])
     # no running cost: what remains is G(x0)
     assert abs(checked_loss_cost(spec, traj) - spec.terminal_cost(x0).data.mean()) < 1e-12
 
@@ -438,28 +446,12 @@ def test_learned_rk4_step_gradients_match_central_differences(rng):
         assert rel_err(grads[leaf].data, fd_grad(at, arrays[i], h=1e-6)) < 1e-6
 
 
-def test_identical_code_path_for_analytic_and_injected_learned():
-    spec = dz.make_system("dubins")
-    analytic = ro.AnalyticTransition(spec)
-
-    class Injected:
-        def __call__(self, x, u):
-            return spec.f(x, u)
-
-    ctrl = constant_controller([0.8, -0.4])
-    x0 = np.array([[0.1, 0.2, -0.3], [1.0, -1.0, 2.0]])
-    t1 = ro.rollout(spec, analytic, ctrl, x0, K=40)
-    t2 = ro.rollout(spec, Injected(), ctrl, x0, K=40)
-    assert np.array_equal(t1.states_array, t2.states_array)
-    assert np.array_equal(t1.controls_array, t2.controls_array)
-
-
 def test_controls_stay_inside_action_box():
     spec = dz.make_system("dubins")
     net = nz.controller_net(3, spec.action_box.lo, spec.action_box.hi, seed=3)
     traj = ro.rollout(spec, ro.AnalyticTransition(spec), net,
                       np.random.default_rng(0).uniform(-2, 2, (8, 3)), K=15)
-    us = traj.controls_array
+    us = traj.control_stack
     assert np.all(us[:, :, 0] >= 0.0) and np.all(us[:, :, 0] <= 1.0)
     assert np.all(np.abs(us[:, :, 1]) <= 1.0)
 
@@ -480,19 +472,17 @@ def test_evaluation_builds_no_learned_transition(monkeypatch):
 
 def test_rollout_abort_names_step():
     spec = dz.make_system("dubins")
+    calls = []
 
-    class Exploding:
-        calls = 0
-
-        def __call__(self, x, u):
-            Exploding.calls += 1
-            if Exploding.calls > 10:
-                return dk.tensor(np.full_like(x.data, np.nan))
-            return spec.f(x, u)
+    def exploding(x, u):
+        calls.append(x.shape[0])
+        if len(calls) > 10:
+            return dk.tensor(np.full_like(x.data, np.nan))
+        return spec.f(x, u)
 
     with pytest.raises(dk.NumericError, match="step 2"):
-        ro.rollout(spec, Exploding(), constant_controller([0.5, 0.5]),
-                   np.zeros((1, 3)), K=5)
+        ro.rollout(spec, ro.AnalyticTransition(replace(spec, f=exploding)),
+                   constant_controller([0.5, 0.5]), np.zeros((1, 3)), K=5)
 
 
 # -- per-start metrics -----------------------------------------------------------
@@ -502,10 +492,11 @@ def batch_major_metrics(spec, traj, metric):
     """The per-start metrics as np.linalg.norm reductions of the batch-major
     (B, K+1, d) and (B, K, m) stacks: the reference that the step-major
     column arithmetic of ``_start_metrics`` must repeat bitwise."""
-    xs = traj.states_array
+    xs = np.stack([s.data for s in traj.states], axis=1)
+    us = np.stack([u.data for u in traj.controls], axis=1)
     h = spec.tf / traj.steps
     te = np.linalg.norm(xs[:, -1, :] - spec.x_star, axis=1)
-    cm = np.linalg.norm(traj.controls_array, axis=2).sum(axis=1) * h
+    cm = np.linalg.norm(us, axis=2).sum(axis=1) * h
     ln = None
     if spec.position_slice is not None:
         pos = xs[:, :, spec.position_slice]

@@ -111,12 +111,19 @@ def test_training_reduces_error_and_loss_curve_decreases(dubins):
     assert_smoothed_decreasing(losses, window=100, rise_tol=0.10)
 
 
+def heldout_jac_errors(net, data):
+    """Per-sample Frobenius errors of the net's stacked input-Jacobian."""
+    z = np.concatenate([data.x, data.u], axis=1)
+    jac = nz.forward_with_jacobian(net, z)[1].data
+    return np.linalg.norm((jac - data.jac).reshape(len(data), -1), axis=1)
+
+
 def test_grad_supervision_improves_jacobian_error(dubins):
     with_g, _, _ = si.train_sysid(dubins, tiny_cfg(epochs=400, grad_supervision=True))
     without_g, _, _ = si.train_sysid(dubins, tiny_cfg(epochs=400, grad_supervision=False))
     test = dz.sample_dataset(dubins, 2000, seed=si.TEST_SEED_OFFSET)
-    e_with = si.heldout_jac_errors(with_g, test).mean()
-    e_without = si.heldout_jac_errors(without_g, test).mean()
+    e_with = heldout_jac_errors(with_g, test).mean()
+    e_without = heldout_jac_errors(without_g, test).mean()
     assert e_with <= e_without
 
 
