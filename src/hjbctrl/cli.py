@@ -15,7 +15,11 @@ in ``training_log.csv``.
 
 A flag that sets a config value declares it as ``dest="section.key"``
 (``--epochs`` of ``train`` is ``hjb.epochs``), and :func:`_setup` turns
-every such flag into a config override.  Evaluation, trajectory
+every such flag into a config override, parses the ``sysid``, ``hjb`` and
+``eval`` sections once for every command, and only then echoes the
+config, each of their fields written out.  No flag sets the eval metric:
+unless a config sets it, it is ``position`` for a system with a position
+subspace (dubins, quadrotor) and ``state`` otherwise.  Evaluation, trajectory
 integration and an exported trajectory's running-cost rates live in
 :mod:`hjbctrl.rollout`, always under the analytic dynamics and in
 ``diffkit.COMPUTE``; this module only formats their rows.  A controller's
@@ -55,9 +59,10 @@ EXIT_NUMERIC = 3
 # ---------------------------------------------------------------------------
 
 
-def _setup(args, command: str) -> tuple[dict, SystemSpec, Path]:
-    """Effective config (flags with a ``section.key`` dest override it), the
-    system it names, and the command's output directory."""
+def _setup(args, command: str) -> tuple[dict, SystemSpec, cfgmod.Sections, Path]:
+    """Effective config (flags with a ``section.key`` dest override it) with
+    every section field written out, the system it names, its parsed
+    sections, and the command's output directory."""
     if getattr(args, "log_every", 0) < 0:
         raise ValueError(f"--log-every must be >= 0, got {args.log_every}")
     overrides: dict = {}
@@ -67,10 +72,11 @@ def _setup(args, command: str) -> tuple[dict, SystemSpec, Path]:
             overrides.setdefault(section, {})[key] = value
     cfg = cfgmod.effective_config(args.preset, args.config, overrides)
     spec = cfgmod.system_spec(cfg)
+    cfg, sections = cfgmod.sections(cfg, spec)
     base = os.environ.get("HJBCTRL_OUTDIR") or "runs"
     outdir = Path(args.outdir) if args.outdir else Path(base) / command
     cfgmod.echo_config(cfg, outdir)
-    return cfg, spec, outdir
+    return cfg, spec, sections, outdir
 
 
 def _header(cfg: dict, seed) -> str:
@@ -153,8 +159,8 @@ def _write_trajectories(traj: rollout.TrajectoryBatch, spec: SystemSpec, outdir:
 
 
 def cmd_sysid(args) -> int:
-    cfg, spec, outdir = _setup(args, "sysid")
-    scfg = cfgmod.sysid_config(cfg)
+    cfg, spec, sections, outdir = _setup(args, "sysid")
+    scfg = sections.sysid
     header = _header(cfg, scfg.seed)
 
     net, report, losses = sysid.train_sysid(spec, scfg, log_every=args.log_every)
@@ -171,8 +177,8 @@ def cmd_sysid(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, spec, outdir = _setup(args, "train")
-    hcfg = cfgmod.hjb_config(cfg)
+    cfg, spec, sections, outdir = _setup(args, "train")
+    hcfg = sections.hjb
     header = _header(cfg, hcfg.seed)
 
     controller, value, log = hjbtrain.train_controller(spec, hcfg,
@@ -191,9 +197,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, spec, outdir = _setup(args, "eval")
-    hcfg = cfgmod.hjb_config(cfg)
-    ecfg = cfgmod.eval_config(cfg, spec)
+    cfg, spec, sections, outdir = _setup(args, "eval")
+    hcfg, ecfg = sections.hjb, sections.eval
     header = _header(cfg, ecfg.seed)
 
     n_export = args.export_trajectories
@@ -218,8 +223,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    cfg, spec, outdir = _setup(args, "rollout")
-    hcfg = cfgmod.hjb_config(cfg)
+    cfg, spec, sections, outdir = _setup(args, "rollout")
+    hcfg = sections.hjb
 
     try:
         x0 = np.array([float(v) for v in args.x0.split(",")], dtype=np.float64)

@@ -99,26 +99,27 @@ class Obstacle:
         _check_finite("obstacle", center=self.center)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SystemSpec:
-    """One benchmark system: dimensions, boxes, dynamics, cost data, and the
-    start distribution ``rho`` that training and evaluation sample x0 from.
+    """One benchmark system: boxes, dynamics, cost data, and the start
+    distribution ``rho`` that training and evaluation sample x0 from.
 
+    ``d`` and ``m`` are the dimensions of ``state_box`` and ``action_box``,
+    and ``name`` is the registry key that :func:`make_system` sets.  The cost
+    defaults to the standard one: x* = 0, u* = 0, P = I, R = 0.01 I, no Q.
     ``jac(x, u) -> [df/dx, df/du]``, stacked as (B, d, d+m), defaults to the
     Jacobian derived from ``f``; a system needs to set it only to override
     that derivation.
     """
 
-    name: str
-    d: int
-    m: int
+    name: str = ""
     state_box: Box
     action_box: Box
     f: Callable[[Tensor, Tensor], Tensor]
-    x_star: np.ndarray
-    u_star: np.ndarray
-    P: np.ndarray
-    R: np.ndarray
+    x_star: np.ndarray | None = None
+    u_star: np.ndarray | None = None
+    P: np.ndarray | None = None
+    R: np.ndarray | None = None
     rho: Box | Gaussian
     jac: Callable[[Tensor, Tensor], Tensor] | None = None
     tf: float = 6.0
@@ -127,13 +128,27 @@ class SystemSpec:
     position_slice: slice | None = None  # planar/3D position coords, if meaningful
     params: dict = field(default_factory=dict)
 
+    @property
+    def d(self) -> int:
+        return self.state_box.dim
+
+    @property
+    def m(self) -> int:
+        return self.action_box.dim
+
     def __post_init__(self):
         d, m = self.d, self.m
+        for key, default in (("x_star", np.zeros(d)), ("u_star", np.zeros(m)), ("P", np.eye(d)),
+                             ("R", 0.01 * np.eye(m))):
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, default)
         for key, shape in (("P", (d, d)), ("R", (m, m)), ("Q", (d, d)), ("x_star", (d,)),
                            ("u_star", (m,))):
             value = getattr(self, key)
             if value is not None and value.shape != shape:
                 raise ValueError(f"{key} must be {shape} for '{self.name}', got {value.shape}")
+        if self.rho.dim != d:
+            raise ValueError(f"rho has dim {self.rho.dim}, system '{self.name}' has d={d}")
         # derive jac from f, again when replace() swaps f but not jac
         jac = self.jac
         if jac is None or (isinstance(jac, partial) and jac.func is dk.jacobian
@@ -236,16 +251,9 @@ def _make_dubins(turn_radius=1.0, v_max=1.0, tf=6.0) -> SystemSpec:
                          axis=1)
 
     return SystemSpec(
-        name="dubins",
-        d=3,
-        m=2,
         state_box=Box(np.array([-5.0, -5.0, -np.pi]), np.array([5.0, 5.0, np.pi])),
         action_box=Box(np.array([0.0, -1.0]), np.array([v_max, 1.0])),
         f=f,
-        x_star=np.zeros(3),
-        u_star=np.zeros(2),
-        P=np.eye(3),
-        R=0.01 * np.eye(2),
         rho=Box(np.array([-3.5, -3.0, -np.pi]), np.array([-2.5, 3.0, np.pi])),
         tf=tf,
         position_slice=slice(0, 2),
@@ -276,19 +284,12 @@ def _make_cartpole(cart_mass=1.0, pole_mass=0.1, pole_half_length=0.5, gravity=9
         return _vec([x[:, 1], pdd, phid, phidd])
 
     return SystemSpec(
-        name="cartpole",
-        d=4,
-        m=1,
         state_box=Box(
             np.array([-3.0, -6.0, -1.5 * np.pi, -10.0]),
             np.array([3.0, 6.0, 1.5 * np.pi, 10.0]),
         ),
         action_box=Box(np.array([-force_max]), np.array([force_max])),
         f=f,
-        x_star=np.zeros(4),
-        u_star=np.zeros(1),
-        P=np.eye(4),
-        R=0.01 * np.eye(1),
         # hanging, within 0.1 of rest in every coordinate
         rho=Box(np.array([-0.1, -0.1, np.pi - 0.1, -0.1]),
                 np.array([0.1, 0.1, np.pi + 0.1, 0.1])),
@@ -328,9 +329,6 @@ def _make_acrobot(m1=1.0, m2=1.0, l1=1.0, lc1=0.5, lc2=0.5, I1=1.0, I2=1.0, grav
         return _vec([qd1, qd2, qdd1, qdd2])
 
     return SystemSpec(
-        name="acrobot",
-        d=4,
-        m=1,
         state_box=Box(
             np.array([-1.5 * np.pi, -1.5 * np.pi, -12.0, -12.0]),
             np.array([1.5 * np.pi, 1.5 * np.pi, 12.0, 12.0]),
@@ -338,9 +336,6 @@ def _make_acrobot(m1=1.0, m2=1.0, l1=1.0, lc1=0.5, lc2=0.5, I1=1.0, I2=1.0, grav
         action_box=Box(np.array([-torque_max]), np.array([torque_max])),
         f=f,
         x_star=np.array([np.pi, 0.0, 0.0, 0.0]),
-        u_star=np.zeros(1),
-        P=np.eye(4),
-        R=0.01 * np.eye(1),
         rho=Box(np.full(4, -0.1), np.full(4, 0.1)),
         tf=tf,
     )
@@ -394,9 +389,6 @@ def _make_quadrotor(mass=1.0, inertia=(0.01, 0.01, 0.02), gravity=9.81, torque_m
     x_star = np.zeros(12)
     x_star[:3] = 3.0
     return SystemSpec(
-        name="quadrotor",
-        d=12,
-        m=4,
         state_box=Box(lo, hi),
         action_box=Box(
             np.array([0.0, -torque_max, -torque_max, -torque_max]),
@@ -405,8 +397,6 @@ def _make_quadrotor(mass=1.0, inertia=(0.01, 0.01, 0.02), gravity=9.81, torque_m
         f=f,
         x_star=x_star,
         u_star=np.array([mass * g, 0.0, 0.0, 0.0]),
-        P=np.eye(12),
-        R=0.01 * np.eye(4),
         # positions ~ N(0, I); attitude and rates start at rest
         rho=Gaussian(np.zeros(12), np.array([1.0] * 3 + [0.0] * 9)),
         tf=tf,
@@ -424,14 +414,9 @@ def _make_lq1d(u_max=3.0, tf=5.0) -> SystemSpec:
         return dk.tensor(u)[:, 0:1]
 
     return SystemSpec(
-        name="lq1d",
-        d=1,
-        m=1,
         state_box=Box(np.array([-2.0]), np.array([2.0])),
         action_box=Box(np.array([-u_max]), np.array([u_max])),
         f=f,
-        x_star=np.zeros(1),
-        u_star=np.zeros(1),
         P=np.zeros((1, 1)),
         R=np.eye(1),
         rho=Box(np.array([-1.0]), np.array([1.0])),
@@ -500,7 +485,7 @@ def make_system(name: str, overrides: dict | None = None) -> SystemSpec:
     if fields.get("obstacles") and spec.position_slice is None:
         # obstacle_penalty reads x[:, 0:2] as a planar position
         raise ValueError(f"obstacles need a planar position; system '{name}' has none")
-    return replace(spec, params=params, **fields)
+    return replace(spec, name=name, params=params, **fields)
 
 
 @dataclass(frozen=True)

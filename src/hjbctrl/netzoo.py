@@ -4,7 +4,8 @@
 * controller: tanh hidden activations, tanh-box output squashed into the
   action space
 * value function: tanh hidden activations with the raw input concatenated
-  onto every hidden layer's input (input-concatenation skip connections)
+  onto the input of every hidden layer after the first, whose input it
+  already is (input-concatenation skip connections)
 
 ``forward``/``forward_with_jacobian``/``vjp`` take inputs of shape
 (B, in_dim) only and are built from diffkit primitives.  A net's weights

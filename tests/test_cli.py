@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from hjbctrl import cli, config, netzoo, rollout, sysid
+from hjbctrl import cli, config, hjbtrain, netzoo, rollout, sysid
 
 # tiny budgets: every command finishes in well under a second on dubins
 TINY = {
@@ -195,6 +195,10 @@ def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
     pytest.param("train", {"hjb": {"epochs": -1}}, "epochs must be >= 0",
                  id="hjb-epochs-negative"),
     pytest.param("train", {"hjb": {"lr": 0}}, "lr must be > 0", id="hjb-lr-zero"),
+    # every command parses every section, and eval's own does not excuse the others
+    pytest.param("eval", {"hjb": {"lr": 0}}, "lr must be > 0", id="eval-hjb-lr-zero"),
+    pytest.param("sysid", {"system": {"name": "cartpole"}, "eval": {"metric": "position"}},
+                 "needs a position subspace", id="sysid-eval-metric-position-on-cartpole"),
     pytest.param("train", {"hjb": {"lr_final": 0}}, "lr_final must be > 0",
                  id="hjb-lr-final-zero"),
     pytest.param("sysid", {"sysid": {"batch": 0}}, "batch must be >= 1", id="sysid-batch-zero"),
@@ -307,7 +311,7 @@ def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
                  id="system-quadrotor-goal-position-unknown"),
     pytest.param("eval", {"eval": {"metric": "foo"}},
                  "metric must be one of ('position', 'state'), got 'foo'", id="eval-metric-unknown"),
-    pytest.param("eval", {"system": {"name": "cartpole"}},
+    pytest.param("eval", {"system": {"name": "cartpole"}, "eval": {"metric": "position"}},
                  "eval metric 'position' needs a position subspace, and system 'cartpole' has none",
                  id="eval-metric-position-on-cartpole"),
     pytest.param("sysid", {"system": {"name": "quadrotor", "overrides": {"gravity": 0}}},
@@ -369,15 +373,46 @@ def test_bad_config_section_is_a_usage_error(command, section, message, tmp_path
     assert run(command, "--config", path, "--outdir", tmp_path / "out",
                *argv) == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "effective_config.json").exists()  # no echo of a bad config
 
 
 def test_metric_without_position_fails_before_the_controller_is_read(tmp_path, capsys):
-    # the default metric is "position"; cartpole has no position subspace
-    assert run("eval", "--system", "cartpole", "--outdir", tmp_path,
+    # cartpole has no position subspace
+    path = tmp_path / "position.json"
+    path.write_text(json.dumps({"eval": {"metric": "position"}}))
+    assert run("eval", "--system", "cartpole", "--config", path, "--outdir", tmp_path,
                "--controller", tmp_path / "missing.json") == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "metric 'position'" in err and "'cartpole'" in err
     assert "checkpoint not found" not in err
+
+
+@pytest.mark.parametrize("name, metric", [("dubins", "position"), ("cartpole", "state"),
+                                          ("acrobot", "state"), ("quadrotor", "position"),
+                                          ("lq1d", "state")])
+def test_eval_without_a_metric_uses_one_the_system_has(name, metric, tmp_path):
+    assert run("train", "--system", name, "--epochs", 0, "--outdir", tmp_path) == cli.EXIT_OK
+    assert run("eval", "--system", name, "--starts", 8, "--outdir", tmp_path,
+               "--controller", tmp_path / f"controller_{name}.json") == cli.EXIT_OK
+    assert read_report(tmp_path / "eval_report.csv")["metric"] == metric
+    echo = json.loads((tmp_path / "effective_config.json").read_text())
+    assert echo["eval"]["metric"] == metric
+
+
+def test_every_echo_writes_out_every_section_field(tiny_config, tmp_path):
+    controller = tmp_path / "train" / "controller_dubins.json"
+    for command, argv in (("sysid", []), ("train", []), ("eval", ["--controller", controller]),
+                          ("rollout", ["--controller", controller, "--x0=-3,0.5,0.1"])):
+        outdir = tmp_path / command
+        assert run(command, "--config", tiny_config, "--outdir", outdir, *argv) == cli.EXIT_OK
+        echo = json.loads((outdir / "effective_config.json").read_text())
+        for section, cls in (("sysid", sysid.SysIdConfig), ("hjb", hjbtrain.HjbConfig),
+                             ("eval", config.EvalConfig)):
+            assert set(echo[section]) == {f.name for f in fields(cls)}, (command, section)
+        # the values set, the defaults, and the metric the run used
+        assert echo["hjb"]["epochs"] == TINY["hjb"]["epochs"] and echo["hjb"]["lr"] == 0.01
+        assert echo["sysid"]["hidden"] == [8] and echo["sysid"]["lr"] == 1e-3
+        assert echo["eval"]["metric"] == "position" and echo["eval"]["starts"] == 12
 
 
 @pytest.mark.parametrize("chunk_bytes, export", [(16 << 20, 3), (1500, 6)],

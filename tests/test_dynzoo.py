@@ -1,5 +1,5 @@
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -347,3 +347,50 @@ def test_obstacles_need_a_planar_position(name):
         dz.make_system(name, {"obstacles": [[[0.0, 0.0], 0.5]]})
     assert dz.make_system(name, {"obstacles": []}).obstacles == ()
 
+
+
+# each system's cost as literals: what its maker states, and the standard
+# cost (x* = 0, u* = 0, P = I, R = 0.01 I, no Q) for what it does not
+COSTS = {
+    "dubins": dict(x_star=[0.0, 0.0, 0.0], u_star=[0.0, 0.0],
+                   P=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                   R=[[0.01, 0.0], [0.0, 0.01]], Q=None),
+    "cartpole": dict(x_star=[0.0, 0.0, 0.0, 0.0], u_star=[0.0],
+                     P=[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                        [0.0, 0.0, 0.0, 1.0]], R=[[0.01]], Q=None),
+    "acrobot": dict(x_star=[np.pi, 0.0, 0.0, 0.0], u_star=[0.0],
+                    P=[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                       [0.0, 0.0, 0.0, 1.0]], R=[[0.01]], Q=None),
+    "quadrotor": dict(x_star=[3.0, 3.0, 3.0] + [0.0] * 9, u_star=[9.81, 0.0, 0.0, 0.0],
+                      P=[[float(i == j) for j in range(12)] for i in range(12)],
+                      R=[[0.01, 0.0, 0.0, 0.0], [0.0, 0.01, 0.0, 0.0], [0.0, 0.0, 0.01, 0.0],
+                         [0.0, 0.0, 0.0, 0.01]], Q=None),
+    "lq1d": dict(x_star=[0.0], u_star=[0.0], P=[[0.0]], R=[[1.0]], Q=[[1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_each_system_has_its_stated_cost(name):
+    spec = dz.make_system(name)
+    for key, want in COSTS[name].items():
+        got = getattr(spec, key)
+        if want is None:
+            assert got is None, key
+        else:
+            assert got.dtype == np.float64 and np.array_equal(got, want), key
+
+
+@pytest.mark.parametrize("name, d, m", [("dubins", 3, 2), ("cartpole", 4, 1), ("acrobot", 4, 1),
+                                        ("quadrotor", 12, 4), ("lq1d", 1, 1)])
+def test_name_is_the_key_and_dimensions_are_the_boxes(name, d, m):
+    spec = dz.make_system(name)
+    assert (spec.name, spec.d, spec.m) == (name, d, m)
+    assert (spec.state_box.dim, spec.action_box.dim) == (d, m)
+
+
+def test_a_start_distribution_of_another_dimension_is_refused():
+    spec = dz.make_system("dubins")
+    with pytest.raises(ValueError, match=r"rho has dim 2, system 'dubins' has d=3"):
+        replace(spec, rho=dz.Box(np.zeros(2), np.ones(2)))
+    with pytest.raises(ValueError, match=r"rho has dim 4, system 'dubins' has d=3"):
+        replace(spec, rho=dz.Gaussian(np.zeros(4), np.ones(4)))
