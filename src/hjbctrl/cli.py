@@ -317,7 +317,7 @@ def main(argv=None) -> int:
         # arose, so numpy's floating-point warnings would only repeat them
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except (cfgmod.ConfigError, netzoo.CheckpointError, KeyError, ValueError) as e:
+    except (cfgmod.ConfigError, netzoo.CheckpointError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (TrainingDiverged, NumericError) as e:

@@ -19,9 +19,9 @@ layer sets ``eval.metric``, it is ``position`` for a system with a
 position subspace and ``state`` otherwise.  :func:`system_spec` builds the
 system and, when the ``rho`` section is set, replaces the system's start
 distribution with it.  The effective merged config, with every field of
-the three parsed sections written out (:func:`sections`), is echoed next
-to every command's outputs once it has parsed, and can be re-fed verbatim
-via --config.
+the three parsed sections and every physical parameter of the system
+written out (:func:`sections`), is echoed next to every command's outputs
+once it has parsed, and can be re-fed verbatim via --config.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynzoo import Box, Gaussian, SystemSpec, make_system, system_names
+from .dynzoo import Box, Gaussian, SystemSpec, make_system
 from .hjbtrain import HjbConfig
-from .rollout import METRICS, check_metric
+from .rollout import check_metric
 from .sysid import SysIdConfig
 
 
@@ -50,7 +50,7 @@ class ConfigError(Exception):
 class EvalConfig:
     starts: int = 1000
     threshold: float = 0.15
-    metric: str  # one of rollout.METRICS; :func:`eval_config` picks it when unset
+    metric: str  # one of rollout.METRICS; :func:`eval_config` checks it, and picks it when unset
     seed: int = 0
 
     def __post_init__(self):
@@ -60,8 +60,6 @@ class EvalConfig:
             raise ValueError("seed must be >= 0")
         if not (math.isfinite(self.threshold) and self.threshold >= 0):
             raise ValueError("threshold must be finite and >= 0")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
 
 
 DEFAULTS: dict = {
@@ -186,14 +184,6 @@ def _section(cfg: dict, name: str, cls):
         raise ConfigError(f"bad {name} config: {e}")
 
 
-def sysid_config(cfg: dict) -> SysIdConfig:
-    return _section(cfg, "sysid", SysIdConfig)
-
-
-def hjb_config(cfg: dict) -> HjbConfig:
-    return _section(cfg, "hjb", HjbConfig)
-
-
 def eval_config(cfg: dict, spec: SystemSpec) -> EvalConfig:
     """The ``eval`` section, checked against the system it scores.  Without
     a ``metric`` key, the metric is ``position`` for a system with a
@@ -218,9 +208,14 @@ class Sections(typing.NamedTuple):
 
 def sections(cfg: dict, spec: SystemSpec) -> tuple[dict, Sections]:
     """The parsed ``sysid``, ``hjb`` and ``eval`` sections, and ``cfg`` with
-    every field of each written out: the config a run uses."""
-    parsed = Sections(sysid_config(cfg), hjb_config(cfg), eval_config(cfg, spec))
-    return {**cfg, **{k: dataclasses.asdict(v) for k, v in parsed._asdict().items()}}, parsed
+    every field of each, and every physical parameter of ``spec`` in
+    ``system.overrides``, written out: the config a run uses."""
+    parsed = Sections(_section(cfg, "sysid", SysIdConfig), _section(cfg, "hjb", HjbConfig),
+                      eval_config(cfg, spec))
+    system = cfg["system"]
+    overrides = {**(system.get("overrides") or {}), **spec.params}
+    return {**cfg, "system": {**system, "overrides": overrides},
+            **{k: dataclasses.asdict(v) for k, v in parsed._asdict().items()}}, parsed
 
 
 def _rho(section: dict) -> Box | Gaussian:
@@ -246,8 +241,6 @@ def system_spec(cfg: dict) -> SystemSpec:
     name = system.get("name")
     if not name:
         raise ConfigError("no system given (use --system or a config with system.name)")
-    if name not in system_names():
-        raise ConfigError(f"unknown system '{name}'; known: {', '.join(system_names())}")
     spec = make_system(name, _object("system.overrides", system.get("overrides")))
     section = _object("rho", cfg.get("rho"))
     if section:

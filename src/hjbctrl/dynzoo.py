@@ -178,7 +178,8 @@ def obstacle_penalty(x, obstacles, c_obs: float = 100.0, margin: float = 0.1) ->
     """Soft obstacle cost: sum over obstacles of c * relu(r_safe - dist)^2.
 
     Quadratic in the clearance violation, hence C^1; exactly zero at planar
-    distance >= radius + margin.
+    distance >= radius + margin.  ``obstacles`` holds at least one obstacle:
+    the one caller, :meth:`SystemSpec.running_cost`, adds no penalty without.
     """
     x = dk.tensor(x)
     pos = x[:, 0:2]
@@ -189,8 +190,6 @@ def obstacle_penalty(x, obstacles, c_obs: float = 100.0, margin: float = 0.1) ->
         gap = dk.relu((obs.radius + margin) - dist)
         term = c_obs * dk.square(gap)
         total = term if total is None else total + term
-    if total is None:
-        return dk.tensor(np.zeros(x.shape[0]))
     return total
 
 
@@ -453,17 +452,18 @@ def make_system(name: str, overrides: dict | None = None) -> SystemSpec:
     The physical parameters (``tf`` among them) are the keywords of the
     system's maker, and their defaults are the maker's defaults; every value,
     default or override, must be finite and > 0, except ``gravity``, which
-    needs only be finite.  ``spec.params`` holds the values used.  A
-    malformed override raises ValueError naming its key.
+    needs only be finite.  ``spec.params`` holds the values used.  An
+    unknown system or parameter, or a malformed override, raises ValueError
+    naming it.
     """
     if name not in _MAKERS:
-        raise KeyError(f"unknown system '{name}'; known: {', '.join(system_names())}")
+        raise ValueError(f"unknown system '{name}'; known: {', '.join(system_names())}")
     maker = _MAKERS[name]
     defaults = {key: p.default for key, p in inspect.signature(maker).parameters.items()}
     overrides = overrides or {}
     unknown = set(overrides) - set(defaults) - {"obstacles", *_COST_ARRAYS}
     if unknown:
-        raise KeyError(f"unknown parameter(s) for {name}: {sorted(unknown)}")
+        raise ValueError(f"unknown parameter(s) for {name}: {sorted(unknown)}")
     params = {key: _parameter(key, overrides.get(key, default), default)
               for key, default in defaults.items()}
     fields = {}

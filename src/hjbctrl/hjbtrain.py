@@ -107,13 +107,14 @@ def hamiltonian(
 # ---------------------------------------------------------------------------
 
 
-def grid_hamiltonian(value, traj: TrajectoryBatch, transition,
+def grid_hamiltonian(value, controller: Callable, traj: TrajectoryBatch, transition,
                      spec: SystemSpec) -> HamiltonianEval:
     """The Hamiltonian at all K+1 grid points of every trajectory, flattened
-    into one batch, step by step (row k * B + b is start b at step k);
-    shared by all four losses."""
+    into one batch, step by step (row k * B + b is start b at step k), with
+    the controller's control at each final state; shared by all four losses."""
+    u_f = controller(traj.states[-1])
     xs = dk.concat(traj.states, axis=0)
-    us = dk.concat(list(traj.controls) + [traj.terminal_control], axis=0)
+    us = dk.concat(list(traj.controls) + [u_f], axis=0)
     ts = np.repeat(traj.times, traj.batch)
     return hamiltonian(value, transition, spec, xs, us, ts)
 
@@ -246,7 +247,7 @@ def train_controller(
             vnet = value.with_params(master_leaves(tape, v_params, epoch))
             val = MlpValue(vnet, spec.tf)
             traj = rollout(spec, transition, ctrl, x0, K=cfg.K)
-            ev = grid_hamiltonian(val, traj, transition, spec)
+            ev = grid_hamiltonian(val, ctrl, traj, transition, spec)
             parts = {
                 "loss_cost": loss_cost(ev, traj, spec),
                 "loss_hjb": loss_hjb(ev),

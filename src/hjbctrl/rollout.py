@@ -116,9 +116,6 @@ class TrajectoryBatch:
     times: np.ndarray  # (K+1,)
     states: list[Tensor]  # K+1 tensors of (B, d)
     controls: list[Tensor]  # K tensors of (B, m)
-    # feedback control evaluated at the final state; not integrated, but the
-    # HJB residual grid includes the terminal point
-    terminal_control: Tensor
 
     @property
     def batch(self) -> int:
@@ -174,9 +171,9 @@ def rollout(
     """Integrate xdot = f(x, u(x)) over [0, tf] in K uniform RK4 steps from
     a (B, d) batch of initial states.
 
-    The control is recomputed from the current state at every grid point
-    (feedback).  Under an active tape the whole computation is recorded, so
-    gradients reach the controller through every step.
+    The control is recomputed from the current state at the start of every
+    step (feedback).  Under an active tape the whole computation is
+    recorded, so gradients reach the controller through every step.
     """
     x = dk.tensor(x0)
     if x.ndim != 2 or x.shape[1] != spec.d:
@@ -198,7 +195,6 @@ def rollout(
         times=times,
         states=states,
         controls=controls,
-        terminal_control=controller(x),
     )
 
 
@@ -267,9 +263,8 @@ def _norms(cols: list[np.ndarray]) -> np.ndarray:
     arrays ``cols``, bitwise ``np.linalg.norm`` over a contiguous last
     axis of ``len(cols)`` entries.  numpy adds fewer than 8 squares left to
     right, which column arithmetic repeats without a reduction over a short
-    axis; it sums 8 or more pairwise, so wider vectors are stacked for it."""
-    if len(cols) >= 8:
-        return np.linalg.norm(np.stack(cols, axis=-1), axis=-1)
+    axis.  Callers pass at most 4 columns: the controls (m <= 4), the
+    position steps (at most 3) and an obstacle's planar offset (2)."""
     s = cols[0] * cols[0]
     for c in cols[1:]:
         s += c * c
@@ -329,7 +324,6 @@ def _first(trajs: list[TrajectoryBatch], n: int) -> TrajectoryBatch:
         times=trajs[0].times,
         states=rows([t.states for t in trajs]),
         controls=rows([t.controls for t in trajs]),
-        terminal_control=rows([[t.terminal_control] for t in trajs])[0],
     )
 
 

@@ -40,7 +40,6 @@ class SysIdConfig:
     lr_decay: float = 0.5  # applied every 20% of the run
     hidden: tuple[int, ...] = (64, 64, 64)
     omega0: float = 8.0
-    jac_weight: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -54,14 +53,11 @@ class SysIdConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.n_train < self.batch:
             raise ValueError("dataset smaller than one batch")
-        for name in ("lr", "lr_decay", "omega0", "jac_weight"):
+        for name in ("lr", "lr_decay", "omega0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        for name in ("lr", "lr_decay", "omega0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.jac_weight < 0:
-            raise ValueError("jac_weight must be >= 0")
         if any(w < 1 for w in self.hidden):
             raise ValueError("hidden widths must be >= 1")
 
@@ -89,7 +85,6 @@ def sysid_loss(
     u: np.ndarray,
     xdot: np.ndarray,
     jac_target: np.ndarray | None = None,
-    jac_weight: float = 1.0,
 ) -> Tensor:
     """Training loss on one batch; taped when the net's weights are leaves.
 
@@ -100,7 +95,7 @@ def sysid_loss(
         return dk.mean_(dk.l2norm(netzoo.forward(net, z) - xdot, axis=-1))
     pred, jac = netzoo.forward_with_jacobian(net, z)
     loss = dk.mean_(dk.l2norm(pred - xdot, axis=-1))
-    return loss + jac_weight * dk.mean_(dk.l2norm(jac - jac_target, axis=(-2, -1)))
+    return loss + dk.mean_(dk.l2norm(jac - jac_target, axis=(-2, -1)))
 
 
 def heldout_errors(net: netzoo.Mlp, data: Dataset) -> np.ndarray:
@@ -183,7 +178,6 @@ def train_sysid(
                 net.with_params(leaves), train_data.x[idx], train_data.u[idx],
                 train_data.xdot[idx],
                 jac_target=train_data.jac[idx] if cfg.grad_supervision else None,
-                jac_weight=cfg.jac_weight,
             )
         value = loss.item()
         if not np.isfinite(value):

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import warnings
 from dataclasses import fields, replace
@@ -6,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from hjbctrl import cli, config, hjbtrain, netzoo, rollout, sysid
+from hjbctrl import cli, config, dynzoo, hjbtrain, netzoo, rollout, sysid
 
 # tiny budgets: every command finishes in well under a second on dubins
 TINY = {
@@ -70,7 +71,16 @@ def test_sysid_train_eval_rollout_round_trip(tiny_config, tmp_path):
 
 def test_unknown_system_is_a_usage_error(tmp_path, capsys):
     assert run("sysid", "--system", "unicycle", "--outdir", tmp_path) == cli.EXIT_USAGE
-    assert "unknown system" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: unknown system 'unicycle'; known: acrobot, "
+                                       "cartpole, dubins, lq1d, quadrotor\n")
+
+
+def test_unknown_parameter_is_printed_without_quotes(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"system": {"overrides": {"foo": 1}}}))
+    assert run("sysid", "--system", "dubins", "--config", path,
+               "--outdir", tmp_path / "out") == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: unknown parameter(s) for dubins: ['foo']\n"
 
 
 def test_malformed_x0_is_a_usage_error(tiny_config, tmp_path, capsys):
@@ -92,6 +102,24 @@ def test_echoed_config_reproduces_its_hash(tiny_config, tmp_path):
         (second / "effective_config.json").read_text())
     assert "config_hash=" in csv_header(first / "sysid_report.csv")
     assert csv_header(first / "sysid_report.csv") == csv_header(second / "sysid_report.csv")
+
+
+@pytest.mark.parametrize("system", dynzoo.system_names())
+def test_the_echo_holds_every_physical_parameter_used(system, tmp_path):
+    # a parameter missing from the echo would change a run but not its hash
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"system": {"name": system, "overrides": {"tf": 2.5}},
+                                "hjb": {"controller_hidden": [4], "value_hidden": [4]}}))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run("train", "--config", path, "--outdir", first, "--epochs", 0) == cli.EXIT_OK
+    echoed = first / "effective_config.json"
+    maker = inspect.signature(dynzoo._MAKERS[system]).parameters
+    want = {key: p.default for key, p in maker.items()} | {"tf": 2.5}
+    assert json.loads(echoed.read_text())["system"]["overrides"] == json.loads(json.dumps(want))
+    assert run("train", "--config", echoed, "--outdir", second) == cli.EXIT_OK
+    assert echoed.read_text() == (second / "effective_config.json").read_text()
+    assert (csv_header(first / "training_log.csv")
+            == csv_header(second / "training_log.csv"))
 
 
 def test_same_seed_evals_write_identical_reports(tiny_config, tmp_path):
@@ -209,8 +237,9 @@ def test_unreadable_config_is_a_usage_error(argv, message, tmp_path, capsys):
                  id="sysid-omega0-zero"),
     pytest.param("sysid", {"sysid": {"hidden": [8, 0]}}, "hidden widths must be >= 1",
                  id="sysid-hidden-zero"),
-    pytest.param("sysid", {"sysid": {"jac_weight": -1}}, "jac_weight must be >= 0",
-                 id="sysid-jac-weight-negative"),
+    # grad_supervision is the one Sobolev switch; the term has no weight
+    pytest.param("sysid", {"sysid": {"jac_weight": 1}}, "unknown sysid option(s): ['jac_weight']",
+                 id="sysid-jac-weight"),
     pytest.param("sysid", {"sysid": {"lr": float("nan")}}, "lr must be finite",
                  id="sysid-lr-nan"),
     pytest.param("train", {"hjb": {"controller_hidden": [0]}},
@@ -577,7 +606,8 @@ def test_transition_with_a_bad_field_is_a_usage_error(edit, message, tiny_config
 
 
 def test_config_values_take_their_field_types():
-    hcfg = config.hjb_config({"hjb": {"lr": 1, "controller_hidden": [8, 4]}})
+    cfg = {"system": {"name": "dubins"}, "hjb": {"lr": 1, "controller_hidden": [8, 4]}}
+    hcfg = config.sections(cfg, config.system_spec(cfg))[1].hjb
     assert type(hcfg.lr) is float and hcfg.lr == 1.0
     assert hcfg.controller_hidden == (8, 4)
 

@@ -376,8 +376,9 @@ def test_gradient_through_tangents_matches_fd():
     x0 = np.array([[0.1, 0.0, 3.0, 0.2], [-0.2, 0.1, 2.9, -0.1]])
 
     def loss(params):
-        traj = ro.rollout(spec, tr, ctrl_net.with_params(params), x0, K=3)
-        return hj.loss_hamil(hj.grid_hamiltonian(value, traj, tr, spec))
+        ctrl = ctrl_net.with_params(params)
+        traj = ro.rollout(spec, tr, ctrl, x0, K=3)
+        return hj.loss_hamil(hj.grid_hamiltonian(value, ctrl, traj, tr, spec))
 
     p0 = ctrl_net.params()
     tape = dk.Tape()

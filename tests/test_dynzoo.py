@@ -237,12 +237,6 @@ def test_obstacle_penalty_gradient_matches_fd():
         assert rel_err(got, ref) < 1e-6
 
 
-def test_obstacle_penalty_no_obstacles_is_zero():
-    assert np.array_equal(
-        dz.obstacle_penalty(np.zeros((3, 2)), ()).data, np.zeros(3)
-    )
-
-
 # -- datasets ---------------------------------------------------------------------
 
 
@@ -276,12 +270,12 @@ def test_sample_dataset_rejects_empty():
 
 
 def test_unknown_system_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown system 'walker2d'"):
         dz.make_system("walker2d")
 
 
 def test_unknown_parameter_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"unknown parameter\(s\) for dubins: \['wheelbase'\]"):
         dz.make_system("dubins", {"wheelbase": 2.0})
 
 

@@ -169,7 +169,7 @@ def test_loss_cost_zero_when_pinned_at_goal():
     spec = dz.make_system("dubins")
     ctrl = lambda x: dk.tensor(np.zeros((x.shape[0], 2)))
     traj, tr = make_traj(spec, ctrl, np.tile(spec.x_star, (3, 1)))
-    ev = hj.grid_hamiltonian(zero_value, traj, tr, spec)
+    ev = hj.grid_hamiltonian(zero_value, ctrl, traj, tr, spec)
     assert hj.loss_cost(ev, traj, spec).item() < 1e-12
 
 
@@ -178,9 +178,30 @@ def test_loss_cost_terminal_only():
     ctrl = lambda x: dk.tensor(np.tile([0.5, 0.1], (x.shape[0], 1)))
     x0 = np.array([[0.1, 0.2, 0.0], [-1.0, 0.5, 0.4]])
     traj, tr = make_traj(spec, ctrl, x0)
-    ev = hj.grid_hamiltonian(zero_value, traj, tr, spec)
+    ev = hj.grid_hamiltonian(zero_value, ctrl, traj, tr, spec)
     want = spec.terminal_cost(traj.states[-1]).data.mean()
     assert abs(hj.loss_cost(ev, traj, spec).item() - want) < 1e-12
+
+
+def test_the_grid_ends_with_the_controls_at_the_final_states(monkeypatch):
+    # the rollout integrates K controls; the grid's last slice of B control
+    # rows is the controller's at the final states, which only the grid reads
+    spec = dz.make_system("dubins")
+    ctrl = nz.controller_net(3, spec.action_box.lo, spec.action_box.hi, hidden=(8,), seed=2)
+    traj, tr = make_traj(spec, ctrl, spec.rho.sample(np.random.default_rng(0), 5), K=4)
+    grids = []
+    hamiltonian = hj.hamiltonian
+
+    def recorded(value, transition, spec, x, u, t):
+        grids.append((x.data, u.data))
+        return hamiltonian(value, transition, spec, x, u, t)
+
+    monkeypatch.setattr(hj, "hamiltonian", recorded)
+    hj.grid_hamiltonian(zero_value, ctrl, traj, tr, spec)
+    [(xs, us)] = grids
+    assert np.array_equal(xs, traj.state_stack.reshape(-1, 3))
+    assert np.array_equal(us[:-5], traj.control_stack.reshape(-1, 2))
+    assert np.array_equal(us[-5:], ctrl(traj.states[-1]).data)
 
 
 def test_loss_hjb_zero_for_constant_value_and_zero_cost():
@@ -194,7 +215,7 @@ def test_loss_hjb_zero_for_constant_value_and_zero_cost():
         z = dk.tensor(np.zeros(b))
         return c, z, dk.tensor(np.zeros((b, 1)))
 
-    assert hj.loss_hjb(hj.grid_hamiltonian(const_value, traj, tr, spec)).item() < 1e-12
+    assert hj.loss_hjb(hj.grid_hamiltonian(const_value, ctrl, traj, tr, spec)).item() < 1e-12
 
 
 def test_loss_hjb_analytic_lq_solution_residual():
@@ -231,11 +252,9 @@ def test_loss_hjb_analytic_lq_solution_residual():
             ro.rk4_step(tr, states[-1], u, h).data
         ))
     p_f = 1.0 / (1.0 + tf - times[-1])
-    traj = ro.TrajectoryBatch(
-        times=times, states=states, controls=controls,
-        terminal_control=dk.tensor(-p_f * states[-1].data),
-    )
-    resid = hj.loss_hjb(hj.grid_hamiltonian(analytic_value, traj, tr, spec)).item()
+    final_ctrl = lambda x: dk.tensor(-p_f * x.data)
+    traj = ro.TrajectoryBatch(times=times, states=states, controls=controls)
+    resid = hj.loss_hjb(hj.grid_hamiltonian(analytic_value, final_ctrl, traj, tr, spec)).item()
     assert resid < 1e-6
 
 
@@ -249,9 +268,9 @@ def test_loss_final_identities():
         b = x.shape[0]
         return g, dk.tensor(np.zeros(b)), dk.tensor(np.zeros((b, 3)))
 
-    ev = hj.grid_hamiltonian(value_equals_g, traj, tr, spec)
+    ev = hj.grid_hamiltonian(value_equals_g, ctrl, traj, tr, spec)
     assert hj.loss_final(ev, traj, spec).item() == 0.0
-    got = hj.loss_final(hj.grid_hamiltonian(zero_value, traj, tr, spec), traj, spec).item()
+    got = hj.loss_final(hj.grid_hamiltonian(zero_value, ctrl, traj, tr, spec), traj, spec).item()
     want = spec.terminal_cost(traj.states[-1]).data.mean()
     assert abs(got - want) < 1e-12
 
@@ -264,7 +283,7 @@ def test_loss_hamil_identities():
     # at u = u* (interior after adding 0.5 to stay inside the box for v) the
     # running-cost gradient is 2R(u - u*); with V = 0 that is all of grad_u H
     traj, tr = make_traj(spec, u_star_ctrl, np.array([[0.0, 0.0, 0.0]]))
-    got = hj.loss_hamil(hj.grid_hamiltonian(zero_value, traj, tr, spec)).item()
+    got = hj.loss_hamil(hj.grid_hamiltonian(zero_value, u_star_ctrl, traj, tr, spec)).item()
     want = np.linalg.norm(2.0 * np.array([0.5, 0.0]) @ spec.R)
     assert abs(got - want) < 1e-9
 
@@ -272,7 +291,7 @@ def test_loss_hamil_identities():
     ispec = replace(integrator_system(), R=np.zeros((1, 1)))
     ctrl = lambda x: dk.tensor(np.full((x.shape[0], 1), 0.2))
     traj, tr = make_traj(ispec, ctrl, np.array([[0.8]]), K=5)
-    got = hj.loss_hamil(hj.grid_hamiltonian(quadratic_value, traj, tr, ispec)).item()
+    got = hj.loss_hamil(hj.grid_hamiltonian(quadratic_value, ctrl, traj, tr, ispec)).item()
     xs = np.concatenate([s.data for s in traj.states], axis=0)
     want = np.mean(np.abs(2.0 * xs[:, 0]))
     assert abs(got - want) < 1e-9

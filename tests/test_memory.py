@@ -105,7 +105,7 @@ def record_step_without_backward(spec, transition) -> None:
         ctrl = ctrl.with_params([tape.leaf(p) for p in ctrl.params()])
         value = hj.MlpValue(value.with_params([tape.leaf(p) for p in value.params()]), spec.tf)
         traj = ro.rollout(spec, transition, ctrl, x0, K=10)
-        hj.loss_hjb(hj.grid_hamiltonian(value, traj, transition, spec))
+        hj.loss_hjb(hj.grid_hamiltonian(value, ctrl, traj, transition, spec))
 
 
 @pytest.mark.parametrize("learned", [False, True], ids=["analytic", "learned"])

@@ -179,7 +179,7 @@ def test_an_analytic_rollout_records_a_node_per_step_and_linearizes_f_once(syste
         traj = ro.rollout(spec, tr, ctrl.with_params(leaves), x0, K=K)
         names = Counter(node.name for node in tape.nodes)
         out = dk.sum_(traj.states[-1])
-    assert names["rk4"] == K and names["mlp"] == K + 1
+    assert names["rk4"] == K and names["mlp"] == K
     dk.grad(out, leaves)
     # four untaped evaluations per step, then one linearization call over
     # every stage point on the tape, which is not a transition evaluation
@@ -250,11 +250,11 @@ def zero_value(x, t):
     return dk.tensor(np.zeros(b)), dk.tensor(np.zeros(b)), dk.tensor(np.zeros((b, d)))
 
 
-def checked_loss_cost(spec, traj) -> float:
-    """``hjbtrain.loss_cost`` of a trajectory, checked against the mean of
-    h * sum_k L(x_k, u_k) + G(x_K) summed step by step from its states and
-    controls."""
-    ev = hj.grid_hamiltonian(zero_value, traj, ro.AnalyticTransition(spec), spec)
+def checked_loss_cost(spec, controller, traj) -> float:
+    """``hjbtrain.loss_cost`` of a controller's trajectory, checked against
+    the mean of h * sum_k L(x_k, u_k) + G(x_K) summed step by step from its
+    states and controls."""
+    ev = hj.grid_hamiltonian(zero_value, controller, traj, ro.AnalyticTransition(spec), spec)
     got = hj.loss_cost(ev, traj, spec).item()
     h = spec.tf / traj.steps
     integral = sum(h * spec.running_cost(x.data, u.data).data
@@ -271,7 +271,8 @@ def test_zero_controller_constant_trajectory_zero_cost():
     traj = ro.rollout(spec, tr, zero_controller(2), x0, K=20)
     assert np.allclose(traj.state_stack, x0[None])
     # no running cost: what remains is G(x0)
-    assert abs(checked_loss_cost(spec, traj) - spec.terminal_cost(x0).data.mean()) < 1e-12
+    assert abs(checked_loss_cost(spec, zero_controller(2), traj)
+               - spec.terminal_cost(x0).data.mean()) < 1e-12
 
 
 def test_initial_states_preserved_and_grid_uniform():
@@ -294,7 +295,8 @@ def test_single_step_rollout_equals_rk4_plus_quadrature():
     want = ro.rk4_step(tr, dk.tensor(x0), dk.tensor(np.array([u])), h).data
     assert np.allclose(traj.states[-1].data, want)
     l0 = spec.running_cost(x0, np.array([u])).data
-    assert np.allclose(checked_loss_cost(spec, traj), h * l0 + spec.terminal_cost(want).data)
+    assert np.allclose(checked_loss_cost(spec, constant_controller(u), traj),
+                       h * l0 + spec.terminal_cost(want).data)
 
 
 def test_rollout_rejects_wrong_dim():
@@ -403,7 +405,6 @@ def learned_rollout(K, dtype, fused=True):
             for _ in range(K):
                 controls.append(policy(states[-1]))
                 states.append(rk4_chain(lt, states[-1], controls[-1], spec.tf / K))
-            policy(states[-1])  # the terminal control, as rollout evaluates it
         names = Counter(node.name for node in tape.nodes if node.op != "leaf")
         out = dk.sum_(states[-1])
     g = dk.grad(out, leaves)
@@ -420,9 +421,9 @@ def test_learned_rollout_is_the_primitive_chain(dtype):
     # the chain sums a state's adjoint contributions in another order
     for g, g_ref in zip(grads, grads_ref, strict=True):
         np.testing.assert_allclose(g, g_ref, rtol=1e-5, atol=1e-5 * np.abs(g_ref).max())
-    # K + 1 controller evaluations and one node per step
-    assert names == {"mlp": 11, "rk4_mlp": 10}
-    assert names_ref["mlp"] == 11 + 40 and names_ref["concat"] == 40
+    # one controller evaluation and one node per step
+    assert names == {"mlp": 10, "rk4_mlp": 10}
+    assert names_ref["mlp"] == 10 + 40 and names_ref["concat"] == 40
 
 
 def test_learned_rk4_step_gradients_match_central_differences(rng):
@@ -551,10 +552,10 @@ def test_obstacle_violations_are_the_batch_major_count():
     assert 0 < got[4] < 64
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 12])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 7])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_norms_are_numpy_norms_bitwise(width, dtype, rng):
-    # fewer than 8 entries are added left to right, 8 or more pairwise
+    # numpy adds fewer than 8 entries left to right; callers pass at most 4
     a = (rng.standard_normal((21, 300, width)) * rng.uniform(1e-3, 1e3, (21, 300, 1))).astype(dtype)
     got = ro._norms([a[:, :, i] for i in range(width)])
     assert got.dtype == dtype and np.array_equal(got, np.linalg.norm(a, axis=2))
@@ -583,6 +584,20 @@ def test_a_chunked_evaluation_reports_the_one_batch_report(monkeypatch):
     assert reports[0].obstacle_violations > 0 and 0 < reports[0].success_rate < 1
 
 
+def test_evaluation_evaluates_the_controller_once_a_step(monkeypatch):
+    # K controller evaluations per chunk of starts: none at the final state
+    spec = dz.make_system("dubins")
+    controller = nz.controller_net(spec.d, spec.action_box.lo, spec.action_box.hi,
+                                   hidden=(8,), seed=1)
+    calls = []
+    forward = nz.forward
+    monkeypatch.setattr(nz, "forward", lambda net, x: calls.append(x.shape[0]) or forward(net, x))
+    # a start holds 3 * 4 * (K+1) * (d+m) bytes: 12 starts a chunk splits 50 into 5
+    monkeypatch.setattr(ro, "_EVAL_CHUNK_BYTES", 3 * 4 * 11 * 5 * 12)
+    ro.evaluate(spec, controller, 50, seed=3, K=10, threshold=3.0)
+    assert calls == [10] * (5 * 10)
+
+
 # -- export ----------------------------------------------------------------------
 
 
@@ -608,7 +623,7 @@ def test_export_reintegrates_to_cost_integral(tmp_path):
     assert len(rates) == 40
     h = spec.tf / 40
     g = spec.terminal_cost(traj.states[-1].data).data[0]
-    assert abs(sum(rates) * h + g - checked_loss_cost(spec, traj)) < 1e-8
+    assert abs(sum(rates) * h + g - checked_loss_cost(spec, controller, traj)) < 1e-8
     man = json.loads((tmp_path / "rollout_manifest.json").read_text())
     assert man["nfe"] == traj.nfe and man["system"] == "dubins"
 
